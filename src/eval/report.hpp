@@ -118,10 +118,9 @@ struct CacheTelemetry {
 
 struct EvalReport {
   std::string suite;   ///< campaign name ("table3", "smoke")
-  /// Simulator engine the cells executed through ("predecoded", "fused",
-  /// "reference", "jit"). Recorded for provenance; every metric in the
-  /// report must
-  /// be engine-independent (the conformance suites enforce it), so two
+  /// Simulator engine the cells executed through (a sim::kEngines name).
+  /// Recorded for provenance; every metric in the report must be
+  /// engine-independent (the conformance suites enforce it), so two
   /// reports that differ only here are the same measurement.
   std::string engine = "predecoded";
   /// Softfloat math backend ("grs", "fast"). Same provenance-only contract

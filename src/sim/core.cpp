@@ -54,22 +54,40 @@ std::uint64_t widen_to_f32(FpFormat from, std::uint64_t bits, Flags& fl) {
   return fp::rt_convert(FpFormat::F32, from, bits, RoundingMode::RNE, fl);
 }
 
+/// Ops after which the JIT's cold tier hands control back to the driver:
+/// control transfers (the next pc is dynamic) and system ops.
+bool ends_block(const DecodedOp& u) {
+  switch (isa::op_class(u.op)) {
+    case Cls::Branch:
+    case Cls::Jump:
+    case Cls::Sys:
+      return true;
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 std::string_view engine_name(Engine e) {
-  switch (e) {
-    case Engine::Predecoded: return "predecoded";
-    case Engine::Reference: return "reference";
-    case Engine::Fused: return "fused";
-    case Engine::Jit: return "jit";
+  for (const EngineEntry& k : kEngines) {
+    if (k.engine == e) return k.name;
   }
   return "predecoded";
 }
 
+std::string engine_names() {
+  std::string out;
+  for (const EngineEntry& k : kEngines) {
+    if (!out.empty()) out += '|';
+    out += k.name;
+  }
+  return out;
+}
+
 Engine engine_from_name(std::string_view name) {
-  for (const Engine e :
-       {Engine::Predecoded, Engine::Reference, Engine::Fused, Engine::Jit}) {
-    if (name == engine_name(e)) return e;
+  for (const EngineEntry& k : kEngines) {
+    if (name == k.name) return k.engine;
   }
   throw std::runtime_error("unknown engine name: " + std::string(name));
 }
@@ -78,7 +96,7 @@ Engine engine_from_env(const char* value) {
   return util::parse_env_enum(
       value, Engine::Predecoded,
       [](const char* v) { return engine_from_name(v); }, "SFRV_ENGINE",
-      "reference|predecoded|fused|jit");
+      engine_names().c_str());
 }
 
 Engine default_engine() {
@@ -92,29 +110,15 @@ Core::Core(isa::IsaConfig cfg, MemConfig mem_cfg, Timing timing)
   rebind_context();
 }
 
-void Core::set_engine(Engine e) {
-  engine_ = e;
-  if ((e == Engine::Fused || e == Engine::Jit) && !uops_.empty() &&
-      sblk_.ops().empty()) {
-    build_superblocks();
-  }
-}
-
 void Core::set_backend(fp::MathBackend b) {
   if (b == backend_) return;
   backend_ = b;
   if (decoded_.empty()) return;
   // Re-bind the micro-op entry points from the newly selected table family.
-  // The superblock stream copies micro-ops by value, so it must be rebuilt
-  // (or cleared for lazy rebuild) whenever the micro-ops are re-lowered —
-  // and every compiled trace holds stale bound pointers, so the JIT cache
-  // is invalidated wholesale.
+  // Every compiled trace holds stale bound pointers, so the JIT cache is
+  // invalidated wholesale.
   uops_ = decode_program(decoded_, cfg_, timing_, backend_);
-  sblk_ = SuperblockProgram{};
   jit_.on_code_change(uops_.size());
-  if (engine_ == Engine::Fused || engine_ == Engine::Jit) {
-    build_superblocks();
-  }
 }
 
 void Core::load_program(const asmb::Program& prog) {
@@ -127,15 +131,7 @@ void Core::load_program(const asmb::Program& prog) {
   }
   decoded_ = prog.text;
   uops_ = decode_program(decoded_, cfg_, timing_, backend_);
-  // The fusion pass only pays off for the fused and jit engines (the jit
-  // interprets cold blocks through it); the others skip it (set_engine and
-  // run_fused/run_jit build on demand). New text also drops every compiled
-  // trace.
-  if (engine_ == Engine::Fused || engine_ == Engine::Jit) {
-    build_superblocks();
-  } else {
-    sblk_ = SuperblockProgram{};
-  }
+  // New text drops every compiled trace.
   jit_.on_code_change(uops_.size());
   text_base_ = prog.text_base;
   ctx_.pc = prog.entry();
@@ -148,12 +144,9 @@ void Core::load_program(const asmb::Program& prog) {
 }
 
 Core::RunResult Core::run(std::uint64_t max_steps) {
-  // Tracing falls back to per-step execution: the fused engine retires the
+  // Tracing falls back to per-step execution: the jit engine retires the
   // same instructions in the same order, so the traces stay equal either
   // way, but the per-step path keeps the trace hook in one place.
-  if (engine_ == Engine::Fused && trace_ == nullptr) {
-    return run_fused(max_steps);
-  }
   if (engine_ == Engine::Jit && trace_ == nullptr) {
     return run_jit(max_steps);
   }
@@ -179,8 +172,8 @@ void Core::step() {
     step_reference(idx);
     return;
   }
-  // Predecoded, Fused, and Jit cores single-step identically: one micro-op.
-  // The fused/trace fast paths only exist inside run().
+  // Predecoded and Jit cores single-step identically: one micro-op. The
+  // trace fast path only exists inside run().
   step_predecoded(idx);
 }
 
@@ -198,24 +191,15 @@ void Core::step_predecoded(std::uint32_t idx) {
 }
 
 void Core::account(const DecodedOp& u, std::uint32_t idx) {
-  int cyc = u.base_cycles;
+  int cyc = fixed_cycles(u, timing_, mem_.config());
   switch (u.tclass) {
-    case TimingClass::Load:
-      cyc += mem_.config().load_latency - 1;
-      ++stats_.load_count;
-      break;
-    case TimingClass::Store:
-      cyc += mem_.config().store_latency - 1;
-      ++stats_.store_count;
-      break;
-    case TimingClass::Jump:
-      cyc += timing_.jump_penalty;
-      break;
+    case TimingClass::Load: ++stats_.load_count; break;
+    case TimingClass::Store: ++stats_.store_count; break;
     case TimingClass::Branch:
       if (ctx_.branch_taken) cyc += timing_.branch_taken_penalty;
       break;
-    case TimingClass::None:
-      break;
+    case TimingClass::Jump:
+    case TimingClass::None: break;
   }
   stats_.cycles += static_cast<std::uint64_t>(cyc);
   ++stats_.instructions;
@@ -223,135 +207,9 @@ void Core::account(const DecodedOp& u, std::uint32_t idx) {
   stats_.pc_cycles[idx] += static_cast<std::uint64_t>(cyc);
 }
 
-// ---- superblock engine ------------------------------------------------------
-
-void Core::build_superblocks() {
-  sblk_.build(uops_, timing_, mem_.config());
-  if (verify::enabled()) {
-    verify_superblocks_or_throw(sblk_, uops_, timing_, mem_.config());
-  }
-}
-
-Core::RunResult Core::run_fused(std::uint64_t max_steps) {
-  if (sblk_.ops().empty() && !uops_.empty()) {
-    build_superblocks();
-  }
-  std::uint64_t remaining = max_steps;
-  while (remaining > 0) {
-    if (ctx_.halted) return RunResult::Halted;
-    remaining -= run_block(remaining);
-  }
-  return ctx_.halted ? RunResult::Halted : RunResult::MaxStepsReached;
-}
-
-std::uint64_t Core::run_block(std::uint64_t budget, bool stop_at_block_end) {
-  const std::uint32_t idx = fetch_index(ctx_.pc);
-  const std::int32_t start = sblk_.entry(idx);
-  if (start < 0) {
-    // Dynamic jump into the second half of a fused pair: resynchronize with
-    // one plain step — the following index is a FusedOp start again.
-    step_predecoded(idx);
-    return 1;
-  }
-  const FusedOp* const ops = sblk_.ops().data();
-  std::uint64_t* const pcyc = stats_.pc_cycles.data();
-  std::uint64_t* const opcnt = stats_.op_count.data();
-  auto pos = static_cast<std::size_t>(start);
-  std::uint64_t retired = 0;
-  // Counter contributions of fixed-timing slots accumulate in locals and
-  // land in stats_ before anything can observe them: counter CSR reads only
-  // execute on the slow path (CSRs never fuse and are never fixed-timing),
-  // which flushes first, and a SimError flushes on the way out.
-  std::uint64_t cyc_acc = 0;
-  std::uint64_t n_acc = 0;
-  std::uint64_t ld_acc = 0;
-  std::uint64_t st_acc = 0;
-  const auto flush = [&] {
-    stats_.cycles += cyc_acc;
-    stats_.instructions += n_acc;
-    stats_.load_count += ld_acc;
-    stats_.store_count += st_acc;
-    cyc_acc = n_acc = ld_acc = st_acc = 0;
-  };
-  const FusedOp* cur = nullptr;  // slot in flight, for the unwind path
-  try {
-    while (retired < budget) {
-      const FusedOp& fo = ops[pos];
-      cur = &fo;
-      ctx_.branch_taken = false;
-      if (fo.fixed_timing) {
-        if (fo.len == 2) {
-          if (budget - retired < 2) break;
-          fo.fn(ctx_, fo);
-          ++opcnt[static_cast<std::size_t>(fo.u2.op)];
-          pcyc[fo.idx + 1] += fo.c2;
-        } else {
-          fo.u1.fn(ctx_, fo.u1);
-        }
-        cyc_acc += fo.cycles12;
-        n_acc += fo.len;
-        ld_acc += fo.nloads;
-        st_acc += fo.nstores;
-        ++opcnt[static_cast<std::size_t>(fo.u1.op)];
-        pcyc[fo.idx] += fo.c1;
-        retired += fo.len;
-      } else {
-        flush();
-        if (fo.len == 1) {
-          fo.u1.fn(ctx_, fo.u1);
-          account(fo.u1, fo.idx);
-          retired += 1;
-        } else {
-          if (budget - retired < 2) break;
-          fo.fn(ctx_, fo);
-          account(fo.u1, fo.idx);
-          account(fo.u2, fo.idx + 1);
-          retired += 2;
-        }
-      }
-      cur = nullptr;
-      if (fo.terminator) {
-        if (ctx_.halted || retired >= budget) break;
-        // The JIT driver counts block entries, so it takes control back at
-        // every terminator instead of chaining to the next block here.
-        if (stop_at_block_end) break;
-        const std::int32_t next = sblk_.entry(fetch_index(ctx_.pc));
-        if (next < 0) break;  // mid-pair target: outer loop resynchronizes
-        pos = static_cast<std::size_t>(next);
-      } else {
-        ++pos;
-      }
-    }
-  } catch (...) {
-    // A fault in the *second* half of a pair must not lose the first
-    // half's retirement (the predecoded engine accounts per micro-op).
-    // Fault-capable fused handlers advance pc per half, so the pc sitting
-    // on the pair's second instruction identifies a completed first half;
-    // handlers only move pc after all other effects, so a first-half fault
-    // leaves pc on the pair itself and books nothing.
-    if (cur != nullptr && cur->len == 2 &&
-        ctx_.pc == text_base_ + 4 * cur->idx + 4) {
-      account(cur->u1, cur->idx);
-    }
-    flush();
-    throw;
-  }
-  flush();
-  if (retired == 0) {
-    // The budget (>= 1) could not fit the pair at the entry position:
-    // retire just its first micro-op; re-entry lands on the resync path.
-    step_predecoded(ops[pos].idx);
-    return 1;
-  }
-  return retired;
-}
-
 // ---- trace-compilation engine (Engine::Jit) ---------------------------------
 
 Core::RunResult Core::run_jit(std::uint64_t max_steps) {
-  if (sblk_.ops().empty() && !uops_.empty()) {
-    build_superblocks();
-  }
   std::uint64_t remaining = max_steps;
   try {
     while (remaining > 0) {
@@ -369,12 +227,12 @@ Core::RunResult Core::run_jit(std::uint64_t max_steps) {
       if (t != nullptr) {
         remaining -= exec_trace(*t, remaining);
       } else {
-        // Cold (or never-compilable) block: interpret it through the fused
-        // path. Its slow-path flush assumes stats_ is current, so deferred
-        // trace accounting lands first.
+        // Cold (or never-compilable) block: the cold tier books straight
+        // into stats_, and a counter CSR read in the block must observe
+        // every retired cycle, so deferred trace accounting lands first.
         jit_.note_interp();
         jit_.materialize_all(stats_);
-        remaining -= run_block(remaining, /*stop_at_block_end=*/true);
+        remaining -= run_cold(idx, remaining);
       }
     }
   } catch (...) {
@@ -383,6 +241,23 @@ Core::RunResult Core::run_jit(std::uint64_t max_steps) {
   }
   jit_.materialize_all(stats_);
   return ctx_.halted ? RunResult::Halted : RunResult::MaxStepsReached;
+}
+
+std::uint64_t Core::run_cold(std::uint32_t idx, std::uint64_t budget) {
+  // A micro-op that does not end the block falls through to idx + 1, so only
+  // the end of the text needs a check; the driver's fetch_index then raises
+  // the fetch fault. A faulting handler throws before account(), leaving pc
+  // on the faulting instruction with every earlier one booked.
+  const auto end = static_cast<std::uint32_t>(uops_.size());
+  std::uint64_t retired = 0;
+  for (;;) {
+    const DecodedOp& u = uops_[idx];
+    ctx_.branch_taken = false;
+    u.fn(ctx_, u);
+    account(u, idx);
+    ++retired;
+    if (ends_block(u) || retired == budget || ++idx == end) return retired;
+  }
 }
 
 std::uint64_t Core::exec_trace(jit::Trace& t, std::uint64_t budget) {

@@ -17,18 +17,14 @@
 //    micro-ops (sim/decode.hpp) carrying a resolved handler pointer, lane
 //    plan, pre-bound softfloat entry points, and timing class; step() is a
 //    single indirect call plus a 5-way timing adjustment.
-//  * Engine::Fused: superblock execution (sim/superblock.hpp) — the
-//    micro-op stream is additionally lowered into fused-pair slots and
-//    run() executes straight-line runs through run_block(), re-entering
-//    step()-style fetch bookkeeping only at block boundaries. Bit- and
-//    cycle-identical to Predecoded; step() on a Fused core executes one
-//    plain predecoded micro-op (the same single-instruction semantics),
-//    and tracing falls back to per-step execution so traces stay equal.
 //  * Engine::Jit: threaded-code trace compilation (sim/jit.hpp) — hot
 //    straight-line runs are translated into specialized trace slots with
 //    constants, timing, and fast-math entries folded in at translation
-//    time; cold blocks interpret through the fused path until they cross
-//    the hotness threshold. Bit- and cycle-identical to Predecoded.
+//    time. Until a block crosses the hotness threshold, the cold tier
+//    (run_cold) walks its predecoded micro-ops to the block end. Bit- and
+//    cycle-identical to Predecoded; step() on a Jit core executes one plain
+//    predecoded micro-op, and tracing falls back to per-step execution so
+//    traces stay equal.
 //  * Engine::Reference: the original switch-tree interpreter, retained both
 //    as the oracle for the differential suite and as the baseline the
 //    dispatch bench measures against.
@@ -47,18 +43,32 @@
 #include "sim/jit.hpp"
 #include "sim/memory.hpp"
 #include "sim/stats.hpp"
-#include "sim/superblock.hpp"
 #include "sim/timing.hpp"
 
 namespace sfrv::sim {
 
-/// Execution engine selection (see Core's header comment).
-enum class Engine : std::uint8_t { Predecoded, Reference, Fused, Jit };
+/// Execution engine selection (see Core's header comment). The values are
+/// stable identifiers; 2 belonged to a retired engine and stays unused.
+enum class Engine : std::uint8_t { Predecoded = 0, Reference = 1, Jit = 3 };
 
-/// Stable lowercase engine names ("predecoded", "reference", "fused",
-/// "jit") used by the CLI, the eval report JSON, and the SFRV_ENGINE
-/// variable.
+/// Every engine with its stable lowercase name, in listing order. The
+/// single source for engine_name/engine_from_name, the SFRV_ENGINE hint,
+/// and sfrv-eval's usage text, `--list engines`, and `--engine` error.
+struct EngineEntry {
+  Engine engine;
+  std::string_view name;
+};
+inline constexpr std::array<EngineEntry, 3> kEngines{{
+    {Engine::Predecoded, "predecoded"},
+    {Engine::Reference, "reference"},
+    {Engine::Jit, "jit"},
+}};
+
+/// The kEngines names used by the CLI, the eval report JSON, and the
+/// SFRV_ENGINE variable.
 [[nodiscard]] std::string_view engine_name(Engine e);
+/// Every engine name, '|'-separated ("predecoded|reference|jit").
+[[nodiscard]] std::string engine_names();
 /// Parse an engine name; throws std::runtime_error on an unknown one.
 [[nodiscard]] Engine engine_from_name(std::string_view name);
 /// Resolve an SFRV_ENGINE-style environment value: null/empty selects
@@ -68,7 +78,7 @@ enum class Engine : std::uint8_t { Predecoded, Reference, Fused, Jit };
 /// SFRV_BACKEND counterpart).
 [[nodiscard]] Engine engine_from_env(const char* value);
 /// Process-wide default engine: the SFRV_ENGINE environment variable
-/// (reference|predecoded|fused|jit, read once) or Engine::Predecoded. Lets CI
+/// (one of the kEngines names, read once) or Engine::Predecoded. Lets CI
 /// run the whole test suite and campaigns under each engine. An invalid
 /// value falls back to Predecoded with a stderr warning — never throws
 /// (it runs inside static initialization via default arguments).
@@ -90,7 +100,6 @@ struct CoreState {
   std::uint32_t text_base_ = 0;
   std::vector<isa::Inst> decoded_;   // predecoded text (no self-modifying code)
   std::vector<DecodedOp> uops_;      // micro-op cache (same indexing)
-  SuperblockProgram sblk_;           // fused-op lowering (Fused and Jit)
   jit::JitProgram jit_;              // translation cache (Engine::Jit)
 
   std::ostream* trace_ = nullptr;
@@ -126,17 +135,14 @@ class Core : private detail::CoreState {
   ~Core() = default;
 
   using Engine = sim::Engine;
-  /// Select the execution engine. Switching to Fused or Jit (re)builds the
-  /// superblock lowering for the loaded program (the Jit engine interprets
-  /// cold blocks through it); the other engines never pay for it
-  /// (load_program skips the fusion pass unless needed).
-  void set_engine(Engine e);
+  /// Select the execution engine; takes effect at the next run()/step().
+  void set_engine(Engine e) { engine_ = e; }
   [[nodiscard]] Engine engine() const { return engine_; }
 
   /// Select the softfloat math backend (fp::MathBackend). The predecoded and
-  /// fused engines bind their micro-op entry points from the selected table
-  /// family, so switching after load_program re-lowers the text (and the
-  /// superblock stream when fused). The reference interpreter is the frozen
+  /// jit engines bind their micro-op entry points from the selected table
+  /// family, so switching after load_program re-lowers the text and drops
+  /// every compiled trace. The reference interpreter is the frozen
   /// pre-refactor oracle and always computes through the Grs routines; the
   /// backends are bit- and fflags-identical, so architectural results never
   /// depend on this choice (the conformance suites enforce it).
@@ -188,8 +194,6 @@ class Core : private detail::CoreState {
   [[nodiscard]] ExecContext& context() { return ctx_; }
   /// The predecoded micro-op cache (index = (pc - text_base) / 4).
   [[nodiscard]] const std::vector<DecodedOp>& uops() const { return uops_; }
-  /// The superblock lowering of the loaded program (Engine::Fused).
-  [[nodiscard]] const SuperblockProgram& superblocks() const { return sblk_; }
 
   // ---- Engine::Jit knobs and telemetry (sim/jit.hpp) ----
   /// Hotness threshold: a block interprets until it has been entered more
@@ -224,26 +228,18 @@ class Core : private detail::CoreState {
   void step_predecoded(std::uint32_t idx);
   /// Post-execution bookkeeping for one retired micro-op: dynamic-outcome
   /// timing, cycle/instret counters, per-op and per-pc attribution. Shared
-  /// verbatim by the predecoded and fused engines (the identity contract).
+  /// by the predecoded engine and the JIT's cold tier (the identity
+  /// contract).
   void account(const DecodedOp& u, std::uint32_t idx);
-
-  /// Rebuild the superblock stream from the current micro-ops, running the
-  /// structural checker (sim/verify.hpp) behind the SFRV_VERIFY switch —
-  /// a violation throws verify::VerifyError attributed to pass "fusion".
-  void build_superblocks();
-
-  // Superblock engine (Engine::Fused, see sim/superblock.hpp).
-  RunResult run_fused(std::uint64_t max_steps);
-  /// Execute fused ops from the current pc until control leaves the known
-  /// straight line, the core halts, or `budget` instructions retire.
-  /// Returns the number of retired instructions (>= 1 unless budget == 0).
-  /// With `stop_at_block_end` the run also stops at a taken terminator
-  /// (even when the target is known), so the JIT driver regains control at
-  /// every block entry for hotness counting and cache lookup.
-  std::uint64_t run_block(std::uint64_t budget, bool stop_at_block_end = false);
 
   // Trace-compilation engine (Engine::Jit, see sim/jit.hpp).
   RunResult run_jit(std::uint64_t max_steps);
+  /// The JIT's cold tier: execute micro-ops from text index `idx` (already
+  /// fetch-checked) until a branch, jump, or system op retires, the text
+  /// ends, or `budget` (>= 1) instructions retire, so the driver regains
+  /// control at every block entry for hotness counting and cache lookup.
+  /// Returns the number of retired instructions.
+  std::uint64_t run_cold(std::uint32_t idx, std::uint64_t budget);
   /// Execute one compiled trace (full when budget covers it, bounded
   /// otherwise). Returns retired instructions.
   std::uint64_t exec_trace(jit::Trace& t, std::uint64_t budget);

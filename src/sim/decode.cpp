@@ -974,7 +974,7 @@ DecodedOp decode_op(const Inst& inst, const isa::IsaConfig& cfg,
     return u;
   }
   bind_handler(u, cfg, backend);
-  // Handler-shape tag for the superblock fuser, derived from the bound
+  // Handler-shape tag for the JIT translator, derived from the bound
   // handler so the big switch above stays single-purpose.
   if (u.fn == &h_fp_bin) {
     u.hkind = HandlerKind::FpBin;

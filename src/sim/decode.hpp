@@ -27,14 +27,15 @@ namespace sfrv::sim {
 
 /// The dynamic-outcome-dependent part of the timing model, resolved at
 /// decode time so step() switches on five values instead of ~30 op classes.
+/// Loads, stores, and jumps have fixed extra costs (fixed_cycles below);
+/// Branch is the only class whose cost depends on the outcome.
 enum class TimingClass : std::uint8_t { None, Load, Store, Jump, Branch };
 
 /// Branch condition of the six RV32I branch ops, shared by the micro-op
-/// branch handlers (decode.cpp) and the superblock fuser's inlined
-/// branch-pair handlers (superblock.cpp) so the semantics live once.
-/// (The reference interpreter keeps its own switch: it is the verbatim
-/// pre-refactor oracle and intentionally shares no code with the engines
-/// it checks.)
+/// branch handlers (decode.cpp) and the JIT's branch slot bodies (jit.cpp)
+/// so the semantics live once. (The reference interpreter keeps its own
+/// switch: it is the verbatim pre-refactor oracle and intentionally shares
+/// no code with the engines it checks.)
 template <isa::Op B>
 [[nodiscard]] constexpr bool branch_taken(std::uint32_t a, std::uint32_t b) {
   if constexpr (B == isa::Op::BEQ) return a == b;
@@ -49,10 +50,10 @@ template <isa::Op B>
   if constexpr (B == isa::Op::BGEU) return a >= b;
 }
 
-/// Coarse handler-shape tag for the superblock fuser (sim/superblock.cpp):
-/// pairs of these shapes get fully specialized fused handlers instead of
-/// the generic two-call chain. Purely an optimization hint — semantics live
-/// in `fn` and the bound table entries.
+/// Coarse handler-shape tag for the JIT translator (sim/jit.cpp): ops of
+/// these shapes become dedicated trace slots that call the bound softfloat
+/// entry directly instead of the handler trampoline. Purely an optimization
+/// hint — semantics live in `fn` and the bound table entries.
 enum class HandlerKind : std::uint8_t {
   Other, VecBin, VecMac, FpBin, VecDotp, VecExsdotp,
 };
@@ -95,6 +96,25 @@ struct DecodedOp {
   HandlerKind hkind = HandlerKind::Other;
   isa::Op op = isa::Op::EBREAK;  ///< for stats, tracing, and error messages
 };
+
+/// Cycles `u` retires with, except a taken branch's refetch penalty: its
+/// base cycles plus the fixed memory latency (loads/stores) or jump
+/// penalty, all constant for a core's lifetime. Core::account books through
+/// it and the JIT folds it into every trace slot, so the engines cannot
+/// disagree on the fixed part of the timing model.
+[[nodiscard]] inline std::uint16_t fixed_cycles(const DecodedOp& u,
+                                                const Timing& timing,
+                                                const MemConfig& mem) {
+  int cyc = u.base_cycles;
+  switch (u.tclass) {
+    case TimingClass::Load: cyc += mem.load_latency - 1; break;
+    case TimingClass::Store: cyc += mem.store_latency - 1; break;
+    case TimingClass::Jump: cyc += timing.jump_penalty; break;
+    case TimingClass::Branch:
+    case TimingClass::None: break;
+  }
+  return static_cast<std::uint16_t>(cyc);
+}
 
 /// Lower one instruction into a micro-op for the given configuration.
 /// Instructions the configuration does not implement decode to a handler

@@ -31,7 +31,6 @@
 #include <string>
 
 #include "sim/exec.hpp"
-#include "sim/superblock.hpp"
 #include "softfloat/runtime.hpp"
 
 namespace sfrv::sim::jit {
@@ -43,7 +42,7 @@ using U64 = std::uint64_t;
 using I32 = std::int32_t;
 
 /// Heat sentinel: the op at this index can never lead a trace (CSR or
-/// unsupported); the fused interpreter keeps it forever.
+/// unsupported); the cold tier runs it forever.
 constexpr std::uint32_t kNever = 0xffffffffu;
 
 std::atomic<std::uint32_t> g_default_threshold{8};
@@ -723,7 +722,7 @@ Lowered lower_slot(const DecodedOp& u, std::uint32_t pc, const Timing& timing,
   s.u = u;
   s.cycles = fixed_cycles(u, timing, mem);
   // CSR reads observe the live cycle/instret counters mid-execution: they
-  // stay on the fused interpreter, whose flush discipline handles them.
+  // stay on the cold tier, which books every retired op immediately.
   if (isa::op_class(u.op) == isa::Cls::Csr) return Lowered::Untranslatable;
 
   const auto alu = [&](TOp top) {
@@ -947,8 +946,8 @@ Trace* JitProgram::translate(std::uint32_t idx,
   }
   if (t.slots.empty()) {
     // The leading op itself is untranslatable: pin the index so entry
-    // counting stops and the fused path keeps it (its flush semantics are
-    // required for CSR reads anyway).
+    // counting stops and the cold tier keeps it (its immediate accounting
+    // is required for CSR reads anyway).
     heat_[idx] = kNever;
     charge();
     return nullptr;

@@ -1,20 +1,20 @@
 // Engine::Jit: threaded-code trace compilation over the predecoded micro-op
 // stream.
 //
-// Engine::Fused removed the per-instruction fetch/dispatch loop but still
-// pays one indirect call plus operand unpacking per macro-op, and a handful
-// of accounting stores per retired instruction. This layer removes those
-// too, by *translating* hot straight-line runs instead of interpreting them:
+// The predecoded engine still pays, per retired instruction, a fetch check,
+// one indirect call plus operand unpacking, and a handful of accounting
+// stores. This layer removes those by *translating* hot straight-line runs
+// instead of interpreting them:
 //
 //  * `JitProgram::translate` lowers the maximal straight-line run starting
-//    at a text index — through any interior block leaders, up to the next
-//    terminator (branch/jump/halt) or the first untranslatable op — into a
-//    contiguous array of `TraceSlot`s. Each slot carries a *specialized*
-//    opcode token (`TOp`), the original micro-op (operands pre-resolved at
-//    decode time), and every constant the interpreter would recompute per
-//    visit folded in at translation time: absolute branch/jump targets,
-//    link values (pc+4), auipc results, and the op's fixed cycle cost via
-//    the same `fixed_cycles` precomputation superblock.cpp uses.
+//    at a text index — up to the next terminator (branch/jump/halt) or the
+//    first untranslatable op — into a contiguous array of `TraceSlot`s.
+//    Each slot carries a *specialized* opcode token (`TOp`), the original
+//    micro-op (operands pre-resolved at decode time), and every constant
+//    the interpreter would recompute per visit folded in at translation
+//    time: absolute branch/jump targets, link values (pc+4), auipc results,
+//    and the op's fixed cycle cost (`fixed_cycles`, the same function
+//    Core::account books through).
 //  * The trace executor (jit.cpp) dispatches slot-to-slot with computed
 //    goto where the compiler supports it (`cont` holds the label address)
 //    and a dense-switch token loop otherwise — no per-op indirect call for
@@ -37,10 +37,11 @@
 // `pending` counter (plus `pending_taken` for a taken branch terminator).
 // `materialize_all` multiplies the aggregates out into `Stats` — including
 // the per-pc cycle attribution — before any observation point: CSR reads
-// (cold blocks run through the fused interpreter, which flushes), Core::run
-// returning, exceptions, and cache invalidation. Partial executions (budget
-// stop, fault) book per-slot immediately, so simulated cycles, fflags, and
-// architectural digests stay bit-identical to Engine::Reference.
+// (CSR ops never translate; the driver flushes before every cold-tier
+// block), Core::run returning, exceptions, and cache invalidation. Partial
+// executions (budget stop, fault) book per-slot immediately, so simulated
+// cycles, fflags, and architectural digests stay bit-identical to
+// Engine::Reference.
 //
 // Translation cache. Traces are keyed on the starting text index *and the
 // dynamic vector length (vl CSR)* within a (backend, code version)
@@ -49,14 +50,14 @@
 // must not run at another. A lookup under a different VL misses and the
 // recompiled trace replaces the stale one in the direct map — `setvl` is
 // itself untranslatable (Cls::Csr), so VL is constant within any trace.
-// `Core::set_backend` and
-// `load_program` re-lower the micro-op stream and call `on_code_change`,
-// which drops every trace (stale bound pointers must not survive). A
-// hotness threshold keeps cold blocks on the fused interpreter — a block
-// only compiles after `threshold` interpreted entries — and a cache cap
+// `Core::set_backend` and `load_program` re-lower the micro-op stream and
+// call `on_code_change`, which drops every trace (stale bound pointers must
+// not survive). A hotness threshold keeps cold blocks on the cold tier
+// (Core::run_cold, a walk over the predecoded micro-ops to the block end) —
+// a block only compiles after `threshold` cold entries — and a cache cap
 // bounds translated memory for pathological programs (flush-all eviction;
 // heat survives, so hot blocks recompile on their next entry). Mid-block
-// `jalr` entry simply misses the cache at that index and either interprets
+// `jalr` entry simply misses the cache at that index and either runs cold
 // or compiles a suffix trace — either way architecturally identical.
 #pragma once
 
@@ -190,7 +191,7 @@ struct JitStats {
   std::uint64_t hits = 0;          ///< entries that found a compiled trace
   std::uint64_t translations = 0;  ///< traces compiled
   std::uint64_t slots = 0;         ///< retiring slots compiled
-  std::uint64_t interp_entries = 0;  ///< cold entries run by the fused path
+  std::uint64_t interp_entries = 0;  ///< block entries run by the cold tier
   std::uint64_t evictions = 0;       ///< cap-triggered flush-all evictions
   std::uint64_t invalidations = 0;   ///< on_code_change flushes
   std::uint64_t vl_invalidations = 0;  ///< lookups that unmapped a stale-VL trace
@@ -204,8 +205,8 @@ struct JitStats {
 };
 
 /// Process-wide default hotness threshold for new cores (sfrv-eval
-/// --jit-threshold): a block interprets through the fused path until it has
-/// been entered more than `threshold` times, then compiles. 0 compiles on
+/// --jit-threshold): a block runs on the cold tier until it has been
+/// entered more than `threshold` times, then compiles. 0 compiles on
 /// first entry. Never affects simulated results, only wall clock.
 [[nodiscard]] std::uint32_t default_threshold();
 void set_default_threshold(std::uint32_t threshold);
@@ -237,8 +238,8 @@ class JitProgram {
 
   /// Compile the straight-line run starting at `idx`. Returns null (and
   /// pins `idx` as never-compile) when the op at `idx` itself is
-  /// untranslatable — the fused interpreter keeps it, with its flush
-  /// semantics (CSR reads observe live counters). May flush the whole
+  /// untranslatable — the cold tier keeps it, booking every op as it
+  /// retires (CSR reads observe live counters). May flush the whole
   /// cache first when the cap is reached (materializing into `st`).
   Trace* translate(std::uint32_t idx, const std::vector<DecodedOp>& uops,
                    const Timing& timing, const MemConfig& mem,
@@ -253,7 +254,7 @@ class JitProgram {
   /// hits — each back-edge is a block entry that found compiled code.
   void note_runs(Trace& t, std::uint64_t runs);
 
-  /// Record one cold-path block entry (fused interpreter).
+  /// Record one block entry run by the cold tier.
   void note_interp() { ++stats_.interp_entries; }
 
   void set_threshold(std::uint32_t t) { threshold_ = t; }

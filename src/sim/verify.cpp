@@ -30,58 +30,6 @@ std::string where(const DecodedOp& u) {
   return std::string(isa::mnemonic(u.op));
 }
 
-// ---- independent re-derivations of the fusion predicates --------------------
-// Deliberately restated (not shared with superblock.cpp) so a regression in
-// the builder's eligibility logic is caught as a disagreement.
-
-bool is_terminator(const DecodedOp& u) {
-  if (!u.supported) return true;
-  switch (isa::op_class(u.op)) {
-    case Cls::Branch:
-    case Cls::Jump:
-    case Cls::Sys:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool fusable_first(const DecodedOp& u) {
-  if (!u.supported) return false;
-  switch (isa::op_class(u.op)) {
-    case Cls::Branch:
-    case Cls::Jump:
-    case Cls::Sys:
-    case Cls::Csr:
-      return false;
-    default:
-      return true;
-  }
-}
-
-bool fusable_second(const DecodedOp& u) {
-  if (!u.supported) return false;
-  switch (isa::op_class(u.op)) {
-    case Cls::Sys:
-    case Cls::Csr:
-      return false;
-    default:
-      return true;
-  }
-}
-
-bool needs_slow_accounting(const DecodedOp& u) {
-  if (!u.supported) return true;
-  switch (isa::op_class(u.op)) {
-    case Cls::Branch:
-    case Cls::Csr:
-    case Cls::Sys:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// Field-wise micro-op equality. `ignore_lanes` exempts the lane count
 /// (the trace translator folds the VL into it). The fp1/fp2 unions are
 /// compared bytewise — every member is a function pointer.
@@ -96,169 +44,6 @@ bool uop_equal(const DecodedOp& a, const DecodedOp& b, bool ignore_lanes) {
          a.base_cycles == b.base_cycles && a.tclass == b.tclass &&
          a.hkind == b.hkind && a.op == b.op;
 }
-
-std::vector<bool> derive_leaders(const std::vector<DecodedOp>& uops) {
-  const std::size_t n = uops.size();
-  std::vector<bool> leader(n, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    const DecodedOp& u = uops[i];
-    if ((isa::op_class(u.op) == Cls::Branch || u.op == Op::JAL) &&
-        u.imm % 4 == 0) {
-      const auto t = static_cast<std::int64_t>(i) + u.imm / 4;
-      if (t >= 0 && t < static_cast<std::int64_t>(n)) {
-        leader[static_cast<std::size_t>(t)] = true;
-      }
-    }
-    if (is_terminator(u) && i + 1 < n) leader[i + 1] = true;
-  }
-  return leader;
-}
-
-}  // namespace
-
-std::vector<Diag> check_superblocks(const SuperblockProgram& sp,
-                                    const std::vector<DecodedOp>& uops,
-                                    const Timing& timing,
-                                    const MemConfig& mem) {
-  std::vector<Diag> diags;
-  const auto diag = [&](std::int64_t index, std::string msg) {
-    diags.push_back(Diag{.pass = {}, .index = index, .message = std::move(msg)});
-  };
-  const std::size_t n = uops.size();
-  const auto& ops = sp.ops();
-  if (n == 0) {
-    if (!ops.empty()) diag(-1, "non-empty superblock stream for empty text");
-    return diags;
-  }
-  if (ops.empty()) {
-    diag(-1, "empty superblock stream for non-empty text");
-    return diags;
-  }
-  const std::vector<bool> leader = derive_leaders(uops);
-
-  std::size_t i = 0;  // text index the next op must start at
-  std::size_t pairs = 0;
-  for (std::size_t k = 0; k < ops.size(); ++k) {
-    const FusedOp& fo = ops[k];
-    const auto ti = static_cast<std::int64_t>(i);
-    if (fo.len != 1 && fo.len != 2) {
-      diag(ti, "FusedOp len " + std::to_string(fo.len) + " (must be 1 or 2)");
-      return diags;  // the tiling is meaningless from here on
-    }
-    if (fo.idx != i) {
-      diag(ti, "FusedOp at position " + std::to_string(k) + " claims index " +
-                   std::to_string(fo.idx) + "; the tiling requires " +
-                   std::to_string(i));
-      return diags;
-    }
-    if (i + fo.len > n) {
-      diag(ti, "FusedOp extends past the end of the text");
-      return diags;
-    }
-    const bool last = k + 1 == ops.size();
-    const DecodedOp& final_u = fo.len == 2 ? fo.u2 : fo.u1;
-    if (!uop_equal(fo.u1, uops[i], /*ignore_lanes=*/false)) {
-      diag(ti, "embedded u1 differs from source micro-op " + where(uops[i]));
-    }
-    if (fo.len == 2) {
-      ++pairs;
-      if (!uop_equal(fo.u2, uops[i + 1], /*ignore_lanes=*/false)) {
-        diag(ti, "embedded u2 differs from source micro-op " +
-                     where(uops[i + 1]));
-      }
-      if (leader[i + 1]) {
-        diag(ti, "fused pair spans a block leader at index " +
-                     std::to_string(i + 1));
-      }
-      if (!fusable_first(uops[i])) {
-        diag(ti, "ineligible first micro-op fused: " + where(uops[i]));
-      }
-      if (!fusable_second(uops[i + 1])) {
-        diag(ti, "ineligible second micro-op fused: " + where(uops[i + 1]));
-      }
-      if (fo.fn == nullptr) {
-        diag(ti, "fused pair with null handler");
-      } else if (fo.fn != select_fused_fn(fo.u1, fo.u2)) {
-        diag(ti, "pair handler does not match select_fused_fn for (" +
-                     where(fo.u1) + ", " + where(fo.u2) + ")");
-      }
-    } else {
-      // The builder fuses greedily: a single is only legal when pairing was
-      // impossible at this position.
-      if (i + 1 < n && !leader[i + 1] && fusable_first(uops[i]) &&
-          fusable_second(uops[i + 1])) {
-        diag(ti, "eligible pair left unfused at (" + where(uops[i]) + ", " +
-                     where(uops[i + 1]) + ")");
-      }
-    }
-    const bool want_term = is_terminator(final_u) || last;
-    if (fo.terminator != want_term) {
-      diag(ti, std::string("terminator flag ") +
-                   (fo.terminator ? "set" : "clear") + " but " +
-                   where(final_u) +
-                   (last ? " ends the text (forced terminator)" : "") +
-                   (want_term ? " requires it" : " does not end a run"));
-    }
-    const bool want_fixed = !needs_slow_accounting(final_u);
-    if (fo.fixed_timing != want_fixed) {
-      diag(ti, std::string("fixed_timing ") +
-                   (fo.fixed_timing ? "set" : "clear") + " but " +
-                   where(final_u) + (want_fixed ? " allows it" : " forbids it"));
-    }
-    if (fo.fixed_timing) {
-      const std::uint16_t c1 = fixed_cycles(fo.u1, timing, mem);
-      const std::uint16_t c2 =
-          fo.len == 2 ? fixed_cycles(fo.u2, timing, mem) : std::uint16_t{0};
-      const auto c12 = static_cast<std::uint32_t>(c1) + c2;
-      if (fo.c1 != c1 || fo.c2 != c2 || fo.cycles12 != c12) {
-        diag(ti, "precomputed cycles (c1=" + std::to_string(fo.c1) +
-                     ", c2=" + std::to_string(fo.c2) +
-                     ", cycles12=" + std::to_string(fo.cycles12) +
-                     ") != recomputed (" + std::to_string(c1) + ", " +
-                     std::to_string(c2) + ", " + std::to_string(c12) + ")");
-      }
-      int nl = fo.u1.tclass == TimingClass::Load ? 1 : 0;
-      int ns = fo.u1.tclass == TimingClass::Store ? 1 : 0;
-      if (fo.len == 2) {
-        nl += fo.u2.tclass == TimingClass::Load ? 1 : 0;
-        ns += fo.u2.tclass == TimingClass::Store ? 1 : 0;
-      }
-      if (fo.nloads != nl || fo.nstores != ns) {
-        diag(ti, "precomputed load/store counts (" +
-                     std::to_string(fo.nloads) + "/" +
-                     std::to_string(fo.nstores) + ") != recomputed (" +
-                     std::to_string(nl) + "/" + std::to_string(ns) + ")");
-      }
-    } else if (fo.c1 != 0 || fo.c2 != 0 || fo.cycles12 != 0 ||
-               fo.nloads != 0 || fo.nstores != 0) {
-      diag(ti, "slow-path FusedOp carries nonzero precomputed accounting");
-    }
-    // Entry map: the op's start maps to its position; the interior index of
-    // a pair has no entry (jalr resynchronization contract).
-    if (sp.entry(static_cast<std::uint32_t>(i)) !=
-        static_cast<std::int32_t>(k)) {
-      diag(ti, "entry map does not point the op's start index at position " +
-                   std::to_string(k));
-    }
-    if (fo.len == 2 &&
-        sp.entry(static_cast<std::uint32_t>(i + 1)) != -1) {
-      diag(ti, "interior index of a fused pair has an entry-map position");
-    }
-    i += fo.len;
-  }
-  if (i != n) {
-    diag(static_cast<std::int64_t>(i),
-         "superblock stream tiles only " + std::to_string(i) + " of " +
-             std::to_string(n) + " micro-ops");
-  }
-  if (sp.fused_pairs() != pairs) {
-    diag(-1, "fused_pairs() reports " + std::to_string(sp.fused_pairs()) +
-                 " but the stream holds " + std::to_string(pairs));
-  }
-  return diags;
-}
-
-namespace {
 
 /// Map a source integer-ALU op to its dedicated trace token (TOp::Nop when
 /// rd == x0); ops without a dedicated token return false.
@@ -607,16 +392,6 @@ std::vector<Diag> check_trace(const Trace& t,
     diag(anchor, "aggregate per-op retirement counts do not match a recount");
   }
   return diags;
-}
-
-void verify_superblocks_or_throw(const SuperblockProgram& sp,
-                                 const std::vector<DecodedOp>& uops,
-                                 const Timing& timing, const MemConfig& mem,
-                                 std::string_view pass) {
-  auto diags = check_superblocks(sp, uops, timing, mem);
-  if (!diags.empty()) {
-    throw verify::VerifyError(std::string(pass), std::move(diags));
-  }
 }
 
 void verify_trace_or_throw(const Trace& t, const std::vector<DecodedOp>& uops,

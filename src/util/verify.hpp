@@ -4,9 +4,8 @@
 //
 // The checkers themselves live next to the structures they validate —
 // ir/verify.{hpp,cpp} for the lowered Inst stream, sim/verify.{hpp,cpp} for
-// the fused superblock stream and compiled JIT traces — and this header is
-// the only thing the two layers share, so neither grows a dependency on the
-// other. See docs/verification.md for the invariant catalogue.
+// compiled JIT traces — and this header is the only thing the two layers
+// share, so neither grows a dependency on the other. See docs/verification.md for the invariant catalogue.
 #pragma once
 
 #include <atomic>
@@ -53,7 +52,7 @@ inline std::string render(const Diag& d) {
 /// Thrown by the verification hooks when a checker reports violations. The
 /// pass name identifies the pipeline stage that *introduced* the violation:
 /// lower / unroll / strength-reduction / dead-glue-elim for the IR side,
-/// fusion / translation for the simulator side.
+/// translation for the simulator side.
 class VerifyError : public std::runtime_error {
  public:
   VerifyError(std::string pass, std::vector<Diag> diags)

@@ -1,10 +1,10 @@
 // Pipeline verifier test suite (ir/verify.hpp + sim/verify.hpp).
 //
-//  * Positive matrix: real kernels lowered at every mode x opt level, their
-//    superblock lowerings, and their compiled traces must all check clean.
-//  * Negative corpus: hand-corrupted Inst streams, fused pairs, and trace
-//    slots — every diagnostic class must fire, anchored at the right text
-//    index, and the *_or_throw hooks must stamp the right pass name.
+//  * Positive matrix: real kernels lowered at every mode x opt level and
+//    their compiled traces must all check clean.
+//  * Negative corpus: hand-corrupted Inst streams and trace slots — every
+//    diagnostic class must fire, anchored at the right text index, and the
+//    *_or_throw hooks must stamp the right pass name.
 //  * Regression: scalar vars must be zeroed in the lowering prologue (an
 //    accumulating var used to read the simulator's reset state — the first
 //    latent bug this verifier flushed out).
@@ -23,7 +23,6 @@
 #include "kernels/runner.hpp"
 #include "sim/decode.hpp"
 #include "sim/jit.hpp"
-#include "sim/superblock.hpp"
 #include "sim/verify.hpp"
 #include "util/verify.hpp"
 
@@ -357,150 +356,11 @@ TEST(IrVerifier, ScalarVarsAreZeroedInThePrologue) {
   }
 }
 
-// ---- superblock checker -----------------------------------------------------
+// ---- trace checker ----------------------------------------------------------
 
 std::vector<sim::DecodedOp> decode_all(const asmb::Program& p) {
   return sim::decode_program(p.text, isa::IsaConfig::full(), kTim);
 }
-
-sim::SuperblockProgram build_sblk(const std::vector<sim::DecodedOp>& uops) {
-  sim::SuperblockProgram sp;
-  sp.build(uops, kTim, kMem);
-  return sp;
-}
-
-std::vector<sim::FusedOp>& mutable_ops(sim::SuperblockProgram& sp) {
-  return const_cast<std::vector<sim::FusedOp>&>(sp.ops());
-}
-
-TEST(SuperblockChecker, CleanBuildPasses) {
-  const auto uops = decode_all(loop_program());
-  auto sp = build_sblk(uops);
-  const auto ds = sim::check_superblocks(sp, uops, kTim, kMem);
-  EXPECT_TRUE(ds.empty()) << render_all(ds);
-  EXPECT_GE(sp.fused_pairs(), 1u);  // the addi+bne back-edge pair
-}
-
-TEST(SuperblockChecker, FlagsCorruptLen) {
-  const auto uops = decode_all(loop_program());
-  auto sp = build_sblk(uops);
-  mutable_ops(sp)[0].len = 3;
-  EXPECT_TRUE(has_diag(sim::check_superblocks(sp, uops, kTim, kMem),
-                       "must be 1 or 2", 0));
-}
-
-TEST(SuperblockChecker, FlagsBrokenTiling) {
-  const auto uops = decode_all(loop_program());
-  auto sp = build_sblk(uops);
-  mutable_ops(sp)[1].idx += 1;
-  EXPECT_TRUE(has_diag(sim::check_superblocks(sp, uops, kTim, kMem),
-                       "the tiling requires"));
-}
-
-TEST(SuperblockChecker, FlagsEmbeddedUopDrift) {
-  const auto uops = decode_all(loop_program());
-  auto sp = build_sblk(uops);
-  mutable_ops(sp)[0].u1.rd ^= 1;
-  EXPECT_TRUE(has_diag(sim::check_superblocks(sp, uops, kTim, kMem),
-                       "embedded u1 differs", 0));
-}
-
-TEST(SuperblockChecker, FlagsDroppedTerminatorFlag) {
-  const auto uops = decode_all(loop_program());
-  auto sp = build_sblk(uops);
-  bool found = false;
-  for (auto& fo : mutable_ops(sp)) {
-    if (fo.terminator) {
-      fo.terminator = false;
-      found = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(found);
-  EXPECT_TRUE(has_diag(sim::check_superblocks(sp, uops, kTim, kMem),
-                       "terminator flag clear"));
-}
-
-TEST(SuperblockChecker, FlagsCycleCorruption) {
-  const auto uops = decode_all(loop_program());
-  auto sp = build_sblk(uops);
-  bool found = false;
-  for (auto& fo : mutable_ops(sp)) {
-    if (fo.fixed_timing) {
-      fo.c1 += 1;
-      found = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(found);
-  EXPECT_TRUE(has_diag(sim::check_superblocks(sp, uops, kTim, kMem),
-                       "precomputed cycles"));
-}
-
-TEST(SuperblockChecker, FlagsNullPairHandler) {
-  const auto uops = decode_all(loop_program());
-  auto sp = build_sblk(uops);
-  bool found = false;
-  for (auto& fo : mutable_ops(sp)) {
-    if (fo.len == 2) {
-      fo.fn = nullptr;
-      found = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(found);
-  EXPECT_TRUE(has_diag(sim::check_superblocks(sp, uops, kTim, kMem),
-                       "null handler"));
-}
-
-TEST(SuperblockChecker, FlagsGreedyFusionMiss) {
-  // Split a built pair into two singles: the checker must notice the
-  // builder "forgot" an eligible fusion (plus the stale entry map).
-  const auto uops = decode_all(loop_program());
-  auto sp = build_sblk(uops);
-  auto& ops = mutable_ops(sp);
-  std::size_t k = ops.size();
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (ops[i].len == 2) {
-      k = i;
-      break;
-    }
-  }
-  ASSERT_LT(k, ops.size());
-  const sim::FusedOp pair = ops[k];
-  sim::FusedOp s1;
-  s1.u1 = pair.u1;
-  s1.idx = pair.idx;
-  s1.len = 1;
-  s1.fixed_timing = true;
-  s1.c1 = sim::fixed_cycles(s1.u1, kTim, kMem);
-  s1.cycles12 = s1.c1;
-  sim::FusedOp s2;
-  s2.u1 = pair.u2;
-  s2.idx = pair.idx + 1;
-  s2.len = 1;
-  s2.terminator = pair.terminator;
-  s2.fixed_timing = false;  // the bne stays on the slow path
-  ops[k] = s1;
-  ops.insert(ops.begin() + static_cast<std::ptrdiff_t>(k) + 1, s2);
-  const auto ds = sim::check_superblocks(sp, uops, kTim, kMem);
-  EXPECT_TRUE(has_diag(ds, "eligible pair left unfused")) << render_all(ds);
-}
-
-TEST(SuperblockChecker, ThrowHookStampsFusionPass) {
-  const auto uops = decode_all(loop_program());
-  auto sp = build_sblk(uops);
-  mutable_ops(sp)[0].u1.rd ^= 1;
-  try {
-    sim::verify_superblocks_or_throw(sp, uops, kTim, kMem);
-    FAIL() << "expected VerifyError";
-  } catch (const verify::VerifyError& e) {
-    EXPECT_EQ(e.pass(), "fusion");
-    EXPECT_NE(std::string(e.what()).find("pass 'fusion'"), std::string::npos);
-  }
-}
-
-// ---- trace checker ----------------------------------------------------------
 
 struct TraceFixture {
   asmb::Program prog;

@@ -1,27 +1,26 @@
-// Randomized four-way differential suite: the predecoded micro-op engine,
-// the superblock-fused engine, AND the jit trace-compilation engine must
-// match the retained reference interpreter bit-for-bit on architectural
-// state (x/f register files, memory, fflags/frm) AND on the timing model
-// (cycles, instruction/load/store counts) across every extension
-// configuration. Streams read the cycle CSR mid-run, so a single
-// mis-accounted cycle also shows up as an architectural divergence.
+// Randomized differential suite: the predecoded micro-op engine AND the jit
+// trace-compilation engine must match the retained reference interpreter
+// bit-for-bit on architectural state (x/f register files, memory,
+// fflags/frm) AND on the timing model (cycles, instruction/load/store
+// counts) across every extension configuration. Streams read the cycle CSR
+// mid-run, so a single mis-accounted cycle also shows up as an
+// architectural divergence.
 //
 // Each random stream runs three ways:
-//  * free-run — every engine to completion at full speed (fused pairs,
-//    block-local dispatch, and compiled traces fully exercised), final
-//    state + memory compared;
+//  * free-run — every engine to completion at full speed (compiled traces
+//    and the jit's cold tier fully exercised), final state + memory
+//    compared;
 //  * per-instruction lockstep — run(1) on all engines, full state compared
-//    after every retired instruction (this also drives the fused engine's
-//    budget-split/mid-pair resync paths and the jit's bounded trace path);
-//  * random-chunk lockstep — run(k), k in [1, 8], so fused pairs and trace
-//    prefixes execute between observation points and state is compared at
-//    interior pcs.
-// The streams' jalr groups produce dynamic targets that land in the middle
-// of fused pairs (the +12 skip), covering the entry-map fallback and
-// mid-trace jalr entry. The jit runs twice with the hotness threshold
-// forced both ways: 0 (every block compiles on first entry) and nonzero
-// (early entries interpret cold through the fused path, later ones run
-// compiled — the hot/cold transition happens mid-stream).
+//    after every retired instruction (this also drives the jit's bounded
+//    trace path and one-instruction cold-tier budgets);
+//  * random-chunk lockstep — run(k), k in [1, 8], so trace prefixes and
+//    partial cold blocks execute between observation points and state is
+//    compared at interior pcs.
+// The streams' jalr groups produce dynamic targets that skip an
+// instruction (the +12 skip), covering mid-trace jalr entry. The jit runs
+// twice with the hotness threshold forced both ways: 0 (every block
+// compiles on first entry) and nonzero (early entries run on the cold tier,
+// later ones run compiled — the hot/cold transition happens mid-stream).
 #include <gtest/gtest.h>
 
 #include <random>
@@ -205,8 +204,7 @@ void seed_state(sim::Core& core, std::uint64_t seed) {
 }
 
 constexpr sim::Engine kEngines[] = {sim::Engine::Reference,
-                                    sim::Engine::Predecoded,
-                                    sim::Engine::Fused, sim::Engine::Jit};
+                                    sim::Engine::Predecoded, sim::Engine::Jit};
 
 /// Full architectural + timing state comparison between two cores.
 ::testing::AssertionResult state_eq(const sim::Core& a, const sim::Core& b) {
@@ -280,7 +278,7 @@ sim::Core make_core(const IsaConfig& cfg, const Stream& s, sim::Engine e,
 /// All differential cores for one stream: the kEngines set (jit at
 /// threshold 0, every block compiled on first entry) plus a second jit
 /// core with a nonzero threshold, so the hot/cold promotion happens
-/// mid-stream and cold entries interpret through the fused path.
+/// mid-stream and cold entries run on the cold tier.
 std::vector<sim::Core> make_cores(const IsaConfig& cfg, const Stream& s,
                                   std::uint64_t seed) {
   std::vector<sim::Core> cores;
@@ -317,8 +315,7 @@ void lockstep(const IsaConfig& cfg, const Stream& s, std::uint64_t seed,
 std::uint64_t run_stream(const IsaConfig& cfg, std::uint64_t seed, int count) {
   const Stream s = make_stream(cfg, seed, count);
 
-  // Free-run: every engine at full speed (fused pairs + block dispatch +
-  // compiled traces).
+  // Free-run: every engine at full speed (cold blocks + compiled traces).
   std::vector<sim::Core> cores = make_cores(cfg, s, seed);
   for (auto& c : cores) {
     EXPECT_EQ(c.run(1'000'000), sim::Core::RunResult::Halted)
@@ -331,7 +328,7 @@ std::uint64_t run_stream(const IsaConfig& cfg, std::uint64_t seed, int count) {
 
   // Per-instruction lockstep: state checked at every retired instruction.
   lockstep(cfg, s, seed, [](std::mt19937_64&) -> std::uint64_t { return 1; });
-  // Random-chunk lockstep: fused pairs execute between observation points.
+  // Random-chunk lockstep: several instructions between observation points.
   lockstep(cfg, s, seed,
            [](std::mt19937_64& r) -> std::uint64_t { return 1 + r() % 8; });
 
@@ -361,7 +358,7 @@ TEST(AbEquivalence, IntegerOnlyConfig) {
 TEST(AbEquivalence, PositOnlyConfig) {
   // Without the IEEE smallFloat extensions the stream pool concentrates on
   // the posit scalar/vector ops and vfexsdotp.p16.p8, giving them the same
-  // four-way engine fuzz density the IEEE formats get from full().
+  // differential engine fuzz density the IEEE formats get from full().
   run_config(IsaConfig(
       {isa::Ext::I, isa::Ext::M, isa::Ext::Zicsr, isa::Ext::F,
        isa::Ext::Xposit},
@@ -386,7 +383,7 @@ TEST(AbEquivalence, FuzzPoolCoversDynamicVl) {
   // Same guard for the dynamic-VL additions: setvl (random ew/cap fields and
   // AVL values, including zero and oversize grants) and the VL-aware packed
   // memops must stay in the differential fuzz pool, so every engine's VL
-  // masking, trace keying, and partial-width memory access get four-way
+  // masking, trace keying, and partial-width memory access get differential
   // coverage from the streams above.
   const IsaConfig cfg = IsaConfig::full();
   for (const Op op :
@@ -395,95 +392,64 @@ TEST(AbEquivalence, FuzzPoolCoversDynamicVl) {
   }
 }
 
-// Deterministic guard: the canonical loop shapes must actually fuse (the
-// randomized suite would still pass if the builder degenerated to all
-// singles), and the fused run must stay cycle-identical across a taken
-// back-edge that crosses fused pairs.
-TEST(Superblock, FusesLoopPairsAndStaysIdentical) {
-  Assembler a;
-  a.li(asmb::reg::t0, 1000);
-  const auto loop = a.here();
-  a.fp_rrr(Op::VFADD_B, asmb::reg::fa0, asmb::reg::fa1, asmb::reg::fa2);
-  a.fp_rrr(Op::VFMUL_B, asmb::reg::fa3, asmb::reg::fa1, asmb::reg::fa2);
-  a.fp_rrr(Op::VFSUB_H, asmb::reg::ft0, asmb::reg::ft1, asmb::reg::ft2);
-  a.fp_rrr(Op::VFMIN_H, asmb::reg::ft3, asmb::reg::ft1, asmb::reg::ft2);
-  a.addi(asmb::reg::t0, asmb::reg::t0, -1);
-  a.bne(asmb::reg::t0, asmb::reg::zero, loop);
-  a.ebreak();
-  const asmb::Program prog = a.finish();
+/// Runs `prog` on one core per engine plus a cold jit core whose hotness
+/// threshold the program never reaches (each block is entered once), so
+/// every block runs on the cold tier. Each run must throw `Fault`. The first
+/// core is Reference, the last the cold jit core.
+template <typename Fault>
+std::vector<sim::Core> run_until_fault(const asmb::Program& prog) {
+  std::vector<sim::Core> cores;
+  const auto run = [&](sim::Engine e, std::uint32_t threshold) {
+    sim::Core c(isa::IsaConfig::full());
+    c.set_engine(e);
+    c.set_jit_threshold(threshold);
+    c.load_program(prog);
+    EXPECT_THROW(c.run(), Fault)
+        << sim::engine_name(e) << " threshold " << threshold;
+    cores.push_back(std::move(c));
+  };
+  for (const auto e : kEngines) run(e, 0);  // the jit traces every block
+  run(sim::Engine::Jit, 1);
+  return cores;
+}
 
-  sim::Core uop(isa::IsaConfig::full());
-  sim::Core fus(isa::IsaConfig::full());
-  fus.set_engine(sim::Engine::Fused);
-  uop.load_program(prog);
-  fus.load_program(prog);
-
-  // The loop body must fuse: two vec/vec pairs plus the addi+bne back-edge.
-  EXPECT_GE(fus.superblocks().fused_pairs(), 3u);
-
-  EXPECT_EQ(uop.run(), sim::Core::RunResult::Halted);
-  EXPECT_EQ(fus.run(), sim::Core::RunResult::Halted);
-  EXPECT_TRUE(state_eq(uop, fus));
+/// Every core retired to Reference's state, and the cold jit core got
+/// there without compiling a trace.
+void expect_same_fault_state(const std::vector<sim::Core>& cores) {
+  for (std::size_t i = 1; i < cores.size(); ++i) {
+    EXPECT_TRUE(state_eq(cores[0], cores[i]));
+  }
+  const sim::jit::JitStats& cold = cores.back().jit_stats();
+  EXPECT_EQ(cold.translations, 0u);
+  EXPECT_GE(cold.interp_entries, 1u);
 }
 
 // Falling through the last text instruction (no ebreak) must raise the same
 // fetch fault with the same fully-retired state under every engine — the
-// fused block walker must not run off the end of its op array.
-TEST(Superblock, FallthroughOffTextEndMatchesAllEngines) {
+// cold tier must stop at the end of the text, not walk off the micro-ops.
+TEST(EngineFaults, FallthroughOffTextEndMatchesAllEngines) {
   Assembler a;
   a.addi(asmb::reg::t0, asmb::reg::zero, 1);
   a.addi(asmb::reg::t1, asmb::reg::zero, 2);
   a.addi(asmb::reg::t2, asmb::reg::zero, 3);
-  const asmb::Program prog = a.finish();
-
-  std::vector<sim::Core> cores;
-  for (const auto e : kEngines) {
-    sim::Core c(isa::IsaConfig::full());
-    c.set_engine(e);
-    if (e == sim::Engine::Jit) c.set_jit_threshold(0);  // trace, not interp
-    c.load_program(prog);
-    EXPECT_THROW(c.run(), sim::SimError) << sim::engine_name(e);
-    cores.push_back(std::move(c));
-  }
-  for (std::size_t i = 1; i < cores.size(); ++i) {
-    EXPECT_TRUE(state_eq(cores[0], cores[i]));
-  }
+  const auto cores = run_until_fault<sim::SimError>(a.finish());
+  EXPECT_EQ(cores[0].stats().instructions, 3u);
+  expect_same_fault_state(cores);
 }
 
-// A fault in the *second* half of a fused pair (addi + out-of-bounds lw)
-// must leave the same post-exception state as the predecoded engine: the
-// addi retired (pc, cycles, instret, register write), the load did not.
-TEST(Superblock, FaultInSecondHalfOfPairRetiresFirstHalf) {
+// A memory fault mid-block (addi + out-of-bounds lw) must leave the same
+// post-exception state under every engine: the addi retired (pc, cycles,
+// instret, register write), the load did not.
+TEST(EngineFaults, MemoryFaultRetiresPrecedingOps) {
   Assembler a;
-  a.li(asmb::reg::t0, 0x7ff00000);  // far outside the 8 MiB memory (1 inst)
-  a.addi(asmb::reg::t3, asmb::reg::zero, 0);  // filler: aligns the pair below
+  a.li(asmb::reg::t0, 0x7ff00000);  // far outside the 8 MiB memory (lui)
   a.addi(asmb::reg::t1, asmb::reg::zero, 7);
   a.emit({.op = Op::LW, .rd = asmb::reg::t2, .rs1 = asmb::reg::t0});
   a.ebreak();
-  const asmb::Program prog = a.finish();
-
-  std::vector<sim::Core> cores;
-  for (const auto e : kEngines) {
-    sim::Core c(isa::IsaConfig::full());
-    c.set_engine(e);
-    if (e == sim::Engine::Jit) c.set_jit_threshold(0);  // mid-trace fault
-    c.load_program(prog);
-    if (e == sim::Engine::Fused) {
-      // The shape under test must actually fuse into an addi+lw pair.
-      bool has_pair = false;
-      for (const auto& fo : c.superblocks().ops()) {
-        has_pair |= fo.len == 2 && fo.u1.op == Op::ADDI && fo.u2.op == Op::LW;
-      }
-      EXPECT_TRUE(has_pair);
-    }
-    EXPECT_THROW(c.run(), std::out_of_range) << sim::engine_name(e);
-    cores.push_back(std::move(c));
-  }
-  EXPECT_EQ(cores[0].x(asmb::reg::t1), 7u);  // first half's write landed
-  EXPECT_EQ(cores[0].stats().instructions, 3u);  // li (2 uops) + addi
-  for (std::size_t i = 1; i < cores.size(); ++i) {
-    EXPECT_TRUE(state_eq(cores[0], cores[i]));
-  }
+  const auto cores = run_until_fault<std::out_of_range>(a.finish());
+  EXPECT_EQ(cores[0].x(asmb::reg::t1), 7u);  // the addi's write landed
+  EXPECT_EQ(cores[0].stats().instructions, 2u);  // lui + addi
+  expect_same_fault_state(cores);
 }
 
 }  // namespace

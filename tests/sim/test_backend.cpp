@@ -47,10 +47,9 @@ TEST(EngineNames, EnvContractWarnsAndFallsBack) {
   EXPECT_EQ(sim::engine_from_env(""), Engine::Predecoded);
   EXPECT_EQ(sim::engine_from_env("reference"), Engine::Reference);
   EXPECT_EQ(sim::engine_from_env("predecoded"), Engine::Predecoded);
-  EXPECT_EQ(sim::engine_from_env("fused"), Engine::Fused);
   EXPECT_EQ(sim::engine_from_env("jit"), Engine::Jit);
   EXPECT_EQ(sim::engine_from_env("bogus"), Engine::Predecoded);
-  EXPECT_EQ(sim::engine_from_env("Fused"), Engine::Predecoded);
+  EXPECT_EQ(sim::engine_from_env("fused"), Engine::Predecoded);  // removed
   EXPECT_EQ(sim::engine_from_env("JIT"), Engine::Predecoded);  // case-sensitive
 }
 
@@ -155,8 +154,7 @@ Digest run_pair(Engine e, MathBackend b) {
 TEST(BackendConformance, EveryEngineBackendPairIsBitIdentical) {
   const Digest baseline = run_pair(Engine::Reference, MathBackend::Grs);
   ASSERT_NE(baseline.fflags, 0);  // the workout must actually raise flags
-  for (const Engine e : {Engine::Reference, Engine::Predecoded, Engine::Fused,
-                         Engine::Jit}) {
+  for (const Engine e : {Engine::Reference, Engine::Predecoded, Engine::Jit}) {
     for (const MathBackend b : {MathBackend::Grs, MathBackend::Fast}) {
       const Digest d = run_pair(e, b);
       EXPECT_EQ(d, baseline) << sim::engine_name(e) << "/"
@@ -167,8 +165,8 @@ TEST(BackendConformance, EveryEngineBackendPairIsBitIdentical) {
 
 TEST(BackendConformance, SetBackendAfterLoadRelowers) {
   // Switching the backend after load_program must re-bind the micro-op
-  // entry points (and the fused stream) -- results stay identical, and the
-  // accessor reflects the change.
+  // entry points (and drop the jit's compiled traces) -- results stay
+  // identical, and the accessor reflects the change.
   asmb::Assembler a;
   fp_workout(a);
   const asmb::Program prog = a.finish();
@@ -179,7 +177,7 @@ TEST(BackendConformance, SetBackendAfterLoadRelowers) {
   ASSERT_EQ(before.run(), sim::Core::RunResult::Halted);
 
   sim::Core after;
-  after.set_engine(Engine::Fused);
+  after.set_engine(Engine::Jit);
   after.load_program(prog);
   after.set_backend(MathBackend::Fast);
   EXPECT_EQ(after.backend(), MathBackend::Fast);

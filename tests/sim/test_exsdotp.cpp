@@ -11,8 +11,8 @@
 //  * exact-wide-intermediate property: dot products whose terms overflow or
 //    round in the narrow format are exact in the wide accumulator, checked
 //    against an exactly-representable double reference;
-//  * conformance: bits and accumulated fflags are identical across all four
-//    engines and both math backends.
+//  * conformance: bits and accumulated fflags are identical across every
+//    engine and both math backends.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -356,7 +356,7 @@ TEST(ExSdotpConformance, BitsAndFlagsIdenticalAcrossEnginesAndBackends) {
         run_matrix_program(sim::Engine::Reference, fp::MathBackend::Grs, seed);
     saw_flags |= baseline.fflags != 0;
     for (const auto e : {sim::Engine::Reference, sim::Engine::Predecoded,
-                         sim::Engine::Fused, sim::Engine::Jit}) {
+                         sim::Engine::Jit}) {
       for (const auto b : {fp::MathBackend::Grs, fp::MathBackend::Fast}) {
         const Digest d = run_matrix_program(e, b, seed);
         ASSERT_EQ(d, baseline)

@@ -212,7 +212,6 @@ TEST_P(GoldenTrace, MatchesCheckedInDigests) {
 INSTANTIATE_TEST_SUITE_P(AllEngines, GoldenTrace,
                          ::testing::Values(sim::Engine::Reference,
                                            sim::Engine::Predecoded,
-                                           sim::Engine::Fused,
                                            sim::Engine::Jit),
                          [](const auto& info) {
                            return std::string(sim::engine_name(info.param));

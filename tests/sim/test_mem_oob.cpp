@@ -23,8 +23,7 @@ using isa::Op;
 namespace reg = asmb::reg;
 
 constexpr sim::Engine kEngines[] = {sim::Engine::Reference,
-                                    sim::Engine::Predecoded,
-                                    sim::Engine::Fused, sim::Engine::Jit};
+                                    sim::Engine::Predecoded, sim::Engine::Jit};
 
 constexpr std::uint32_t kMemSize = 8u << 20;  // MemConfig default
 

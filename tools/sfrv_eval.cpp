@@ -26,6 +26,7 @@
 
 #include "eval/campaign.hpp"
 #include "eval/service.hpp"
+#include "sim/core.hpp"
 #include "sim/jit.hpp"
 #include "util/verify.hpp"
 
@@ -36,7 +37,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s [--suite table3|smoke|nn|nn-smoke] [--out PREFIX] [-j N]\n"
       "          [--benchmarks a,b,...] [--vls a,b,...] [--mem l1|l2|l3]\n"
-      "          [--engine predecoded|fused|reference|jit]\n"
+      "          [--engine %s]\n"
       "          [--backend grs|fast] [--opt O0|O1|O2]\n"
       "          [--jit-threshold N] [--verify] [--wall-clock] [--no-tuner]\n"
       "          [--serve ADDR] [--connect ADDR] [--shutdown ADDR]\n"
@@ -66,9 +67,9 @@ int usage(const char* argv0) {
       "                entered more than N times, then compile; 0 compiles on\n"
       "                first entry. Wall-clock only (default: 8)\n"
       "  --verify      enable per-pass pipeline verification (equivalent to\n"
-      "                SFRV_VERIFY=1): statically check every lowered kernel,\n"
-      "                superblock program, and compiled trace, and abort with\n"
-      "                a pass-attributed diagnostic on the first violation\n"
+      "                SFRV_VERIFY=1): statically check every lowered kernel\n"
+      "                and compiled trace, and abort with a pass-attributed\n"
+      "                diagnostic on the first violation\n"
       "  --wall-clock  record campaign wall time as `wall_ms` in the JSON\n"
       "                report (host-dependent; off by default so reports stay\n"
       "                byte-deterministic)\n"
@@ -88,7 +89,7 @@ int usage(const char* argv0) {
       "                record {hits, misses, cold_ms, warm_ms} in the JSON\n"
       "                report (implies --wall-clock)\n"
       "  --list        print the known names of a kind, one per line, and exit\n",
-      argv0);
+      argv0, sfrv::sim::engine_names().c_str());
   return 2;
 }
 
@@ -103,7 +104,9 @@ int run_list(const std::string& kind) {
   } else if (kind == "suites") {
     std::printf("table3\nsmoke\nnn\nnn-smoke\n");
   } else if (kind == "engines") {
-    std::printf("reference\npredecoded\nfused\njit\n");
+    for (const auto& e : sim::kEngines) {
+      std::printf("%.*s\n", static_cast<int>(e.name.size()), e.name.data());
+    }
   } else if (kind == "backends") {
     std::printf("grs\nfast\n");
   } else if (kind == "opts") {
@@ -319,8 +322,8 @@ int main(int argc, char** argv) {
     try {
       spec.engine = sim::engine_from_name(engine);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s (expected predecoded|fused|reference|jit)\n",
-                   e.what());
+      std::fprintf(stderr, "%s (expected %s)\n", e.what(),
+                   sim::engine_names().c_str());
       return usage(argv[0]);
     }
   }
