@@ -238,8 +238,8 @@ struct PlannedKernel {
 /// two static eval_suite() vectors, whose make() functions are deterministic
 /// and fixture-backed — so (scale, benchmark name, TypeConfig, mode, opt)
 /// fully determines the kernel and its lowering. This is what makes a warm
-/// daemon request planning-free: repeated specs re-use both the kernel
-/// build (golden reference included) and the lowering.
+/// rerun in the same process planning-free: repeated specs re-use both the
+/// kernel build (golden reference included) and the lowering.
 class PlanCache {
  public:
   PlannedKernel get(SuiteScale scale, const EvalBenchmark& bench,
@@ -423,8 +423,8 @@ EvalReport run_campaign(const CampaignSpec& spec, int jobs, CellStore* store,
   std::mutex cb_mu;
   auto emit = [&](std::size_t i, const CellResult& c, bool cached) {
     if (!on_cell) return;
-    // Serialized: workers land cells concurrently, but clients see a clean
-    // stream (the service tier writes each one straight to a socket).
+    // Serialized: workers land cells concurrently, but callers see a clean
+    // stream and need no locking of their own.
     const std::lock_guard<std::mutex> lock(cb_mu);
     on_cell(i, total, c, cached);
   };
@@ -450,7 +450,7 @@ EvalReport run_campaign(const CampaignSpec& spec, int jobs, CellStore* store,
     for (std::size_t i = 0; i < total; ++i) misses[i] = i;
   }
 
-  // Executor layer: cache-miss cells on the work-stealing shards.
+  // Executor layer: cache-miss cells on the worker threads.
   run_sharded(misses.size(), std::max(1, jobs), [&](std::size_t mi) {
     const std::size_t i = misses[mi];
     CellResult c = run_planned_cell(planned[i], spec.mem, spec.engine,
@@ -596,100 +596,6 @@ TunerStudy run_tuner_study(SuiteScale scale, const sim::MemConfig& mem,
   study.explored.reserve(result.explored.size());
   for (const auto& e : result.explored) study.explored.push_back(to_trial(e));
   return study;
-}
-
-Json spec_to_json(const CampaignSpec& spec) {
-  JsonArray benchmarks;
-  for (const auto& b : spec.benchmarks) benchmarks.emplace_back(b);
-  JsonArray tcs;
-  for (const auto& tc : spec.type_configs) {
-    tcs.emplace_back(JsonObject{
-        {"name", Json(tc.name)},
-        {"data", Json(ir::type_name(tc.tc.data))},
-        {"acc", Json(ir::type_name(tc.tc.acc))},
-    });
-  }
-  JsonArray modes;
-  for (const auto m : spec.modes) modes.emplace_back(ir::mode_name(m));
-  JsonArray vls;
-  for (const int vl : spec.vls) vls.emplace_back(vl);
-  return Json(JsonObject{
-      {"name", Json(spec.name)},
-      {"scale", Json(spec.scale == SuiteScale::Full ? "full" : "smoke")},
-      {"benchmarks", Json(std::move(benchmarks))},
-      {"type_configs", Json(std::move(tcs))},
-      {"modes", Json(std::move(modes))},
-      {"mem",
-       Json(JsonObject{
-           {"size", Json(static_cast<std::int64_t>(spec.mem.size))},
-           {"load_latency", Json(spec.mem.load_latency)},
-           {"store_latency", Json(spec.mem.store_latency)},
-           {"level", Json(static_cast<int>(spec.mem.level))},
-       })},
-      {"engine", Json(sim::engine_name(spec.engine))},
-      {"backend", Json(fp::backend_name(spec.backend))},
-      {"opt",
-       Json(JsonObject{
-           {"unroll_factor", Json(spec.opt.unroll_factor)},
-           {"ptr_strength_reduction", Json(spec.opt.ptr_strength_reduction)},
-           {"dead_glue_elim", Json(spec.opt.dead_glue_elim)},
-           {"vl_cap", Json(spec.opt.vl_cap)},
-       })},
-      {"vls", Json(std::move(vls))},
-      {"tuner_study", Json(spec.tuner_study)},
-  });
-}
-
-CampaignSpec spec_from_json(const Json& doc) {
-  CampaignSpec spec;
-  spec.name = doc.at("name").as_string();
-  const std::string& scale = doc.at("scale").as_string();
-  if (scale == "full") {
-    spec.scale = SuiteScale::Full;
-  } else if (scale == "smoke") {
-    spec.scale = SuiteScale::Smoke;
-  } else {
-    throw std::runtime_error("campaign spec: unknown scale: " + scale);
-  }
-  spec.benchmarks.clear();
-  for (const auto& b : doc.at("benchmarks").array()) {
-    spec.benchmarks.push_back(b.as_string());
-  }
-  spec.type_configs.clear();
-  for (const auto& t : doc.at("type_configs").array()) {
-    TypeConfigSpec tc;
-    tc.name = t.at("name").as_string();
-    tc.tc.data = scalar_type_from_name(t.at("data").as_string());
-    tc.tc.acc = scalar_type_from_name(t.at("acc").as_string());
-    spec.type_configs.push_back(std::move(tc));
-  }
-  spec.modes.clear();
-  for (const auto& m : doc.at("modes").array()) {
-    spec.modes.push_back(mode_from_name(m.as_string()));
-  }
-  const Json& mem = doc.at("mem");
-  spec.mem.size = static_cast<std::uint32_t>(mem.at("size").as_uint());
-  spec.mem.load_latency = static_cast<int>(mem.at("load_latency").as_int());
-  spec.mem.store_latency = static_cast<int>(mem.at("store_latency").as_int());
-  const auto level = mem.at("level").as_int();
-  if (level < 0 || level > static_cast<int>(sim::MemLevelId::L3)) {
-    throw std::runtime_error("campaign spec: unknown mem level: " +
-                             std::to_string(level));
-  }
-  spec.mem.level = static_cast<sim::MemLevelId>(level);
-  spec.engine = sim::engine_from_name(doc.at("engine").as_string());
-  spec.backend = fp::backend_from_name(doc.at("backend").as_string());
-  const Json& opt = doc.at("opt");
-  spec.opt.unroll_factor = static_cast<int>(opt.at("unroll_factor").as_int());
-  spec.opt.ptr_strength_reduction = opt.at("ptr_strength_reduction").as_bool();
-  spec.opt.dead_glue_elim = opt.at("dead_glue_elim").as_bool();
-  spec.opt.vl_cap = static_cast<int>(opt.at("vl_cap").as_int());
-  spec.vls.clear();
-  for (const auto& vl : doc.at("vls").array()) {
-    spec.vls.push_back(static_cast<int>(vl.as_int()));
-  }
-  spec.tuner_study = doc.at("tuner_study").as_bool();
-  return spec;
 }
 
 }  // namespace sfrv::eval

@@ -1,4 +1,4 @@
-// Campaign runner, split into the three layers of eval-as-a-service:
+// Campaign runner, split into three layers:
 //
 //  * planner   — expand_matrix / plan_campaign turn a CampaignSpec into
 //                planned cells: the built kernel, its lowered program, and a
@@ -7,16 +7,15 @@
 //  * store     — run_campaign consults an optional CellStore before
 //                simulating; hits are served in O(1) and only misses reach
 //                the executor (eval/cellstore.hpp).
-//  * executor  — cache-miss cells run on per-shard work-stealing deques
-//                (eval/executor.hpp), streaming each completed cell through
-//                a callback so clients (the service tier, progress UIs) can
-//                render partial results.
+//  * executor  — cache-miss cells run on worker threads that share one
+//                atomic next-index cursor (eval/executor.hpp), streaming
+//                each completed cell through an optional callback.
 //
 // Determinism contract: a campaign's report is a pure function of its spec.
 // Cells are executed in any order (each one builds its own kernel, Core and
 // ExecContext), but results land in matrix-expansion order, and every
 // aggregate is computed serially afterwards — so `-j1` and `-jN`, cold and
-// warm, local and remote runs all produce byte-identical JSON.
+// warm runs all produce byte-identical JSON.
 #pragma once
 
 #include <functional>
@@ -120,8 +119,9 @@ struct CellSpec {
 /// lowered program, the effective optimizer config (campaign opt with the
 /// cell's vl_cap applied), and the content address. Kernel and lowering are
 /// shared_ptrs into a process-wide plan cache (keyed by suite scale,
-/// benchmark name, TypeConfig, mode and opt), so a long-lived daemon plans a
-/// repeated spec without re-building or re-lowering anything.
+/// benchmark name, TypeConfig, mode and opt), so a repeated spec in the same
+/// process (a --cache-bench warm pass) plans without re-building or
+/// re-lowering anything.
 struct PlannedCell {
   CellSpec cell;
   std::shared_ptr<const kernels::KernelSpec> spec;
@@ -157,12 +157,6 @@ using CellCallback = std::function<void(
 [[nodiscard]] EvalReport run_campaign(const CampaignSpec& spec, int jobs = 1,
                                       CellStore* store = nullptr,
                                       const CellCallback& on_cell = nullptr);
-
-/// Wire codec for campaign specs (the service protocol's request payload).
-/// Round-trips exactly: a spec parsed from its own JSON plans and runs to a
-/// byte-identical report.
-[[nodiscard]] Json spec_to_json(const CampaignSpec& spec);
-[[nodiscard]] CampaignSpec spec_from_json(const Json& doc);
 
 /// The Fig. 6 case study: precision tuning of the SVM slots ({data, acc}
 /// over all six scalar types, narrowest first) with QoR = simulated

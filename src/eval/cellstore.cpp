@@ -150,14 +150,4 @@ CellStore::Stats CellStore::stats() const {
   return stats_;
 }
 
-void CellStore::reset_stats() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  stats_ = {};
-}
-
-std::size_t CellStore::size() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return cells_.size();
-}
-
 }  // namespace sfrv::eval

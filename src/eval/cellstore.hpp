@@ -1,4 +1,5 @@
-// Content-addressed cell store: the memoization layer of eval-as-a-service.
+// Content-addressed cell store: the campaign runner's memoization layer, and
+// (under a cache directory) the one way runs and processes share cells.
 //
 // A campaign cell is addressed by everything its result is a function of:
 // the lowered-kernel content digest (text image + quantized inputs + golden
@@ -95,11 +96,6 @@ class CellStore {
     std::uint64_t rejected = 0;   ///< corrupt/foreign disk entries skipped
   };
   [[nodiscard]] Stats stats() const;
-  void reset_stats();
-
-  [[nodiscard]] const std::string& cache_dir() const { return dir_; }
-  /// Number of cells currently resident in memory.
-  [[nodiscard]] std::size_t size() const;
 
  private:
   [[nodiscard]] std::string entry_path(const std::string& address) const;

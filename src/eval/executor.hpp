@@ -1,17 +1,15 @@
-// Sharded work-stealing executor for campaign cells.
+// Executor for campaign cells: worker threads share one atomic next-index
+// cursor.
 //
-// Replaces the PR 2 thread pool's single shared atomic cursor: tasks are
-// dealt round-robin into per-shard deques, each worker drains its own deque
-// from the front, and an idle worker steals from the *back* of the busiest
-// victim — so stolen work is the work its owner would reach last, and two
-// workers only contend when one of them is otherwise idle. Cells vary in
-// cost by orders of magnitude (full-size SVM vs. an 8x8 smoke GEMM), which
-// is exactly the imbalance stealing absorbs.
+// Cells are coarse (milliseconds to seconds each, a few hundred per
+// campaign), so one fetch_add per cell is all the scheduling they need: a
+// worker that finishes a cheap cell simply claims the next index, which
+// absorbs the cost imbalance (full-size SVM vs. an 8x8 smoke GEMM) without
+// per-worker queues or stealing.
 //
 // Determinism: the executor only schedules; completion order is arbitrary,
 // and callers must bank results by task index (the campaign writes
-// `results[i]` and aggregates in matrix order afterwards — same contract as
-// the old pool).
+// `results[i]` and aggregates in matrix order afterwards).
 #pragma once
 
 #include <cstddef>

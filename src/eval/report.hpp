@@ -48,15 +48,15 @@ namespace sfrv::eval {
 ///     engines, backends, and thread counts at every VL point; across
 ///     *different* VL points cycles and outputs legitimately differ (the
 ///     element-to-lane mapping changes with the granted VL).
-/// v8: eval-as-a-service. Adds an *optional* `cache` telemetry block
-///     ({hits, misses, cold_ms, warm_ms}) recording content-addressed cell
-///     store reuse and warm-vs-cold campaign wall time. Like `wall_ms` it is
-///     serialized only when wall-clock measurement was requested, so default
-///     reports stay byte-deterministic — and byte-identity across cold,
-///     warm, local, and `--connect` runs of the same spec is exactly the
-///     cache-correctness contract (CI-enforced). The schema version is part
-///     of every cell-store key, so a schema bump invalidates all cached
-///     cells.
+/// v8: content-addressed cell store. Adds an *optional* `cache` telemetry
+///     block ({hits, misses, cold_ms, warm_ms}) recording cell-store reuse
+///     and warm-vs-cold campaign wall time. Like `wall_ms` it is serialized
+///     only when wall-clock measurement was requested, so default reports
+///     stay byte-deterministic — and byte-identity across cold and warm runs
+///     of the same spec, in one process or several sharing a `--cache-dir`,
+///     is exactly the cache-correctness contract (CI-enforced). The schema
+///     version is part of every cell-store key, so a schema bump invalidates
+///     all cached cells.
 inline constexpr std::string_view kReportSchema = "sfrv-eval-report/v8";
 
 /// One matrix cell: a benchmark executed at a type configuration under one
@@ -133,7 +133,8 @@ struct EvalReport {
   std::string opt = "O0";
   int mem_load_latency = 1;
   int mem_store_latency = 1;
-  /// Campaign wall-clock milliseconds. Host-dependent, so it is only
+  /// Run wall-clock milliseconds, fixture build included (sfrv-eval starts
+  /// the clock before expanding the matrix). Host-dependent, so it is only
   /// serialized when >= 0 (sfrv-eval --wall-clock); the default -1 keeps
   /// reports byte-identical across machines, runs, and thread counts.
   double wall_ms = -1;
@@ -161,11 +162,10 @@ struct EvalReport {
 [[nodiscard]] Json to_json(const EvalReport& report);
 [[nodiscard]] EvalReport report_from_json(const Json& doc);
 
-/// Single-cell codec, exposed for the cell store's on-disk entries and the
-/// service wire protocol. Round-trips exactly: dumping a parsed cell
-/// reproduces the original bytes (doubles use shortest-round-trip form),
-/// which is what lets a cached cell serialize bit-for-bit like a recomputed
-/// one.
+/// Single-cell codec, exposed for the cell store's on-disk entries.
+/// Round-trips exactly: dumping a parsed cell reproduces the original bytes
+/// (doubles use shortest-round-trip form), which is what lets a cached cell
+/// serialize bit-for-bit like a recomputed one.
 [[nodiscard]] Json cell_to_json(const CellResult& c);
 [[nodiscard]] CellResult cell_from_json(const Json& j);
 

@@ -1,5 +1,6 @@
 #include "softfloat/runtime.hpp"
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -225,41 +226,49 @@ static_assert(std::size(kOps) == kNumFormats,
 // the templated converter, posit<->IEEE via the posit round-pack / exact
 // double widening, posit<->posit via resize. Diagonal posit entries are the
 // (exact) identity resize, mirroring the IEEE diagonal's exact self-convert.
-#define SFRV_CVT_ROW(To)                                                   \
-  {&s_convert<To, Binary8>, &s_convert<To, Binary16>,                      \
-   &s_convert<To, Binary16Alt>, &s_convert<To, Binary32>,                  \
-   &s_convert<To, Binary64>, &p_to_ieee<To, Posit8>,                       \
-   &p_to_ieee<To, Posit16>}
+//
+// Aggregate init would value-initialize (to nullptr) any rows or entries a
+// new format forgot to add, so rows and the table go through helpers that
+// refuse to compile unless they get exactly one entry per format. (Counting
+// instead of scanning for nullptr: comparing function pointers in a constant
+// expression is rejected by GCC under -fsanitize=undefined.)
+using CvtRow = std::array<RtCvtFn, kNumFormats>;
 
-#define SFRV_CVT_POSIT_ROW(To)                                             \
-  {&p_from_ieee<To, Binary8>, &p_from_ieee<To, Binary16>,                  \
-   &p_from_ieee<To, Binary16Alt>, &p_from_ieee<To, Binary32>,              \
-   &p_from_ieee<To, Binary64>, &p_resize<To, Posit8>,                      \
-   &p_resize<To, Posit16>}
-
-constexpr RtCvtFn kCvt[kNumFormats][kNumFormats] = {
-    SFRV_CVT_ROW(Binary8),        SFRV_CVT_ROW(Binary16),
-    SFRV_CVT_ROW(Binary16Alt),    SFRV_CVT_ROW(Binary32),
-    SFRV_CVT_ROW(Binary64),       SFRV_CVT_POSIT_ROW(Posit8),
-    SFRV_CVT_POSIT_ROW(Posit16),
-};
-
-// The dimensions above derive from kNumFormats, but aggregate init would
-// value-initialize (to nullptr) any rows or entries a new format forgot to
-// add. Refuse to compile with holes in the matrix.
-constexpr bool all_cvt_entries_bound() {
-  for (const auto& row : kCvt) {
-    for (const auto fn : row) {
-      if (fn == nullptr) return false;
-    }
-  }
-  return true;
+template <class... Fns>
+constexpr CvtRow cvt_row(Fns... entries) {
+  static_assert(sizeof...(entries) == kNumFormats,
+                "a kCvt row must bind every source format");
+  return {entries...};
 }
-static_assert(all_cvt_entries_bound(),
-              "kCvt must bind every (to, from) format pair");
 
-#undef SFRV_CVT_ROW
-#undef SFRV_CVT_POSIT_ROW
+template <class To>
+constexpr CvtRow ieee_cvt_row() {
+  return cvt_row(&s_convert<To, Binary8>, &s_convert<To, Binary16>,
+                 &s_convert<To, Binary16Alt>, &s_convert<To, Binary32>,
+                 &s_convert<To, Binary64>, &p_to_ieee<To, Posit8>,
+                 &p_to_ieee<To, Posit16>);
+}
+
+template <class To>
+constexpr CvtRow posit_cvt_row() {
+  return cvt_row(&p_from_ieee<To, Binary8>, &p_from_ieee<To, Binary16>,
+                 &p_from_ieee<To, Binary16Alt>, &p_from_ieee<To, Binary32>,
+                 &p_from_ieee<To, Binary64>, &p_resize<To, Posit8>,
+                 &p_resize<To, Posit16>);
+}
+
+template <class... Rows>
+constexpr std::array<CvtRow, kNumFormats> cvt_table(Rows... rows) {
+  static_assert(sizeof...(rows) == kNumFormats,
+                "kCvt must have one row per destination format");
+  return {rows...};
+}
+
+constexpr auto kCvt = cvt_table(
+    ieee_cvt_row<Binary8>(), ieee_cvt_row<Binary16>(),
+    ieee_cvt_row<Binary16Alt>(), ieee_cvt_row<Binary32>(),
+    ieee_cvt_row<Binary64>(), posit_cvt_row<Posit8>(),
+    posit_cvt_row<Posit16>());
 
 // ---- packed-SIMD table entries ---------------------------------------------
 // The lane loop lives inside each instantiation, so the element arithmetic is

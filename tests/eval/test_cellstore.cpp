@@ -3,7 +3,8 @@
 // stability (a pinned constant), memory and disk round trips, the
 // never-serve-questionable-entries contract (truncation, corruption, key
 // mismatch, schema drift), and the end-to-end cache-correctness contract —
-// a warm campaign rerun serializes byte-identically with a 100% hit rate.
+// a warm campaign rerun serializes byte-identically with a 100% hit rate,
+// including when two stores race to fill one shared directory.
 #include "eval/cellstore.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include <unistd.h>
 
@@ -348,20 +350,41 @@ TEST(CellStore, TunerAndCampaignShareContentCells) {
   }
 }
 
-TEST(CampaignSpecCodec, RoundTripsToTheSameReport) {
-  const CampaignSpec spec = tiny_campaign();
-  const CampaignSpec parsed = spec_from_json(spec_to_json(spec));
-  EXPECT_EQ(to_json(run_campaign(spec, 1)).dump(2),
-            to_json(run_campaign(parsed, 1)).dump(2));
-}
+TEST(CellStore, ConcurrentStoresShareOneDirectory) {
+  // A shared --cache-dir is the only way separate processes share cells:
+  // two stores over one directory (standing in for two processes) race
+  // through the same campaign, writing every address concurrently.
+  CampaignSpec spec = tiny_campaign();
+  spec.type_configs = default_type_configs();
+  const std::string local = to_json(run_campaign(spec, 1)).dump(2);
 
-TEST(CampaignSpecCodec, RejectsUnknownScale) {
-  Json doc = spec_to_json(tiny_campaign());
-  JsonObject obj = doc.object();
-  for (auto& [k, v] : obj) {
-    if (k == "scale") v = Json("huge");
+  const TempDir dir;
+  CellStore a(dir.str());
+  CellStore b(dir.str());
+  std::string report_a;
+  std::string report_b;
+  std::thread ta(
+      [&] { report_a = to_json(run_campaign(spec, 2, &a)).dump(2); });
+  std::thread tb(
+      [&] { report_b = to_json(run_campaign(spec, 2, &b)).dump(2); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(report_a, local);
+  EXPECT_EQ(report_b, local);
+
+  // Every entry landed whole: a fresh store serves the entire campaign from
+  // disk without rejecting anything, and no temporary file is left behind.
+  CellStore fresh(dir.str());
+  const EvalReport warm = run_campaign(spec, 2, &fresh);
+  EXPECT_EQ(to_json(warm).dump(2), local);
+  EXPECT_EQ(warm.cache.misses, 0u);
+  EXPECT_EQ(warm.cache.hits, warm.cells.size());
+  EXPECT_EQ(fresh.stats().rejected, 0u);
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+              std::string::npos)
+        << entry.path();
   }
-  EXPECT_THROW((void)spec_from_json(Json(obj)), std::runtime_error);
 }
 
 }  // namespace

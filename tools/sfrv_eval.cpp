@@ -1,31 +1,29 @@
 // sfrv-eval: end-to-end evaluation campaign driver.
 //
 // Expands a (benchmark × TypeConfig × CodegenMode) matrix, runs every cell
-// through the predecoded simulator engine on a thread pool, and writes a
-// schema-versioned JSON report plus a generated Markdown report mirroring
-// the paper's Table III / Fig. 5 / Fig. 6 artifacts.
+// through the simulator on worker threads, and writes a schema-versioned
+// JSON report plus a generated Markdown report mirroring the paper's
+// Table III / Fig. 5 / Fig. 6 artifacts.
 //
 //   sfrv-eval --suite table3 --out report          # full paper-sized run
 //   sfrv-eval --suite smoke --out eval-ci -j 2     # CI-sized run
-//   sfrv-eval --serve 7475 --cache-dir .cells      # eval-as-a-service daemon
-//   sfrv-eval --connect 7475 --suite smoke --out r # thin client
+//   sfrv-eval --suite smoke --cache-dir .cells     # reuse cells across runs
 //
 // The JSON output is deterministic: identical across thread counts, across
-// runs, across cold/warm cell-store passes, and across local vs. --connect
-// execution — so it can be checked in (BENCH_eval.json) and diffed.
+// runs, and across cold/warm cell-store passes — including separate
+// processes sharing one --cache-dir — so it can be checked in
+// (BENCH_eval.json) and diffed.
 #include <cerrno>
 #include <chrono>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 
 #include "eval/campaign.hpp"
-#include "eval/service.hpp"
 #include "sim/core.hpp"
 #include "sim/jit.hpp"
 #include "util/verify.hpp"
@@ -40,7 +38,6 @@ int usage(const char* argv0) {
       "          [--engine %s]\n"
       "          [--backend grs|fast] [--opt O0|O1|O2]\n"
       "          [--jit-threshold N] [--verify] [--wall-clock] [--no-tuner]\n"
-      "          [--serve ADDR] [--connect ADDR] [--shutdown ADDR]\n"
       "          [--cache-dir DIR] [--cache-bench]\n"
       "          [--list benchmarks|suites|engines|backends|opts]\n"
       "\n"
@@ -70,20 +67,14 @@ int usage(const char* argv0) {
       "                SFRV_VERIFY=1): statically check every lowered kernel\n"
       "                and compiled trace, and abort with a pass-attributed\n"
       "                diagnostic on the first violation\n"
-      "  --wall-clock  record campaign wall time as `wall_ms` in the JSON\n"
-      "                report (host-dependent; off by default so reports stay\n"
-      "                byte-deterministic)\n"
+      "  --wall-clock  record the run's wall time, fixture build included, as\n"
+      "                `wall_ms` in the JSON report (host-dependent; off by\n"
+      "                default so reports stay byte-deterministic)\n"
       "  --no-tuner    skip the Fig. 6 precision-tuning case study\n"
-      "  --serve       run as a daemon on ADDR (\"PORT\", \"HOST:PORT\", or a\n"
-      "                Unix socket path); concurrent clients share one\n"
-      "                content-addressed cell store. Blocks until --shutdown\n"
-      "  --connect     submit the campaign to a daemon at ADDR instead of\n"
-      "                running locally; output files are byte-identical to a\n"
-      "                local run\n"
-      "  --shutdown    ask the daemon at ADDR to exit\n"
       "  --cache-dir   persist the cell store under DIR (one JSON entry per\n"
-      "                content address, atomic-rename writes); later runs\n"
-      "                reuse any cell whose address matches\n"
+      "                content address, atomic-rename writes); later runs and\n"
+      "                concurrent processes on the same DIR reuse any cell\n"
+      "                whose address matches\n"
       "  --cache-bench run the campaign twice in-process (cold, then warm from\n"
       "                the store), verify the reports are byte-identical, and\n"
       "                record {hits, misses, cold_ms, warm_ms} in the JSON\n"
@@ -177,9 +168,6 @@ int main(int argc, char** argv) {
   std::string engine;
   std::string backend;
   std::string opt;
-  std::string serve_addr;
-  std::string connect_addr;
-  std::string shutdown_addr;
   std::string cache_dir;
   std::string list_kind;
   int jobs = 1;
@@ -240,18 +228,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "invalid jit threshold: %s\n", v);
         return 2;
       }
-    } else if (arg == "--serve") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      serve_addr = v;
-    } else if (arg == "--connect") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      connect_addr = v;
-    } else if (arg == "--shutdown") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      shutdown_addr = v;
     } else if (arg == "--cache-dir") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -279,16 +255,6 @@ int main(int argc, char** argv) {
   }
 
   if (!list_kind.empty()) return run_list(list_kind);
-  if (!shutdown_addr.empty()) {
-    try {
-      eval::shutdown_remote(shutdown_addr);
-      std::printf("sfrv-eval: daemon at %s shut down\n", shutdown_addr.c_str());
-      return 0;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "sfrv-eval: %s\n", e.what());
-      return 1;
-    }
-  }
 
   eval::CampaignSpec spec;
   if (suite == "table3") {
@@ -357,46 +323,13 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
 
-  if (!serve_addr.empty()) {
-    try {
-      eval::ServeOptions opts;
-      opts.address = serve_addr;
-      opts.jobs = jobs;
-      opts.cache_dir = cache_dir;
-      eval::serve(opts);
-      return 0;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "sfrv-eval: %s\n", e.what());
-      return 1;
-    }
-  }
-
   const std::string json_path = out_prefix + ".json";
   const std::string md_path = out_prefix + ".md";
 
-  if (!connect_addr.empty()) {
-    try {
-      const std::size_t n_cells = eval::expand_matrix(spec).size();
-      std::printf("sfrv-eval: suite %s -> daemon at %s, %zu cells\n",
-                  spec.name.c_str(), connect_addr.c_str(), n_cells);
-      const eval::ClientResult r =
-          eval::run_remote(connect_addr, spec, jobs, wall_clock);
-      if (!write_file(json_path, r.json) || !write_file(md_path, r.md)) {
-        std::fprintf(stderr, "failed to write %s / %s\n", json_path.c_str(),
-                     md_path.c_str());
-        return 1;
-      }
-      std::printf("wrote %s (%zu cells) and %s\n", json_path.c_str(), r.cells,
-                  md_path.c_str());
-      print_cache_line(r.hits, r.misses);
-      return 0;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "sfrv-eval: %s\n", e.what());
-      return 1;
-    }
-  }
-
   try {
+    // The clock starts before expand_matrix: expanding a full-size suite
+    // trains the SVM fixture, which wall_ms and cold_ms must include.
+    const auto t0 = std::chrono::steady_clock::now();
     const std::size_t n_cells = eval::expand_matrix(spec).size();
     std::printf("sfrv-eval: suite %s, engine %s, backend %s, opt %s, "
                 "%zu cells, %d job(s)%s\n",
@@ -409,7 +342,6 @@ int main(int argc, char** argv) {
     if (!cache_dir.empty() || cache_bench) {
       store = std::make_unique<eval::CellStore>(cache_dir);
     }
-    const auto t0 = std::chrono::steady_clock::now();
     eval::EvalReport report = eval::run_campaign(spec, jobs, store.get());
     const auto t1 = std::chrono::steady_clock::now();
     const double cold_ms =
