@@ -85,9 +85,10 @@ inline constexpr std::array<EngineEntry, 3> kEngines{{
 [[nodiscard]] Engine default_engine();
 
 namespace detail {
-/// The memberwise-copyable state of a Core, split into a base so Core's
-/// copy/move operations can delegate the member list to the compiler and
-/// only fix up the context's environment pointers afterwards.
+/// The memberwise-movable state of a Core, split into a base so Core's
+/// move operations can delegate the member list to the compiler and only fix
+/// up the context's environment pointers afterwards. Memory is move-only, so
+/// this state is too.
 struct CoreState {
   isa::IsaConfig cfg_;
   Memory mem_;
@@ -111,24 +112,22 @@ class Core : private detail::CoreState {
   explicit Core(isa::IsaConfig cfg = isa::IsaConfig::full(),
                 MemConfig mem_cfg = {}, Timing timing = {});
 
-  // Copies/moves re-point the context's environment pointers at this
-  // instance's Memory/Stats (the context otherwise keeps aiming at the
-  // source Core's members).
-  Core(const Core& other) : detail::CoreState(other) { rebind_context(); }
+  // Move-only, like its Memory. A move re-points the context's environment
+  // pointers at this instance's Memory/Stats (the context otherwise keeps
+  // aiming at the source Core's members), and re-points the source's at its
+  // own emptied Memory, so the moved-from Core's cached base is null and
+  // every access throws instead of reaching the mapping it handed over.
+  Core(const Core&) = delete;
+  Core& operator=(const Core&) = delete;
   Core(Core&& other) noexcept : detail::CoreState(std::move(other)) {
     rebind_context();
-  }
-  Core& operator=(const Core& other) {
-    if (this != &other) {
-      detail::CoreState::operator=(other);
-      rebind_context();
-    }
-    return *this;
+    other.rebind_context();  // NOLINT(bugprone-use-after-move)
   }
   Core& operator=(Core&& other) noexcept {
     if (this != &other) {
       detail::CoreState::operator=(std::move(other));
       rebind_context();
+      other.rebind_context();  // NOLINT(bugprone-use-after-move)
     }
     return *this;
   }

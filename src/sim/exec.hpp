@@ -8,8 +8,8 @@
 // Stats block, and invoke any handler directly.
 //
 // The `mem` and `stats` pointers are environment references, not owned state;
-// Core re-points them at its own members on construction, copy, and move so
-// a context is never left aimed at a dead object.
+// Core re-points them at its own members on construction and move so a
+// context is never left aimed at a dead object.
 #pragma once
 
 #include <array>

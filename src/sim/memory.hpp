@@ -4,12 +4,26 @@
 // L2 = 10 cycles, L3 = 100 cycles. Loads stall the in-order pipeline for the
 // full latency; stores retire through a store buffer (1 cycle issue) unless a
 // store latency is configured explicitly.
+//
+// The backing store is one anonymous private mapping, so the OS zeroes each
+// page on first touch: a Core costs the pages its program touches, not its
+// configured size (8 MiB by default, of which one campaign cell touches a
+// few pages). One PROT_NONE guard page follows the store, so an access that
+// slipped past the bounds check faults deterministically. The base never
+// moves for the lifetime of the mapping, and Memory is move-only: a move
+// steals the mapping and leaves the source at size 0.
 #pragma once
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <stdexcept>
 #include <string>
-#include <vector>
+#include <utility>
 
 namespace sfrv::sim {
 
@@ -63,7 +77,26 @@ struct MemConfig {
 
 class Memory {
  public:
-  explicit Memory(MemConfig cfg = {}) : cfg_(cfg), bytes_(cfg.size, 0) {}
+  /// Maps cfg.size bytes, plus the guard page; size 0 maps nothing, and
+  /// every access then throws. Throws std::bad_alloc when the mapping fails.
+  explicit Memory(MemConfig cfg = {}) : cfg_(cfg), bytes_(map(cfg.size)) {}
+  ~Memory() { unmap(); }
+
+  Memory(const Memory&) = delete;
+  Memory& operator=(const Memory&) = delete;
+  Memory(Memory&& other) noexcept
+      : cfg_(other.cfg_), bytes_(std::exchange(other.bytes_, nullptr)) {
+    other.cfg_.size = 0;
+  }
+  Memory& operator=(Memory&& other) noexcept {
+    if (this != &other) {
+      unmap();
+      cfg_ = other.cfg_;
+      bytes_ = std::exchange(other.bytes_, nullptr);
+      other.cfg_.size = 0;
+    }
+    return *this;
+  }
 
   [[nodiscard]] const MemConfig& config() const { return cfg_; }
 
@@ -102,33 +135,70 @@ class Memory {
 
   /// Bulk image load (program text/data).
   void write_block(std::uint32_t addr, const void* src, std::size_t n) {
-    check(addr, static_cast<std::uint32_t>(n));
+    check_block(addr, n);
     const auto* p = static_cast<const std::uint8_t*>(src);
-    std::copy(p, p + n, bytes_.begin() + addr);
+    std::copy(p, p + n, bytes_ + addr);
   }
   void read_block(std::uint32_t addr, void* dst, std::size_t n) const {
-    check(addr, static_cast<std::uint32_t>(n));
-    std::copy(bytes_.begin() + addr, bytes_.begin() + addr + n,
+    check_block(addr, n);
+    std::copy(bytes_ + addr, bytes_ + addr + n,
               static_cast<std::uint8_t*>(dst));
   }
 
   // Raw backing store, for executors that cache the base pointer instead of
-  // chasing `mem->bytes_` on every access (the storage never reallocates:
-  // its size is fixed at construction). Callers taking this route must gate
-  // every access on mem_access_oob() / throw_mem_oob() above, exactly as
-  // check() does.
-  [[nodiscard]] std::uint8_t* data() { return bytes_.data(); }
-  [[nodiscard]] std::uint32_t size() const {
-    return static_cast<std::uint32_t>(bytes_.size());
-  }
+  // chasing `mem->bytes_` on every access. The mapping never moves while
+  // this Memory owns it (a move hands it over whole), and it is null at
+  // size 0. Callers taking this route must gate every access on
+  // mem_access_oob() / throw_mem_oob() above, exactly as check() does.
+  [[nodiscard]] std::uint8_t* data() { return bytes_; }
+  [[nodiscard]] std::uint32_t size() const { return cfg_.size; }
 
  private:
+  static std::size_t page_size() {
+    static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    return page;
+  }
+  /// The store rounded up to whole pages, plus the trailing guard page.
+  static std::size_t mapped_len(std::uint32_t size) {
+    const std::size_t page = page_size();
+    return (std::size_t{size} + page - 1) / page * page + page;
+  }
+  static std::uint8_t* map(std::uint32_t size) {
+    if (size == 0) return nullptr;
+    const std::size_t len = mapped_len(size);
+    void* p = mmap(nullptr, len, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    auto* base = static_cast<std::uint8_t*>(p);
+    if (mprotect(base + len - page_size(), page_size(), PROT_NONE) != 0) {
+      munmap(p, len);
+      throw std::bad_alloc();
+    }
+#ifdef MADV_NOHUGEPAGE
+    // Under transparent huge pages "always", a first touch would zero a
+    // whole 2 MiB huge page instead of the one page the program touched.
+    // A hint: if it fails, the store still works.
+    madvise(p, len - page_size(), MADV_NOHUGEPAGE);
+#endif
+    return base;
+  }
+  void unmap() {
+    if (bytes_ != nullptr) munmap(bytes_, mapped_len(cfg_.size));
+  }
+
   void check(std::uint32_t addr, std::uint32_t n) const {
     if (mem_access_oob(addr, n, size())) throw_mem_oob(addr);
   }
+  /// check() for a host-sized length. A length longer than the whole store
+  /// is rejected before it is narrowed to 32 bits, so a length with high
+  /// bits set cannot pass as a short one.
+  void check_block(std::uint32_t addr, std::size_t n) const {
+    if (n > size()) throw_mem_oob(addr);
+    check(addr, static_cast<std::uint32_t>(n));
+  }
 
   MemConfig cfg_;
-  std::vector<std::uint8_t> bytes_;
+  std::uint8_t* bytes_;  ///< null at size 0 and after a move
 };
 
 }  // namespace sfrv::sim
