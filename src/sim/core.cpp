@@ -215,13 +215,12 @@ Core::RunResult Core::run_jit(std::uint64_t max_steps) {
     while (remaining > 0) {
       if (ctx_.halted) break;
       const std::uint32_t idx = fetch_index(ctx_.pc);
-      jit::Trace* t = jit_.lookup(idx, ctx_.vl);
+      jit::Trace* t = jit_.lookup(idx);
       if (t == nullptr && jit_.note_entry(idx)) {
         t = jit_.translate(idx, uops_, timing_, mem_.config(), text_base_,
-                           ctx_.vl, stats_);
+                           stats_);
         if (t != nullptr && verify::enabled()) {
-          verify_trace_or_throw(*t, uops_, timing_, mem_.config(), text_base_,
-                                ctx_.vl);
+          verify_trace_or_throw(*t, uops_, timing_, mem_.config(), text_base_);
         }
       }
       if (t != nullptr) {

@@ -3,15 +3,15 @@
 // Two executors share one set of per-op bodies (the SFRV_JB_* macros, which
 // replicate the decode.cpp handler semantics verbatim, minus the pc bump):
 //
-//  * run_trace_full — the hot path. Computed-goto threaded dispatch when the
-//    compiler supports address-of-label (GCC/Clang), a dense token switch
-//    otherwise. Books nothing per slot, restarts internally on a taken
-//    back-edge to the trace head (hot loops never leave the executor), and
-//    reports the number of complete executions for the caller's note_runs.
+//  * run_trace_full — the hot path. Computed-goto threaded dispatch (GCC and
+//    Clang support address-of-label; the repo builds with nothing else).
+//    Books nothing per slot, restarts internally on a taken back-edge to the
+//    trace head (hot loops never leave the executor), and reports the
+//    number of complete executions for the caller's note_runs.
 //  * run_trace_bounded — the exact-retirement path for Core::run(k)
-//    lockstep semantics. Executes exactly `budget < n` slots, booking each
-//    one immediately (so no deferred state exists when the run stops
-//    mid-trace), and re-materializes pc.
+//    lockstep semantics. A token switch executes exactly `budget < n`
+//    slots, booking each one immediately (so no deferred state exists when
+//    the run stops mid-trace), and re-materializes pc.
 //
 // Fault model: the only slot bodies that can throw are the memory ops —
 // the fourteen scalar loads/stores (jm_* range checks, the same shared
@@ -31,7 +31,6 @@
 #include <string>
 
 #include "sim/exec.hpp"
-#include "softfloat/runtime.hpp"
 
 namespace sfrv::sim::jit {
 
@@ -253,103 +252,71 @@ inline void jm_st32(const ExecContext& c, U32 a, U32 v) {
     c.fflags |= fl.bits;                                       \
   } while (0)
 
-// Generic packed binary op (h_vec_bin inlined). The translator folded the
-// trace's VL into the slot: u.lanes is the *active* lane count, so the body
-// runs active lanes only and preserves the tail. The keep mask is computed
-// from lanes * width (one shift) rather than cached in p0 — p0 is 32 bits
-// and FLEN=64 masks would truncate.
+// Generic packed binary op (h_vec_bin inlined): only the lanes active under
+// the live vl compute, and the destination tail is preserved. The keep mask
+// is computed from active * width (one shift) rather than cached in p0 — p0
+// is 32 bits and FLEN=64 masks would truncate.
 #define SFRV_JB_VECBIN()                                           \
   do {                                                             \
     fp::Flags fl;                                                  \
+    const int active = c.vl_active(s->u.lanes);                    \
     const U64 r = s->u.fp1.vbin(c.f[s->u.rs1], c.f[s->u.rs2],      \
-                                s->u.lanes, s->u.replicate,        \
+                                active, s->u.replicate,            \
                                 c.frm_mode(), fl);                 \
-    const U64 keep = width_mask(s->u.lanes * s->u.width);          \
+    const U64 keep = width_mask(active * s->u.width);              \
     c.f[s->u.rd] = ((r & keep) | (c.f[s->u.rd] & ~keep)) &         \
                    c.flen_mask;                                    \
     c.fflags |= fl.bits;                                           \
   } while (0)
 
-// Generic packed multiply-accumulate (h_vec_mac inlined; VL folded as in
+// Generic packed multiply-accumulate (h_vec_mac inlined; live vl as in
 // SFRV_JB_VECBIN).
 #define SFRV_JB_VECMAC()                                           \
   do {                                                             \
     fp::Flags fl;                                                  \
+    const int active = c.vl_active(s->u.lanes);                    \
     const U64 r = s->u.fp1.vtern(c.f[s->u.rs1], c.f[s->u.rs2],     \
-                                 c.f[s->u.rd], s->u.lanes,         \
+                                 c.f[s->u.rd], active,             \
                                  s->u.replicate, c.frm_mode(), fl); \
-    const U64 keep = width_mask(s->u.lanes * s->u.width);          \
+    const U64 keep = width_mask(active * s->u.width);              \
     c.f[s->u.rd] = ((r & keep) | (c.f[s->u.rd] & ~keep)) &         \
                    c.flen_mask;                                    \
     c.fflags |= fl.bits;                                           \
   } while (0)
 
 // Expanding dot product with a binary32 scalar accumulator (h_vec_dotp
-// inlined). u.lanes is the folded *active* count; the accumulator is a
-// full scalar write, so no tail merge is needed.
+// inlined): only the active lanes contribute; the accumulator is a full
+// scalar write, so no tail merge is needed.
 #define SFRV_JB_VECDOTP()                                            \
   do {                                                               \
     fp::Flags fl;                                                    \
     const U64 acc = c.read_fp(s->u.rd, 32);                          \
     c.write_fp(s->u.rd, 32,                                          \
                s->u.fp1.vdotp(c.f[s->u.rs1], c.f[s->u.rs2], acc,     \
-                              s->u.lanes, s->u.replicate,            \
-                              c.frm_mode(), fl));                    \
+                              c.vl_active(s->u.lanes),               \
+                              s->u.replicate, c.frm_mode(), fl));    \
     c.fflags |= fl.bits;                                             \
   } while (0)
 
 // Widening sum-of-dot-products: full-register packed wide accumulator
-// (h_vec_exsdotp inlined). u.lanes is the folded *active* narrow count; the
-// keep mask covers the ceil(active/2) wide accumulators it feeds.
+// (h_vec_exsdotp inlined). `active` counts narrow lanes; the keep mask
+// covers the ceil(active/2) wide accumulators they feed.
 #define SFRV_JB_VECEXSDOTP()                                         \
   do {                                                               \
     fp::Flags fl;                                                    \
+    const int active = c.vl_active(s->u.lanes);                      \
     const U64 r = s->u.fp1.vdotp(c.f[s->u.rs1], c.f[s->u.rs2],       \
-                                 c.f[s->u.rd], s->u.lanes,           \
+                                 c.f[s->u.rd], active,               \
                                  s->u.replicate, c.frm_mode(), fl);  \
-    const U64 keep =                                                 \
-        width_mask((s->u.lanes + 1) / 2 * 2 * s->u.width);           \
+    const U64 keep = width_mask((active + 1) / 2 * 2 * s->u.width);  \
     c.f[s->u.rd] = ((r & keep) | (c.f[s->u.rd] & ~keep)) &           \
                    c.flen_mask;                                      \
     c.fflags |= fl.bits;                                             \
   } while (0)
 
-// Fast-backend scalar binary32 op, direct-called (h_fp_bin semantics).
-#define SFRV_JB_FASTS(FN)                              \
-  do {                                                 \
-    fp::Flags fl;                                      \
-    const fp::RoundingMode rm = c.resolve_rm(s->u.rm); \
-    const U64 a = c.read_fp(s->u.rs1, 32);             \
-    const U64 b = c.read_fp(s->u.rs2, 32);             \
-    c.write_fp(s->u.rd, 32, fp::detail::FN(a, b, rm, fl)); \
-    c.fflags |= fl.bits;                               \
-  } while (0)
-
-// Fast-backend packed binary op, direct-called (h_vec_bin semantics).
-#define SFRV_JB_FASTV(FN)                                              \
-  do {                                                                 \
-    fp::Flags fl;                                                      \
-    const U64 r = fp::detail::FN(c.f[s->u.rs1], c.f[s->u.rs2],         \
-                                 s->u.lanes, s->u.replicate,           \
-                                 c.frm_mode(), fl);                    \
-    c.f[s->u.rd] = r & c.flen_mask;                                    \
-    c.fflags |= fl.bits;                                               \
-  } while (0)
-
-// Fast-backend packed multiply-accumulate (h_vec_mac semantics).
-#define SFRV_JB_FASTVMAC(FN)                                           \
-  do {                                                                 \
-    fp::Flags fl;                                                      \
-    const U64 r = fp::detail::FN(c.f[s->u.rs1], c.f[s->u.rs2],         \
-                                 c.f[s->u.rd], s->u.lanes,             \
-                                 s->u.replicate, c.frm_mode(), fl);    \
-    c.f[s->u.rd] = r & c.flen_mask;                                    \
-    c.fflags |= fl.bits;                                               \
-  } while (0)
-
 // The straight-line body list, shared by both executors. B(name, body)
-// expands once per non-terminating TOp (terminators and Exit are spelled
-// out per executor — their control flow differs).
+// expands once per non-terminating TOp (terminators and Exit exist only in
+// the threaded executor: a bounded run never reaches them).
 #define SFRV_JIT_STRAIGHT_BODIES(B)                                          \
   B(Nop, do { } while (0))                                                   \
   B(LoadImm, c.x[s->u.rd] = s->p0)                                           \
@@ -408,30 +375,15 @@ inline void jm_st32(const ExecContext& c, U32 a, U32 v) {
   B(VecBin, SFRV_JB_VECBIN())                                                \
   B(VecMac, SFRV_JB_VECMAC())                                                \
   B(VecDotp, SFRV_JB_VECDOTP())                                              \
-  B(VecExsdotp, SFRV_JB_VECEXSDOTP())                                        \
-  B(FastAddS, SFRV_JB_FASTS(fast_add_s))                                     \
-  B(FastSubS, SFRV_JB_FASTS(fast_sub_s))                                     \
-  B(FastMulS, SFRV_JB_FASTS(fast_mul_s))                                     \
-  B(FastVAddH, SFRV_JB_FASTV(fast_vadd_h))                                   \
-  B(FastVSubH, SFRV_JB_FASTV(fast_vsub_h))                                   \
-  B(FastVMulH, SFRV_JB_FASTV(fast_vmul_h))                                   \
-  B(FastVMacH, SFRV_JB_FASTVMAC(fast_vmac_h))                                \
-  B(FastVAddAH, SFRV_JB_FASTV(fast_vadd_ah))                                 \
-  B(FastVSubAH, SFRV_JB_FASTV(fast_vsub_ah))                                 \
-  B(FastVMulAH, SFRV_JB_FASTV(fast_vmul_ah))                                 \
-  B(FastVMacAH, SFRV_JB_FASTVMAC(fast_vmac_ah))
+  B(VecExsdotp, SFRV_JB_VECEXSDOTP())
 
 // The six branch terminators: N = TOp name, OP = isa::Op condition.
 #define SFRV_JIT_BRANCH_LIST(B) \
   B(Beq, BEQ) B(Bne, BNE) B(Blt, BLT) B(Bge, BGE) B(Bltu, BLTU) B(Bgeu, BGEU)
 
-#if defined(__GNUC__) || defined(__clang__)
-#define SFRV_JIT_THREADED 1
-#else
-#define SFRV_JIT_THREADED 0
+#if !defined(__GNUC__)
+#error "the trace executor needs computed goto (GCC or Clang)"
 #endif
-
-#if SFRV_JIT_THREADED
 
 /// The threaded full-trace executor. Query mode (`t == nullptr`): fill
 /// `labels` (TOp enum order) and return — the translator stores these as
@@ -503,19 +455,15 @@ L_Exit:
 #undef SFRV_JIT_NEXT
 }
 
-#endif  // SFRV_JIT_THREADED
-
-/// Token-switch executor. Book == true: the bounded exact-retirement path
-/// (executes exactly `budget` < n slots, booking each immediately).
-/// Book == false: the full-trace fallback when computed goto is
-/// unavailable (deferred accounting, like trace_threaded). Returns retired
-/// slots.
-template <bool Book>
-std::uint64_t run_switch(Trace& tr, ExecContext& c, Stats& st,
-                         std::uint64_t budget) {
+/// The bounded exact-retirement executor: a token switch that executes
+/// exactly `budget` slots (0 < budget < n), booking each one immediately,
+/// and leaves pc at the next unexecuted instruction. Only slots before the
+/// last one run, and a trace holds a terminator only in its last slot (the
+/// translator stops at the first one; the trace checker enforces it), so
+/// every slot run here is straight-line.
+void run_switch(Trace& tr, ExecContext& c, Stats& st, std::uint64_t budget) {
   const TraceSlot* s = tr.slots.data();
-  std::uint64_t done = 0;
-  for (;;) {
+  for (std::uint64_t done = 0; done < budget; ++done, ++s) {
     switch (s->top) {
 #define SFRV_JIT_B(name, body) \
   case TOp::name:              \
@@ -523,71 +471,21 @@ std::uint64_t run_switch(Trace& tr, ExecContext& c, Stats& st,
     break;
       SFRV_JIT_STRAIGHT_BODIES(SFRV_JIT_B)
 #undef SFRV_JIT_B
-
-#define SFRV_JIT_B(name, OP)                                               \
-  case TOp::name: {                                                        \
-    const bool tk =                                                        \
-        branch_taken<isa::Op::OP>(c.x[s->u.rs1], c.x[s->u.rs2]);           \
-    if (tk) c.branch_taken = true;                                         \
-    if constexpr (!Book) {                                                 \
-      /* internal loop restart, as in the threaded executor */             \
-      if (tk && s->p0 == tr.base_pc && tr.runs_left != 0) {                \
-        --tr.runs_left;                                                    \
-        ++tr.runs_done;                                                    \
-        s = tr.slots.data();                                               \
-        continue;                                                          \
-      }                                                                    \
-    }                                                                      \
-    c.pc = tk ? s->p0 : s->p1;                                             \
-    if constexpr (Book) {                                                  \
-      book_slot(st, tr, s, tk ? tr.taken_extra : 0);                       \
-    } else if (tk) {                                                       \
-      ++tr.pending_taken;                                                  \
-    }                                                                      \
-    return done + 1;                                                       \
-  }
+#define SFRV_JIT_B(name, OP) case TOp::name:
       SFRV_JIT_BRANCH_LIST(SFRV_JIT_B)
 #undef SFRV_JIT_B
-
       case TOp::Jal:
-        c.set_x(s->u.rd, s->p1);
-        c.pc = s->p0;
-        if constexpr (Book) book_slot(st, tr, s, 0);
-        return done + 1;
-      case TOp::Jalr: {
-        const U32 target =
-            (c.x[s->u.rs1] + static_cast<U32>(s->u.imm)) & ~1u;
-        c.set_x(s->u.rd, s->p1);
-        c.pc = target;
-        if constexpr (Book) book_slot(st, tr, s, 0);
-        return done + 1;
-      }
+      case TOp::Jalr:
       case TOp::Halt:
-        c.halted = true;
-        c.pc = s->p1;
-        if constexpr (Book) book_slot(st, tr, s, 0);
-        return done + 1;
       case TOp::Exit:
-        c.pc = s->p1;
-        return done;  // retires nothing
+        throw std::logic_error("jit: bounded run reached a trace terminator");
     }
-    // Straight-line slot completed.
-    if constexpr (Book) {
-      book_slot(st, tr, s, 0);
-      if (++done == budget) {
-        c.pc = tr.base_pc +
-               4 * static_cast<U32>(s - tr.slots.data()) + 4;
-        return done;
-      }
-    } else {
-      ++done;
-    }
-    ++s;
+    book_slot(st, tr, s, 0);
   }
+  c.pc = tr.base_pc + 4 * static_cast<U32>(budget);
 }
 
 const void* const* threaded_labels() {
-#if SFRV_JIT_THREADED
   static const void* labels[kNumTOps] = {};
   static const bool init = [] {
     trace_threaded(nullptr, nullptr, labels);
@@ -595,9 +493,6 @@ const void* const* threaded_labels() {
   }();
   (void)init;
   return labels;
-#else
-  return nullptr;
-#endif
 }
 
 }  // namespace
@@ -641,11 +536,7 @@ std::uint64_t run_trace_full(Trace& t, ExecContext& c, Stats& st,
                     ? 0x7fffffffu
                     : static_cast<std::uint32_t>(max_runs - 1);
   try {
-#if SFRV_JIT_THREADED
     trace_threaded(&t, &c, nullptr);
-#else
-    (void)run_switch<false>(t, c, st, 0);
-#endif
   } catch (...) {
     // Internally-looped complete runs haven't been recorded anywhere yet —
     // charge them straight into `st` (each ended in its taken back-edge).
@@ -667,7 +558,7 @@ void run_trace_bounded(Trace& t, ExecContext& c, Stats& st,
                        std::uint64_t budget) {
   t.cursor = 0;
   try {
-    (void)run_switch<true>(t, c, st, budget);
+    run_switch(t, c, st, budget);
   } catch (...) {
     // Completed slots were already booked; just re-materialize pc.
     c.pc = t.base_pc + 4 * t.cursor;
@@ -681,42 +572,10 @@ namespace {
 
 enum class Lowered : std::uint8_t { Straight, Terminator, Untranslatable };
 
-/// Upgrade a generic CallUop slot to a direct-call fast slot when the bound
-/// softfloat pointer IS the fast backend's host-FP kernel for that shape.
-/// Under the Grs backend nothing matches (different table entries), so
-/// specialization is automatically backend-correct.
-void fast_specialize(TraceSlot& s) {
-  const DecodedOp& u = s.u;
-  if (u.hkind == HandlerKind::FpBin && u.fmt == fp::FpFormat::F32 &&
-      u.width == 32) {
-    const fp::RtOps& fo = fp::detail::fast_ops(fp::FpFormat::F32);
-    if (u.fp1.bin == fo.add) s.top = TOp::FastAddS;
-    else if (u.fp1.bin == fo.sub) s.top = TOp::FastSubS;
-    else if (u.fp1.bin == fo.mul) s.top = TOp::FastMulS;
-    return;
-  }
-  if ((u.fmt == fp::FpFormat::F16 || u.fmt == fp::FpFormat::F16Alt)) {
-    const fp::RtVecOps& vo = fp::detail::fast_vec_ops(u.fmt);
-    const bool alt = u.fmt == fp::FpFormat::F16Alt;
-    if (u.hkind == HandlerKind::VecBin) {
-      if (u.fp1.vbin == vo.add) {
-        s.top = alt ? TOp::FastVAddAH : TOp::FastVAddH;
-      } else if (u.fp1.vbin == vo.sub) {
-        s.top = alt ? TOp::FastVSubAH : TOp::FastVSubH;
-      } else if (u.fp1.vbin == vo.mul) {
-        s.top = alt ? TOp::FastVMulAH : TOp::FastVMulH;
-      }
-    } else if (u.hkind == HandlerKind::VecMac && u.fp1.vtern == vo.mac) {
-      s.top = alt ? TOp::FastVMacAH : TOp::FastVMacH;
-    }
-  }
-}
-
 /// Lower one micro-op into a trace slot; `pc` is its absolute address (for
-/// folding auipc/jal/branch constants) and `vl` the vector length the trace
-/// is being compiled for (folded into vector slots; the cache keys on it).
+/// folding auipc/jal/branch constants).
 Lowered lower_slot(const DecodedOp& u, std::uint32_t pc, const Timing& timing,
-                   const MemConfig& mem, std::uint32_t vl, TraceSlot& s) {
+                   const MemConfig& mem, TraceSlot& s) {
   using isa::Op;
   if (!u.supported || u.fn == nullptr) return Lowered::Untranslatable;
   s.u = u;
@@ -772,8 +631,7 @@ Lowered lower_slot(const DecodedOp& u, std::uint32_t pc, const Timing& timing,
     case Op::FSH: return memop(TOp::Fsh);
     case Op::FSB: return memop(TOp::Fsb);
     // VL-governed vector memops keep their bound handler (which reads the
-    // live vl — equal to the trace's folded vl by the cache-keying
-    // invariant) but need the cursor-recording VMem slot: the handler can
+    // live vl) but need the cursor-recording VMem slot: the handler can
     // fault mid-element through Memory::check, and a plain CallUop would
     // leave a stale cursor for the unwind path to book against.
     case Op::VFLB:
@@ -820,11 +678,10 @@ Lowered lower_slot(const DecodedOp& u, std::uint32_t pc, const Timing& timing,
       break;
   }
   // Everything else is a scalar/vector FP op whose handler touches only
-  // registers, fflags, and pc (+4, a dead store inside a trace). The three
-  // common handler shapes inline as dedicated slots calling the bound
-  // softfloat pointer directly; the rest keep the predecoded handler call.
-  // Either form upgrades to a direct-call fast slot when the bound pointer
-  // is a fast-backend kernel. Defensively keep any residual control/system
+  // registers, fflags, vl-governed lanes, and pc (+4, a dead store inside a
+  // trace). The five common handler shapes inline as dedicated slots
+  // calling the bound softfloat pointer directly; the rest keep the
+  // predecoded handler call. Defensively keep any residual control/system
   // class on the interpreter.
   switch (isa::op_class(u.op)) {
     case isa::Cls::Branch:
@@ -835,45 +692,14 @@ Lowered lower_slot(const DecodedOp& u, std::uint32_t pc, const Timing& timing,
     default:
       break;
   }
-  // Fold the trace's VL into the inlined vector shapes: u.lanes becomes
-  // the active lane count, so the slot bodies pay no per-visit min()
-  // computation. Handlers reached via CallUop (and VMem above) read the
-  // live c.vl instead, which equals the folded vl whenever the trace runs
-  // (lookup keys on it).
-  const auto active_of = [&](int lanes) {
-    return vl < static_cast<std::uint32_t>(lanes) ? static_cast<int>(vl)
-                                                  : lanes;
-  };
-  bool full_vl = true;
   switch (u.hkind) {
     case HandlerKind::FpBin: s.top = TOp::FpBin; break;
-    case HandlerKind::VecBin:
-    case HandlerKind::VecMac: {
-      const int active = active_of(u.lanes);
-      full_vl = active == u.lanes;
-      s.u.lanes = static_cast<std::uint8_t>(active);
-      s.top = u.hkind == HandlerKind::VecBin ? TOp::VecBin : TOp::VecMac;
-      break;
-    }
-    case HandlerKind::VecDotp: {
-      const int active = active_of(u.lanes);
-      full_vl = active == u.lanes;
-      s.u.lanes = static_cast<std::uint8_t>(active);
-      s.top = TOp::VecDotp;
-      break;
-    }
-    case HandlerKind::VecExsdotp: {
-      const int active = active_of(u.lanes);
-      full_vl = active == u.lanes;
-      s.u.lanes = static_cast<std::uint8_t>(active);
-      s.top = TOp::VecExsdotp;
-      break;
-    }
-    default: s.top = TOp::CallUop; break;
+    case HandlerKind::VecBin: s.top = TOp::VecBin; break;
+    case HandlerKind::VecMac: s.top = TOp::VecMac; break;
+    case HandlerKind::VecDotp: s.top = TOp::VecDotp; break;
+    case HandlerKind::VecExsdotp: s.top = TOp::VecExsdotp; break;
+    case HandlerKind::Other: s.top = TOp::CallUop; break;
   }
-  // The fast-backend direct-call bodies have no tail merge: only a slot
-  // running all hardware lanes may specialize (scalar FpBin always does).
-  if (full_vl) fast_specialize(s);
   return Lowered::Straight;
 }
 
@@ -887,23 +713,12 @@ void JitProgram::on_code_change(std::size_t n_uops) {
   heat_.assign(n_uops, 0);
 }
 
-Trace* JitProgram::lookup(std::uint32_t idx, std::uint32_t vl) {
+Trace* JitProgram::lookup(std::uint32_t idx) {
   ++stats_.lookups;
   const std::int32_t id = slot_of_[idx];
   if (id < 0) return nullptr;
-  Trace& t = traces_[static_cast<std::size_t>(id)];
-  if (t.vl != vl) {
-    // Compiled under a different vector length: its folded lane counts and
-    // tail masks are stale, so unmap the index and miss — heat is already
-    // past the threshold, so the caller recompiles at the live VL
-    // immediately. The orphaned trace keeps its id (deferred accounting
-    // lands at the next flush) and is reclaimed by the next flush-all.
-    slot_of_[idx] = -1;
-    ++stats_.vl_invalidations;
-    return nullptr;
-  }
   ++stats_.hits;
-  return &t;
+  return &traces_[static_cast<std::size_t>(id)];
 }
 
 bool JitProgram::note_entry(std::uint32_t idx) {
@@ -916,8 +731,7 @@ bool JitProgram::note_entry(std::uint32_t idx) {
 Trace* JitProgram::translate(std::uint32_t idx,
                              const std::vector<DecodedOp>& uops,
                              const Timing& timing, const MemConfig& mem,
-                             std::uint32_t text_base, std::uint32_t vl,
-                             Stats& st) {
+                             std::uint32_t text_base, Stats& st) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto charge = [&] {
     stats_.translate_ns += static_cast<std::uint64_t>(
@@ -929,14 +743,13 @@ Trace* JitProgram::translate(std::uint32_t idx,
   Trace t;
   t.start_idx = idx;
   t.base_pc = text_base + 4 * idx;
-  t.vl = vl;
   t.taken_extra = static_cast<std::uint16_t>(timing.branch_taken_penalty);
   bool terminated = false;
   for (std::uint32_t j = idx;
        j < uops.size() && t.slots.size() < kMaxTraceSlots; ++j) {
     TraceSlot s;
     const Lowered r =
-        lower_slot(uops[j], text_base + 4 * j, timing, mem, vl, s);
+        lower_slot(uops[j], text_base + 4 * j, timing, mem, s);
     if (r == Lowered::Untranslatable) break;
     t.slots.push_back(s);
     if (r == Lowered::Terminator) {
@@ -975,12 +788,10 @@ Trace* JitProgram::translate(std::uint32_t idx,
     ex.p1 = t.base_pc + 4 * t.n;
     t.slots.push_back(ex);
   }
-#if SFRV_JIT_THREADED
   const void* const* labels = threaded_labels();
   for (TraceSlot& s : t.slots) {
     s.cont = labels[static_cast<int>(s.top)];
   }
-#endif
 
   if (traces_.size() >= cap_) {
     // Flush-all eviction: cheap, and heat survives so hot blocks recompile
@@ -1011,9 +822,8 @@ void JitProgram::materialize_all(Stats& st) {
 void JitProgram::note_runs(Trace& t, std::uint64_t runs) {
   if (!t.dirty) {
     t.dirty = true;
-    // Use the trace's own id: slot_of_[start_idx] may already point at a
-    // replacement compiled under a different VL (or be unmapped), but ids
-    // stay valid until the next wholesale flush.
+    // Ids stay valid until the next wholesale flush, which materializes
+    // every dirty trace first.
     dirty_.push_back(static_cast<std::uint32_t>(t.id));
   }
   t.pending += runs;

@@ -16,13 +16,13 @@
 //    and the op's fixed cycle cost (`fixed_cycles`, the same function
 //    Core::account books through).
 //  * The trace executor (jit.cpp) dispatches slot-to-slot with computed
-//    goto where the compiler supports it (`cont` holds the label address)
-//    and a dense-switch token loop otherwise — no per-op indirect call for
-//    the integer/memory/control core of the ISA, and the fast backend's
-//    host-FP add/sub/mul/mac kernels inlined as dedicated trace ops
-//    (direct calls into fp::detail::fast_*) instead of bound softfloat
-//    pointers. Everything else (scalar/vector softfloat, converts) keeps
-//    the predecoded handler call, minus the fetch/account overhead.
+//    goto (`cont` holds the label address; GCC and Clang both support it):
+//    no per-op indirect call for the integer/memory/control core of the
+//    ISA, and the common FP handler shapes inlined as slot bodies that call
+//    the bound softfloat pointer directly — under the fast backend that
+//    pointer is the fast kernel. Everything else (remaining softfloat ops,
+//    converts) keeps the predecoded handler call, minus the fetch/account
+//    overhead.
 //  * Interior slots never write `pc`: control-flow constants are absolute,
 //    so `pc` materializes only at side exits (terminators, the fall-through
 //    `Exit` slot, a bounded-budget stop, or a memory fault).
@@ -43,22 +43,20 @@
 // cycles, fflags, and architectural digests stay bit-identical to
 // Engine::Reference.
 //
-// Translation cache. Traces are keyed on the starting text index *and the
-// dynamic vector length (vl CSR)* within a (backend, code version)
-// generation: translation folds the live VL into every vector slot (active
-// lane count plus a tail-preservation mask), so a trace compiled at one VL
-// must not run at another. A lookup under a different VL misses and the
-// recompiled trace replaces the stale one in the direct map — `setvl` is
-// itself untranslatable (Cls::Csr), so VL is constant within any trace.
-// `Core::set_backend` and `load_program` re-lower the micro-op stream and
-// call `on_code_change`, which drops every trace (stale bound pointers must
-// not survive). A hotness threshold keeps cold blocks on the cold tier
-// (Core::run_cold, a walk over the predecoded micro-ops to the block end) —
-// a block only compiles after `threshold` cold entries — and a cache cap
-// bounds translated memory for pathological programs (flush-all eviction;
-// heat survives, so hot blocks recompile on their next entry). Mid-block
-// `jalr` entry simply misses the cache at that index and either runs cold
-// or compiles a suffix trace — either way architecturally identical.
+// Translation cache. Traces are keyed on the starting text index alone
+// within a (backend, code version) generation. A trace is valid at every
+// dynamic vector length: packed slots read the live vl CSR on every visit,
+// exactly as the predecoded handlers do, so a strip-mined loop re-entering
+// its body under a new VL replays the same trace. `Core::set_backend` and
+// `load_program` re-lower the micro-op stream and call `on_code_change`,
+// which drops every trace (stale bound pointers must not survive). A
+// hotness threshold keeps cold blocks on the cold tier (Core::run_cold, a
+// walk over the predecoded micro-ops to the block end) — a block only
+// compiles after `threshold` cold entries — and a cache cap bounds
+// translated memory for pathological programs (flush-all eviction; heat
+// survives, so hot blocks recompile on their next entry). Mid-block `jalr`
+// entry simply misses the cache at that index and either runs cold or
+// compiles a suffix trace — either way architecturally identical.
 #pragma once
 
 #include <cstddef>
@@ -75,7 +73,7 @@
 namespace sfrv::sim::jit {
 
 // Specialized trace opcodes. Order is load-bearing: the threaded executor's
-// label table and the switch executor's cases are generated from this list.
+// label table and the bounded executor's cases are generated from this list.
 //   Nop       — fence, and any rd=x0 ALU op (architecturally pure).
 //   LoadImm   — lui, and auipc with pc+imm folded (p0 = value).
 //   CallUop   — generic FP/vector op: calls the bound predecoded handler
@@ -83,10 +81,10 @@ namespace sfrv::sim::jit {
 //   VMem      — VL-governed vector load/store (vflb/vflh/vfsb/vfsh):
 //               records the fault cursor, then calls the bound handler
 //               (which can throw on an out-of-bounds element access).
-//   FpBin/VecBin/VecMac — the three most common FP handler shapes, inlined
-//               as slot bodies calling the *bound* softfloat pointer
-//               directly (skips the handler trampoline; backend-agnostic).
-//   Fast*     — fast-backend host-FP kernels, direct-called.
+//   FpBin/VecBin/VecMac/VecDotp/VecExsdotp — the common FP handler
+//               shapes, inlined as slot bodies calling the *bound* softfloat
+//               pointer directly (skips the handler trampoline; the same
+//               body serves either backend). Packed bodies read the live vl.
 //   Exit      — fall-through trace end: sets pc = p1, retires nothing.
 #define SFRV_JIT_TOP_LIST(X)                                              \
   X(Nop) X(LoadImm)                                                       \
@@ -97,9 +95,6 @@ namespace sfrv::sim::jit {
   X(Lb) X(Lh) X(Lw) X(Lbu) X(Lhu) X(Sb) X(Sh) X(Sw)                       \
   X(Flw) X(Flh) X(Flb) X(Fsw) X(Fsh) X(Fsb) X(VMem)                       \
   X(CallUop) X(FpBin) X(VecBin) X(VecMac) X(VecDotp) X(VecExsdotp)        \
-  X(FastAddS) X(FastSubS) X(FastMulS)                                     \
-  X(FastVAddH) X(FastVSubH) X(FastVMulH) X(FastVMacH)                     \
-  X(FastVAddAH) X(FastVSubAH) X(FastVMulAH) X(FastVMacAH)                 \
   X(Beq) X(Bne) X(Blt) X(Bge) X(Bltu) X(Bgeu)                             \
   X(Jal) X(Jalr) X(Halt) X(Exit)
 
@@ -145,7 +140,6 @@ struct Trace {
   std::vector<TraceSlot> slots;
   std::uint32_t start_idx = 0;  ///< text index of the first slot
   std::uint32_t base_pc = 0;    ///< text_base + 4 * start_idx
-  std::uint32_t vl = 0;         ///< vector length folded at translation time
   std::int32_t id = -1;         ///< stable index into JitProgram's deque
   std::uint32_t n = 0;          ///< instructions retired by a full execution
   std::uint64_t sum_cycles = 0;  ///< sum of slot cycles (no taken penalty)
@@ -194,7 +188,9 @@ struct JitStats {
   std::uint64_t interp_entries = 0;  ///< block entries run by the cold tier
   std::uint64_t evictions = 0;       ///< cap-triggered flush-all evictions
   std::uint64_t invalidations = 0;   ///< on_code_change flushes
-  std::uint64_t vl_invalidations = 0;  ///< lookups that unmapped a stale-VL trace
+  /// Always 0: traces are valid at every VL, so no lookup unmaps one. Kept
+  /// because the repo benchmark's traced report still reads it.
+  std::uint64_t vl_invalidations = 0;
   std::uint64_t translate_ns = 0;    ///< wall time spent translating
 
   [[nodiscard]] double hit_rate() const {
@@ -211,8 +207,8 @@ struct JitStats {
 [[nodiscard]] std::uint32_t default_threshold();
 void set_default_threshold(std::uint32_t threshold);
 
-/// The per-core translation cache + hotness state. Value-semantic (Core is
-/// memberwise-copyable); traces are stored in a deque so pointers handed to
+/// The per-core translation cache + hotness state. It moves with its Core
+/// (Core is move-only); traces are stored in a deque so pointers handed to
 /// the executor stay stable while the cache grows.
 class JitProgram {
  public:
@@ -225,12 +221,9 @@ class JitProgram {
   /// outside Core::run() nothing is pending.
   void on_code_change(std::size_t n_uops);
 
-  /// The compiled trace starting at text index `idx`, or null. A trace
-  /// compiled under a different vector length is a miss (the entry
-  /// recompiles and replaces it): translation folds the live VL into the
-  /// vector slots, so a trace is only valid at the VL it was compiled for.
-  /// Counts toward the hit rate.
-  [[nodiscard]] Trace* lookup(std::uint32_t idx, std::uint32_t vl);
+  /// The compiled trace starting at text index `idx`, or null. Counts
+  /// toward the hit rate.
+  [[nodiscard]] Trace* lookup(std::uint32_t idx);
 
   /// Record one cold entry at `idx`; true when the block just crossed the
   /// hotness threshold and should be compiled now.
@@ -243,7 +236,7 @@ class JitProgram {
   /// cache first when the cap is reached (materializing into `st`).
   Trace* translate(std::uint32_t idx, const std::vector<DecodedOp>& uops,
                    const Timing& timing, const MemConfig& mem,
-                   std::uint32_t text_base, std::uint32_t vl, Stats& st);
+                   std::uint32_t text_base, Stats& st);
 
   /// Flush every trace's deferred accounting into `st`. Cheap when clean.
   void materialize_all(Stats& st);

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "isa/opcodes.hpp"
-#include "softfloat/runtime.hpp"
 
 namespace sfrv::sim {
 
@@ -30,13 +29,12 @@ std::string where(const DecodedOp& u) {
   return std::string(isa::mnemonic(u.op));
 }
 
-/// Field-wise micro-op equality. `ignore_lanes` exempts the lane count
-/// (the trace translator folds the VL into it). The fp1/fp2 unions are
-/// compared bytewise — every member is a function pointer.
-bool uop_equal(const DecodedOp& a, const DecodedOp& b, bool ignore_lanes) {
+/// Field-wise micro-op equality. The fp1/fp2 unions are compared bytewise —
+/// every member is a function pointer.
+bool uop_equal(const DecodedOp& a, const DecodedOp& b) {
   return a.fn == b.fn && a.rd == b.rd && a.rs1 == b.rs1 && a.rs2 == b.rs2 &&
          a.rs3 == b.rs3 && a.rm == b.rm && a.width == b.width &&
-         a.width2 == b.width2 && (ignore_lanes || a.lanes == b.lanes) &&
+         a.width2 == b.width2 && a.lanes == b.lanes &&
          a.replicate == b.replicate && a.supported == b.supported &&
          a.fmt == b.fmt && a.imm == b.imm &&
          std::memcmp(&a.fp1, &b.fp1, sizeof a.fp1) == 0 &&
@@ -133,53 +131,12 @@ bool is_terminator_top(TOp t) {
   }
 }
 
-/// The legal Fast* specializations of a source micro-op: the bound pointer
-/// must BE the fast backend's kernel and the slot must run all hardware
-/// lanes (the direct-call bodies have no tail merge).
-bool fast_top_legal(const DecodedOp& u, TOp t, bool full_vl) {
-  if (!full_vl) return false;
-  if (u.hkind == HandlerKind::FpBin && u.fmt == fp::FpFormat::F32 &&
-      u.width == 32) {
-    const fp::RtOps& fo = fp::detail::fast_ops(fp::FpFormat::F32);
-    switch (t) {
-      case TOp::FastAddS: return u.fp1.bin == fo.add;
-      case TOp::FastSubS: return u.fp1.bin == fo.sub;
-      case TOp::FastMulS: return u.fp1.bin == fo.mul;
-      default: return false;
-    }
-  }
-  if (u.fmt != fp::FpFormat::F16 && u.fmt != fp::FpFormat::F16Alt) {
-    return false;
-  }
-  const fp::RtVecOps& vo = fp::detail::fast_vec_ops(u.fmt);
-  const bool alt = u.fmt == fp::FpFormat::F16Alt;
-  if (u.hkind == HandlerKind::VecBin) {
-    switch (t) {
-      case TOp::FastVAddH: return !alt && u.fp1.vbin == vo.add;
-      case TOp::FastVSubH: return !alt && u.fp1.vbin == vo.sub;
-      case TOp::FastVMulH: return !alt && u.fp1.vbin == vo.mul;
-      case TOp::FastVAddAH: return alt && u.fp1.vbin == vo.add;
-      case TOp::FastVSubAH: return alt && u.fp1.vbin == vo.sub;
-      case TOp::FastVMulAH: return alt && u.fp1.vbin == vo.mul;
-      default: return false;
-    }
-  }
-  if (u.hkind == HandlerKind::VecMac) {
-    switch (t) {
-      case TOp::FastVMacH: return !alt && u.fp1.vtern == vo.mac;
-      case TOp::FastVMacAH: return alt && u.fp1.vtern == vo.mac;
-      default: return false;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 std::vector<Diag> check_trace(const Trace& t,
                               const std::vector<DecodedOp>& uops,
                               const Timing& timing, const MemConfig& mem,
-                              std::uint32_t text_base, std::uint32_t vl) {
+                              std::uint32_t text_base) {
   std::vector<Diag> diags;
   const auto diag = [&](std::int64_t index, std::string msg) {
     diags.push_back(Diag{.pass = {}, .index = index, .message = std::move(msg)});
@@ -193,10 +150,6 @@ std::vector<Diag> check_trace(const Trace& t,
   if (t.base_pc != text_base + 4 * t.start_idx) {
     diag(anchor, "base_pc " + std::to_string(t.base_pc) +
                      " != text_base + 4 * start_idx");
-  }
-  if (t.vl != vl) {
-    diag(anchor, "trace vl " + std::to_string(t.vl) +
-                     " != translation-time vl " + std::to_string(vl));
   }
   if (t.n == 0 || t.n > jit::kMaxTraceSlots) {
     diag(anchor, "retiring slot count " + std::to_string(t.n) +
@@ -246,7 +199,6 @@ std::vector<Diag> check_trace(const Trace& t,
 
     // Token legality and folded constants, per source op.
     TOp want;
-    bool vec_folded = false;
     if (u.op == Op::LUI || u.op == Op::AUIPC) {
       const std::uint32_t val =
           u.op == Op::LUI ? static_cast<std::uint32_t>(u.imm)
@@ -292,39 +244,23 @@ std::vector<Diag> check_trace(const Trace& t,
                   top_name(want) + ")");
       }
     } else {
-      // FP compute: base token by handler shape, VL folded into the lane
-      // count for the inlined vector shapes, Fast* only as a verified
-      // specialization.
+      // FP compute: the token is fixed by the handler shape, under either
+      // math backend.
       switch (u.hkind) {
         case HandlerKind::FpBin: want = TOp::FpBin; break;
-        case HandlerKind::VecBin: want = TOp::VecBin; vec_folded = true; break;
-        case HandlerKind::VecMac: want = TOp::VecMac; vec_folded = true; break;
-        case HandlerKind::VecDotp: want = TOp::VecDotp; vec_folded = true; break;
-        case HandlerKind::VecExsdotp:
-          want = TOp::VecExsdotp;
-          vec_folded = true;
-          break;
+        case HandlerKind::VecBin: want = TOp::VecBin; break;
+        case HandlerKind::VecMac: want = TOp::VecMac; break;
+        case HandlerKind::VecDotp: want = TOp::VecDotp; break;
+        case HandlerKind::VecExsdotp: want = TOp::VecExsdotp; break;
         case HandlerKind::Other: want = TOp::CallUop; break;
       }
-      const std::uint8_t folded_lanes =
-          vec_folded ? static_cast<std::uint8_t>(
-                           std::min<std::uint32_t>(vl, u.lanes))
-                     : u.lanes;
       if (s.top != want) {
-        const bool full_vl = folded_lanes == u.lanes;
-        if (!fast_top_legal(u, s.top, full_vl)) {
-          slot_diag(std::string("FP token ") + top_name(s.top) +
-                    " is neither the handler-shape token (" + top_name(want) +
-                    ") nor a legal fast-backend specialization");
-        }
-      }
-      if (s.u.lanes != folded_lanes) {
-        slot_diag("folded lane count " + std::to_string(s.u.lanes) +
-                  " != min(vl, lanes) = " + std::to_string(folded_lanes));
+        slot_diag(std::string("FP token mismatch (expected ") +
+                  top_name(want) + ")");
       }
     }
 
-    if (!uop_equal(s.u, u, /*ignore_lanes=*/vec_folded)) {
+    if (!uop_equal(s.u, u)) {
       slot_diag("embedded micro-op differs from the source stream");
     }
     const std::uint16_t cyc = fixed_cycles(u, timing, mem);
@@ -396,9 +332,8 @@ std::vector<Diag> check_trace(const Trace& t,
 
 void verify_trace_or_throw(const Trace& t, const std::vector<DecodedOp>& uops,
                            const Timing& timing, const MemConfig& mem,
-                           std::uint32_t text_base, std::uint32_t vl,
-                           std::string_view pass) {
-  auto diags = check_trace(t, uops, timing, mem, text_base, vl);
+                           std::uint32_t text_base, std::string_view pass) {
+  auto diags = check_trace(t, uops, timing, mem, text_base);
   if (!diags.empty()) {
     throw verify::VerifyError(std::string(pass), std::move(diags));
   }

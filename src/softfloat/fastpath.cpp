@@ -862,55 +862,6 @@ RtCvtFn fast_convert_fn(FpFormat to, FpFormat from) {
   return rt_convert_fn(to, from);
 }
 
-// Direct-call entries for the JIT (runtime.hpp): thin forwarders to the same
-// instantiations the tables above bind, so behavior cannot diverge.
-std::uint64_t fast_add_s(std::uint64_t a, std::uint64_t b, RoundingMode rm,
-                         Flags& fl) {
-  return fast_bin<Binary32, HOp::Add>(a, b, rm, fl);
-}
-std::uint64_t fast_sub_s(std::uint64_t a, std::uint64_t b, RoundingMode rm,
-                         Flags& fl) {
-  return fast_bin<Binary32, HOp::Sub>(a, b, rm, fl);
-}
-std::uint64_t fast_mul_s(std::uint64_t a, std::uint64_t b, RoundingMode rm,
-                         Flags& fl) {
-  return fast_bin<Binary32, HOp::Mul>(a, b, rm, fl);
-}
-std::uint64_t fast_vadd_h(std::uint64_t a, std::uint64_t b, int lanes,
-                          bool replicate, RoundingMode rm, Flags& fl) {
-  return v_fast_bin<Binary16, HOp::Add>(a, b, lanes, replicate, rm, fl);
-}
-std::uint64_t fast_vsub_h(std::uint64_t a, std::uint64_t b, int lanes,
-                          bool replicate, RoundingMode rm, Flags& fl) {
-  return v_fast_bin<Binary16, HOp::Sub>(a, b, lanes, replicate, rm, fl);
-}
-std::uint64_t fast_vmul_h(std::uint64_t a, std::uint64_t b, int lanes,
-                          bool replicate, RoundingMode rm, Flags& fl) {
-  return v_fast_bin<Binary16, HOp::Mul>(a, b, lanes, replicate, rm, fl);
-}
-std::uint64_t fast_vmac_h(std::uint64_t a, std::uint64_t b, std::uint64_t d,
-                          int lanes, bool replicate, RoundingMode rm,
-                          Flags& fl) {
-  return v_fast_mac<Binary16>(a, b, d, lanes, replicate, rm, fl);
-}
-std::uint64_t fast_vadd_ah(std::uint64_t a, std::uint64_t b, int lanes,
-                           bool replicate, RoundingMode rm, Flags& fl) {
-  return v_fast_bin<Binary16Alt, HOp::Add>(a, b, lanes, replicate, rm, fl);
-}
-std::uint64_t fast_vsub_ah(std::uint64_t a, std::uint64_t b, int lanes,
-                           bool replicate, RoundingMode rm, Flags& fl) {
-  return v_fast_bin<Binary16Alt, HOp::Sub>(a, b, lanes, replicate, rm, fl);
-}
-std::uint64_t fast_vmul_ah(std::uint64_t a, std::uint64_t b, int lanes,
-                           bool replicate, RoundingMode rm, Flags& fl) {
-  return v_fast_bin<Binary16Alt, HOp::Mul>(a, b, lanes, replicate, rm, fl);
-}
-std::uint64_t fast_vmac_ah(std::uint64_t a, std::uint64_t b, std::uint64_t d,
-                           int lanes, bool replicate, RoundingMode rm,
-                           Flags& fl) {
-  return v_fast_mac<Binary16Alt>(a, b, d, lanes, replicate, rm, fl);
-}
-
 }  // namespace detail
 
 }  // namespace sfrv::fp

@@ -10,7 +10,9 @@
 //  * per-(op, format) function-pointer tables (rt_ops / rt_vec_ops /
 //    rt_convert_fn) that resolve the format ONCE, so a hot caller (the
 //    simulator's predecoded micro-op engine) binds a direct handler at decode
-//    time instead of re-dispatching per lane per cycle.
+//    time instead of re-dispatching per lane per cycle. The JIT's trace
+//    slots call the same bound pointers; there are no separate per-backend
+//    entry points.
 #pragma once
 
 #include <cstdint>
@@ -159,38 +161,6 @@ namespace detail {
 [[nodiscard]] const RtOps& fast_ops(FpFormat f);
 [[nodiscard]] const RtVecOps& fast_vec_ops(FpFormat f);
 [[nodiscard]] RtCvtFn fast_convert_fn(FpFormat to, FpFormat from);
-
-// Named direct-call entry points to the fast backend's host-double kernels
-// (fastpath.cpp). Each forwards to the exact template instantiation the
-// fast_ops / fast_vec_ops tables bind, so calling one is bit- and
-// flags-identical to an indirect call through the table entry. The JIT
-// trace translator (sim/jit.cpp) matches a micro-op's bound pointer against
-// the table and, on a hit, emits a specialized trace slot that calls these
-// directly — removing the per-op indirect branch without forking the math.
-std::uint64_t fast_add_s(std::uint64_t a, std::uint64_t b, RoundingMode rm,
-                         Flags& fl);
-std::uint64_t fast_sub_s(std::uint64_t a, std::uint64_t b, RoundingMode rm,
-                         Flags& fl);
-std::uint64_t fast_mul_s(std::uint64_t a, std::uint64_t b, RoundingMode rm,
-                         Flags& fl);
-std::uint64_t fast_vadd_h(std::uint64_t a, std::uint64_t b, int lanes,
-                          bool replicate, RoundingMode rm, Flags& fl);
-std::uint64_t fast_vsub_h(std::uint64_t a, std::uint64_t b, int lanes,
-                          bool replicate, RoundingMode rm, Flags& fl);
-std::uint64_t fast_vmul_h(std::uint64_t a, std::uint64_t b, int lanes,
-                          bool replicate, RoundingMode rm, Flags& fl);
-std::uint64_t fast_vmac_h(std::uint64_t a, std::uint64_t b, std::uint64_t d,
-                          int lanes, bool replicate, RoundingMode rm,
-                          Flags& fl);
-std::uint64_t fast_vadd_ah(std::uint64_t a, std::uint64_t b, int lanes,
-                           bool replicate, RoundingMode rm, Flags& fl);
-std::uint64_t fast_vsub_ah(std::uint64_t a, std::uint64_t b, int lanes,
-                           bool replicate, RoundingMode rm, Flags& fl);
-std::uint64_t fast_vmul_ah(std::uint64_t a, std::uint64_t b, int lanes,
-                           bool replicate, RoundingMode rm, Flags& fl);
-std::uint64_t fast_vmac_ah(std::uint64_t a, std::uint64_t b, std::uint64_t d,
-                           int lanes, bool replicate, RoundingMode rm,
-                           Flags& fl);
 }  // namespace detail
 
 // ---- per-call format dispatch (cold paths) ---------------------------------

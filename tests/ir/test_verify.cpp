@@ -24,6 +24,7 @@
 #include "sim/decode.hpp"
 #include "sim/jit.hpp"
 #include "sim/verify.hpp"
+#include "softfloat/runtime.hpp"
 #include "util/verify.hpp"
 
 namespace sfrv::test {
@@ -358,8 +359,9 @@ TEST(IrVerifier, ScalarVarsAreZeroedInThePrologue) {
 
 // ---- trace checker ----------------------------------------------------------
 
-std::vector<sim::DecodedOp> decode_all(const asmb::Program& p) {
-  return sim::decode_program(p.text, isa::IsaConfig::full(), kTim);
+std::vector<sim::DecodedOp> decode_all(
+    const asmb::Program& p, fp::MathBackend b = fp::default_backend()) {
+  return sim::decode_program(p.text, isa::IsaConfig::full(), kTim, b);
 }
 
 struct TraceFixture {
@@ -370,15 +372,14 @@ struct TraceFixture {
   sim::jit::Trace* t = nullptr;
 
   explicit TraceFixture(asmb::Program p, std::uint32_t idx = 0,
-                        std::uint32_t vl = 4)
-      : prog(std::move(p)), uops(decode_all(prog)) {
+                        fp::MathBackend b = fp::default_backend())
+      : prog(std::move(p)), uops(decode_all(prog, b)) {
     jp.on_code_change(uops.size());
-    t = jp.translate(idx, uops, kTim, kMem, prog.text_base, vl, st);
+    t = jp.translate(idx, uops, kTim, kMem, prog.text_base, st);
   }
 
-  [[nodiscard]] std::vector<Diag> check(const sim::jit::Trace& tr,
-                                        std::uint32_t vl = 4) const {
-    return sim::check_trace(tr, uops, kTim, kMem, prog.text_base, vl);
+  [[nodiscard]] std::vector<Diag> check(const sim::jit::Trace& tr) const {
+    return sim::check_trace(tr, uops, kTim, kMem, prog.text_base);
   }
 };
 
@@ -387,6 +388,15 @@ asmb::Program straightline_program() {
   a.li(reg::t0, 1);
   a.addi(reg::t1, reg::t0, 1);
   a.add(reg::t2, reg::t0, reg::t1);
+  a.ebreak();
+  return a.finish();
+}
+
+/// Scalar and packed FP ops the trace inlines as handler-shape slots.
+asmb::Program fp_program() {
+  Assembler a;
+  a.fp_rrr(Op::FADD_S, 1, 2, 3);
+  a.fp_rrr(Op::VFMAC_H, 4, 5, 6);
   a.ebreak();
   return a.finish();
 }
@@ -415,12 +425,39 @@ TEST(TraceChecker, FlagsWrongBasePc) {
   EXPECT_TRUE(has_diag(f.check(tt), "base_pc"));
 }
 
-TEST(TraceChecker, FlagsVlMismatch) {
-  TraceFixture f(straightline_program());
+TEST(TraceChecker, FastBackendUsesGenericSlots) {
+  // Under the fast backend the handler-shape slots call the bound pointer,
+  // which is the fast kernel itself: no backend-specific token exists.
+  TraceFixture f(fp_program(), 0, fp::MathBackend::Fast);
   ASSERT_NE(f.t, nullptr);
+  ASSERT_EQ(f.t->n, 3u);
+  const sim::jit::TraceSlot& add = f.t->slots[0];
+  EXPECT_EQ(add.top, sim::jit::TOp::FpBin);
+  EXPECT_EQ(add.u.fp1.bin,
+            fp::rt_ops(fp::FpFormat::F32, fp::MathBackend::Fast).add);
+  const sim::jit::TraceSlot& mac = f.t->slots[1];
+  EXPECT_EQ(mac.top, sim::jit::TOp::VecMac);
+  EXPECT_EQ(mac.u.fp1.vtern,
+            fp::rt_vec_ops(fp::FpFormat::F16, fp::MathBackend::Fast).mac);
+  const auto ds = f.check(*f.t);
+  EXPECT_TRUE(ds.empty()) << render_all(ds);
+}
+
+TEST(TraceChecker, FlagsEmbeddedLaneDrift) {
+  // Packed slots read the live vl, so the embedded lane count must be the
+  // source op's hardware lane count, unchanged.
+  TraceFixture f(fp_program());
+  ASSERT_NE(f.t, nullptr);
+  {
+    const auto ds = f.check(*f.t);
+    EXPECT_TRUE(ds.empty()) << render_all(ds);
+  }
   sim::jit::Trace tt = *f.t;
-  tt.vl += 1;
-  EXPECT_TRUE(has_diag(f.check(tt), "!= translation-time vl"));
+  ASSERT_EQ(tt.slots[1].top, sim::jit::TOp::VecMac);
+  ASSERT_GT(tt.slots[1].u.lanes, 1);
+  tt.slots[1].u.lanes -= 1;
+  EXPECT_TRUE(has_diag(f.check(tt), "embedded micro-op differs",
+                       static_cast<std::int64_t>(tt.start_idx) + 1));
 }
 
 TEST(TraceChecker, FlagsStartPastEndAndBadSlotCount) {
@@ -502,7 +539,7 @@ TEST(TraceChecker, ThrowHookStampsTranslationPass) {
   sim::jit::Trace tt = *f.t;
   tt.slots[1].cycles += 1;
   try {
-    sim::verify_trace_or_throw(tt, f.uops, kTim, kMem, f.prog.text_base, 4);
+    sim::verify_trace_or_throw(tt, f.uops, kTim, kMem, f.prog.text_base);
     FAIL() << "expected VerifyError";
   } catch (const verify::VerifyError& e) {
     EXPECT_EQ(e.pass(), "translation");

@@ -1,11 +1,13 @@
 // Dynamic vector length (setvl) conformance: grant rules at the ISA level,
-// vl=0 no-op semantics, JIT trace invalidation when a block is re-entered
+// vl=0 no-op semantics, one JIT trace replayed when a block is re-entered
 // under a different VL, and the strip-mined kernel lowering — O2's unrolled
 // setvl loops must match O0's bit-for-bit (outputs and fflags), and
 // elementwise kernels must be bit-identical across every VL choice.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "asmb/assembler.hpp"
@@ -100,40 +102,96 @@ TEST(Setvl, VlZeroMakesVecMemopsNoOps) {
   }
 }
 
-TEST(Setvl, JitInvalidatesStaleVlTraces) {
-  // A loop whose body re-executes under a different VL each iteration: the
-  // trace compiled at vl=2 on the first pass is stale on the second (vl=1)
-  // and must be unmapped and retranslated, not replayed with folded masks.
+TEST(Setvl, JitTraceReplaysUnderEveryVl) {
+  // One compiled trace must serve every vector length: a strip-mined loop
+  // re-enters its body under AVL 7, 6, ..., 0, and the body's trace reads
+  // the live vl on every visit. The body holds every packed slot shape —
+  // the VMem loads/stores, the inlined VecBin (vfadd.b, and vfmul.ah on the
+  // f16alt format), VecMac, VecDotp and VecExsdotp bodies, and the
+  // handler-called vfsqrt.h and vfeq.h. Each inlined op accumulates into
+  // its destination across iterations: the loaded inputs keep their tails
+  // too, so only an accumulating destination shows a tail lane computed
+  // under the wrong VL, in memory, registers or fflags.
   Assembler a;
-  const std::uint32_t buf = a.data_zero(64);
-  a.la(reg::s0, buf);
-  a.li(reg::t0, 0x40004000);  // two f16 lanes of 2.0
-  a.sw(reg::t0, 0, reg::s0);
-  a.li(reg::t0, 2);   // iterations
-  a.li(reg::t3, 2);   // first AVL: full VL
+  const std::uint8_t in_bytes[] = {
+      // f1, f2: binary8 lanes
+      0x3c, 0x40, 0x3e, 0x3a, 0xbd, 0x42, 0x38, 0x3f,  //
+      0x3d, 0x41, 0x3b, 0xc0, 0x3c, 0x45, 0x39, 0x37,  //
+      // f3, f4: binary16 lanes (f4's lane 1 is negative: vfsqrt.h yields
+      // NaN and raises invalid there while that lane is active)
+      0x00, 0x3c, 0x55, 0x35, 0x48, 0x42, 0x00, 0xbc,  //
+      0x00, 0x3c, 0x00, 0xb8, 0x00, 0x44, 0x00, 0x3e,  //
+  };
+  const std::uint32_t in = a.data_bytes(in_bytes, sizeof in_bytes);
+  const std::uint32_t out = a.data_zero(8 * 48);
+  a.la(reg::s0, in);
+  a.la(reg::s1, out);
+  a.vflh(10, 16, reg::s0);  // vfmul.ah's running product, at full VL
+  a.li(reg::t3, 8);
   const auto loop = a.here();
-  a.setvl(reg::zero, reg::t3, 1, 0);
-  a.li(reg::t3, 1);   // second pass runs at vl=1
-  // setvl is untranslatable (VL is constant within a trace), so the vector
-  // body must start its own block to become a VL-keyed trace: jump to it.
+  a.addi(reg::t3, reg::t3, -1);  // AVL 7, 6, ..., 0
+  a.setvl(reg::zero, reg::t3, 0, 0);
+  // setvl cannot lead a trace, so jump past it: the body heads its own.
   a.emit({.op = Op::JAL, .rd = reg::zero, .imm = 4});
-  a.vflh(1, 0, reg::s0);
-  a.fp_rrr(Op::VFADD_H, 2, 1, 1);
-  a.vfsh(2, 8, reg::s0);
-  a.addi(reg::t0, reg::t0, -1);
-  a.bne(reg::t0, reg::zero, loop);
+  a.vflb(1, 0, reg::s0);
+  a.vflb(2, 8, reg::s0);
+  a.vflh(3, 16, reg::s0);
+  a.vflh(4, 24, reg::s0);
+  a.fp_rrr(Op::VFADD_B, 5, 5, 1);
+  a.fp_rrr(Op::VFMAC_H, 6, 3, 4);
+  a.fp_rrr(Op::VFDOTPEX_S_B, 7, 1, 2);
+  a.fp_rrr(Op::VFEXSDOTP_H_B, 8, 1, 2);
+  a.fp_rr(Op::VFSQRT_H, 9, 4);
+  a.fp_rrr(Op::VFEQ_H, reg::t4, 3, 4);
+  a.fp_rrr(Op::VFMUL_AH, 10, 10, 4);
+  a.vfsb(5, 0, reg::s1);
+  a.vfsh(6, 8, reg::s1);
+  a.vfsh(8, 16, reg::s1);
+  a.vfsh(9, 24, reg::s1);
+  a.vfsh(10, 32, reg::s1);
+  a.fsw(7, 40, reg::s1);
+  a.sw(reg::t4, 44, reg::s1);
+  a.addi(reg::s1, reg::s1, 48);
+  a.bne(reg::t3, reg::zero, loop);
   a.ebreak();
   const asmb::Program prog = a.finish();
+  const std::size_t data_len = out + 8 * 48 - prog.data_base;
 
-  sim::Core jit = run_on(prog, sim::Engine::Jit);
-  EXPECT_GE(jit.jit_stats().vl_invalidations, 1u);
+  const auto run = [&](int flen, sim::Engine e, fp::MathBackend b) {
+    sim::Core core(isa::IsaConfig::full(flen));
+    core.set_engine(e);
+    core.set_backend(b);
+    core.set_jit_threshold(0);
+    core.load_program(prog);
+    EXPECT_EQ(core.run(1'000'000), sim::Core::RunResult::Halted);
+    return core;
+  };
+  const auto data = [&](const sim::Core& core) {
+    std::vector<std::uint8_t> bytes(data_len);
+    core.memory().read_block(prog.data_base, bytes.data(), bytes.size());
+    return bytes;
+  };
 
-  const sim::Core ref = run_on(prog, sim::Engine::Reference);
-  for (unsigned r = 0; r < 32; ++r) {
-    EXPECT_EQ(jit.f_bits(r), ref.f_bits(r)) << "f" << r;
-    EXPECT_EQ(jit.x(r), ref.x(r)) << "x" << r;
+  for (const int flen : {32, 64}) {
+    const sim::Core ref =
+        run(flen, sim::Engine::Reference, fp::MathBackend::Grs);
+    for (const auto b : {fp::MathBackend::Grs, fp::MathBackend::Fast}) {
+      const sim::Core jit = run(flen, sim::Engine::Jit, b);
+      const std::string what = "flen=" + std::to_string(flen) +
+                               " backend=" + std::string(fp::backend_name(b));
+      for (unsigned r = 0; r < 32; ++r) {
+        EXPECT_EQ(jit.f_bits(r), ref.f_bits(r)) << what << " f" << r;
+        EXPECT_EQ(jit.x(r), ref.x(r)) << what << " x" << r;
+      }
+      EXPECT_EQ(data(jit), data(ref)) << what;
+      EXPECT_EQ(jit.fflags(), ref.fflags()) << what;
+      EXPECT_EQ(jit.stats().cycles, ref.stats().cycles) << what;
+      EXPECT_EQ(jit.stats().pc_cycles, ref.stats().pc_cycles) << what;
+      // Prologue, loop head, body and halt: each compiles once.
+      EXPECT_EQ(jit.jit_stats().translations, 4u) << what;
+      EXPECT_EQ(jit.jit_stats().vl_invalidations, 0u) << what;
+    }
   }
-  EXPECT_EQ(jit.stats().cycles, ref.stats().cycles);
 }
 
 // ---- strip-mined kernel lowering -------------------------------------------

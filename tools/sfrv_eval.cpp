@@ -21,7 +21,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "eval/campaign.hpp"
 #include "sim/core.hpp"
@@ -142,17 +144,25 @@ bool parse_int(const char* s, int& out) {
   return true;
 }
 
-std::vector<std::string> split_csv(const std::string& arg) {
-  std::vector<std::string> out;
+/// Split the comma-separated value of `flag` into `out`. An empty list or an
+/// empty item ("", ",", "a,,b", "a,") is a usage error, never a request for
+/// the default: prints a diagnostic naming the flag and returns false.
+bool split_csv(const char* flag, const std::string& arg,
+               std::vector<std::string>& out) {
+  out.clear();
   std::size_t start = 0;
-  while (start <= arg.size()) {
+  for (;;) {
     const auto comma = arg.find(',', start);
     const auto end = comma == std::string::npos ? arg.size() : comma;
-    if (end > start) out.push_back(arg.substr(start, end - start));
-    if (comma == std::string::npos) break;
+    if (end == start) {
+      std::fprintf(stderr, "%s: empty item in list '%s'\n", flag,
+                   arg.c_str());
+      return false;
+    }
+    out.push_back(arg.substr(start, end - start));
+    if (comma == std::string::npos) return true;
     start = comma + 1;
   }
-  return out;
 }
 
 }  // namespace
@@ -162,8 +172,8 @@ int main(int argc, char** argv) {
 
   std::string suite = "table3";
   std::string out_prefix = "report";
-  std::string benchmarks;
-  std::string vls;
+  std::optional<std::string> benchmarks;
+  std::optional<std::string> vls;
   std::string mem_level = "l1";
   std::string engine;
   std::string backend;
@@ -270,10 +280,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown suite: %s\n", suite.c_str());
     return usage(argv[0]);
   }
-  if (!benchmarks.empty()) spec.benchmarks = split_csv(benchmarks);
-  if (!vls.empty()) {
+  if (benchmarks && !split_csv("--benchmarks", *benchmarks, spec.benchmarks)) {
+    return 2;
+  }
+  if (vls) {
+    std::vector<std::string> toks;
+    if (!split_csv("--vls", *vls, toks)) return 2;
     spec.vls.clear();
-    for (const auto& tok : split_csv(vls)) {
+    for (const auto& tok : toks) {
       int vl = 0;
       if (!parse_int(tok.c_str(), vl) || vl < 0 || vl > 63) {
         std::fprintf(stderr, "invalid VL point: %s (expected 0..63)\n",
