@@ -40,7 +40,7 @@ struct CellKey {
   ir::ScalarType acc = ir::ScalarType::F32;
   ir::CodegenMode mode = ir::CodegenMode::Scalar;
   int vl = 0;
-  sim::Engine engine = sim::Engine::Predecoded;
+  sim::Engine engine = sim::Engine::Jit;
   fp::MathBackend backend = fp::MathBackend::Grs;
   /// Raw optimizer fields (not the level name: "custom" configurations must
   /// not collapse onto each other). vl_cap duplicates `vl` by construction.

@@ -30,13 +30,24 @@ void run_sharded(std::size_t n, int shards,
     }
   };
 
-  const int w = std::max(1, shards);
-  if (w == 1) {
+  // Workers beyond the task count would only find the cursor exhausted.
+  const std::size_t w =
+      std::min(static_cast<std::size_t>(std::max(shards, 1)), n);
+  if (w <= 1) {
     worker();
   } else {
     std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(w));
-    for (int t = 0; t < w; ++t) pool.emplace_back(worker);
+    pool.reserve(w);
+    try {
+      for (std::size_t t = 0; t < w; ++t) pool.emplace_back(worker);
+    } catch (...) {
+      // A thread that cannot start must not leave joinable threads behind
+      // (their destructors would terminate): abandon the unclaimed tasks,
+      // retire the started workers, and report the failure.
+      next.store(n, std::memory_order_relaxed);
+      for (auto& t : pool) t.join();
+      throw;
+    }
     for (auto& t : pool) t.join();
   }
   if (first_error) std::rethrow_exception(first_error);

@@ -17,10 +17,12 @@
 
 namespace sfrv::eval {
 
-/// Run `task(0..n-1)` across `shards` worker threads (clamped to >= 1; one
+/// Run `task(0..n-1)` across `shards` worker threads (clamped to [1, n]; one
 /// shard runs inline on the calling thread). If any task throws, remaining
 /// tasks are abandoned and the first exception is rethrown after all
-/// workers retire.
+/// workers retire. If a worker thread cannot be started, the unclaimed
+/// tasks are abandoned too and the start failure is rethrown once the
+/// started workers retire.
 void run_sharded(std::size_t n, int shards,
                  const std::function<void(std::size_t)>& task);
 

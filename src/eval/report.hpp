@@ -122,7 +122,7 @@ struct EvalReport {
   /// Recorded for provenance; every metric in the report must be
   /// engine-independent (the conformance suites enforce it), so two
   /// reports that differ only here are the same measurement.
-  std::string engine = "predecoded";
+  std::string engine = "jit";
   /// Softfloat math backend ("grs", "fast"). Same provenance-only contract
   /// as `engine`: the backends are bit- and fflags-identical.
   std::string backend = "grs";

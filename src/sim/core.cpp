@@ -73,7 +73,7 @@ std::string_view engine_name(Engine e) {
   for (const EngineEntry& k : kEngines) {
     if (k.engine == e) return k.name;
   }
-  return "predecoded";
+  return "unknown";
 }
 
 std::string engine_names() {
@@ -94,7 +94,7 @@ Engine engine_from_name(std::string_view name) {
 
 Engine engine_from_env(const char* value) {
   return util::parse_env_enum(
-      value, Engine::Predecoded,
+      value, Engine::Jit,
       [](const char* v) { return engine_from_name(v); }, "SFRV_ENGINE",
       engine_names().c_str());
 }
@@ -172,22 +172,13 @@ void Core::step() {
     step_reference(idx);
     return;
   }
-  // Predecoded and Jit cores single-step identically: one micro-op. The
-  // trace fast path only exists inside run().
-  step_predecoded(idx);
-}
-
-void Core::step_predecoded(std::uint32_t idx) {
-  const DecodedOp& u = uops_[idx];
   // Trace only supported instructions: the reference interpreter faults on
   // unsupported ops before tracing, and the engines must emit equal traces.
-  if (trace_ != nullptr && u.supported) {
+  if (trace_ != nullptr && uops_[idx].supported) {
     (*trace_) << std::hex << ctx_.pc << std::dec << ": "
               << isa::disassemble(decoded_[idx], ctx_.pc) << '\n';
   }
-  ctx_.branch_taken = false;
-  u.fn(ctx_, u);
-  account(u, idx);
+  run_cold(idx, 1);
 }
 
 void Core::account(const DecodedOp& u, std::uint32_t idx) {
@@ -260,17 +251,20 @@ std::uint64_t Core::run_cold(std::uint32_t idx, std::uint64_t budget) {
 }
 
 std::uint64_t Core::exec_trace(jit::Trace& t, std::uint64_t budget) {
-  // Terminator slots publish the taken flag the way step_predecoded does
-  // (cleared, then set only by a taken branch).
-  ctx_.branch_taken = false;
-  if (budget >= t.n) {
-    const std::uint64_t runs =
-        jit::run_trace_full(t, ctx_, stats_, budget / t.n);
-    jit_.note_runs(t, runs);
-    return runs * t.n;
+  if (budget < t.n) {
+    // A budget that stops inside the trace runs on the cold tier, which
+    // books each op as it retires. It may stop short of the budget (a fence
+    // is a Nop slot here but ends a cold block); run_jit loops on.
+    jit_.materialize_all(stats_);
+    return run_cold(t.start_idx, budget);
   }
-  jit::run_trace_bounded(t, ctx_, stats_, budget);
-  return budget;
+  // Terminator slots publish the taken flag the way run_cold does (cleared,
+  // then set only by a taken branch).
+  ctx_.branch_taken = false;
+  const std::uint64_t runs =
+      jit::run_trace_full(t, ctx_, stats_, budget / t.n);
+  jit_.note_runs(t, runs);
+  return runs * t.n;
 }
 
 // ---- reference interpreter --------------------------------------------------

@@ -12,19 +12,17 @@
 // vectorial extension legitimately leaves packed data in the registers (the
 // same relaxation the PULP FPU makes when Xfvec is enabled).
 //
-// Three execution engines share the architectural state (ExecContext):
-//  * Engine::Predecoded (default): load_program lowers the text into
-//    micro-ops (sim/decode.hpp) carrying a resolved handler pointer, lane
-//    plan, pre-bound softfloat entry points, and timing class; step() is a
-//    single indirect call plus a 5-way timing adjustment.
-//  * Engine::Jit: threaded-code trace compilation (sim/jit.hpp) — hot
-//    straight-line runs are translated into specialized trace slots with
+// Two execution engines share the architectural state (ExecContext):
+//  * Engine::Jit (default): load_program lowers the text into micro-ops
+//    (sim/decode.hpp) carrying a resolved handler pointer, lane plan,
+//    pre-bound softfloat entry points, and timing class. Hot straight-line
+//    runs are translated into threaded-code traces (sim/jit.hpp) with
 //    constants, timing, and fast-math entries folded in at translation
 //    time. Until a block crosses the hotness threshold, the cold tier
-//    (run_cold) walks its predecoded micro-ops to the block end. Bit- and
-//    cycle-identical to Predecoded; step() on a Jit core executes one plain
-//    predecoded micro-op, and tracing falls back to per-step execution so
-//    traces stay equal.
+//    (run_cold) walks its micro-ops to the block end. run_cold is the only
+//    micro-op walker: step() retires one micro-op through it, and so does a
+//    trace entry whose step budget is shorter than the trace. Tracing falls
+//    back to per-step execution so traces stay equal.
 //  * Engine::Reference: the original switch-tree interpreter, retained both
 //    as the oracle for the differential suite and as the baseline the
 //    dispatch bench measures against.
@@ -48,8 +46,8 @@
 namespace sfrv::sim {
 
 /// Execution engine selection (see Core's header comment). The values are
-/// stable identifiers; 2 belonged to a retired engine and stays unused.
-enum class Engine : std::uint8_t { Predecoded = 0, Reference = 1, Jit = 3 };
+/// stable identifiers; 0 and 2 belonged to retired engines and stay unused.
+enum class Engine : std::uint8_t { Reference = 1, Jit = 3 };
 
 /// Every engine with its stable lowercase name, in listing order. The
 /// single source for engine_name/engine_from_name, the SFRV_ENGINE hint,
@@ -58,8 +56,7 @@ struct EngineEntry {
   Engine engine;
   std::string_view name;
 };
-inline constexpr std::array<EngineEntry, 3> kEngines{{
-    {Engine::Predecoded, "predecoded"},
+inline constexpr std::array<EngineEntry, 2> kEngines{{
     {Engine::Reference, "reference"},
     {Engine::Jit, "jit"},
 }};
@@ -67,20 +64,20 @@ inline constexpr std::array<EngineEntry, 3> kEngines{{
 /// The kEngines names used by the CLI, the eval report JSON, and the
 /// SFRV_ENGINE variable.
 [[nodiscard]] std::string_view engine_name(Engine e);
-/// Every engine name, '|'-separated ("predecoded|reference|jit").
+/// Every engine name, '|'-separated ("reference|jit").
 [[nodiscard]] std::string engine_names();
 /// Parse an engine name; throws std::runtime_error on an unknown one.
 [[nodiscard]] Engine engine_from_name(std::string_view name);
-/// Resolve an SFRV_ENGINE-style environment value: null/empty selects
-/// Predecoded, an invalid value warns on stderr and falls back to Predecoded
-/// (never throws). Exposed separately from default_engine() so the
-/// invalid-value contract is directly testable (fp::backend_from_env is the
-/// SFRV_BACKEND counterpart).
+/// Resolve an SFRV_ENGINE-style environment value: null/empty selects Jit,
+/// an invalid value warns on stderr and falls back to Jit (never throws).
+/// Exposed separately from default_engine() so the invalid-value contract
+/// is directly testable (fp::backend_from_env is the SFRV_BACKEND
+/// counterpart).
 [[nodiscard]] Engine engine_from_env(const char* value);
 /// Process-wide default engine: the SFRV_ENGINE environment variable
-/// (one of the kEngines names, read once) or Engine::Predecoded. Lets CI
-/// run the whole test suite and campaigns under each engine. An invalid
-/// value falls back to Predecoded with a stderr warning — never throws
+/// (one of the kEngines names, read once) or Engine::Jit. Lets CI run the
+/// whole test suite and campaigns under each engine. An invalid value
+/// falls back to Jit with a stderr warning — never throws
 /// (it runs inside static initialization via default arguments).
 [[nodiscard]] Engine default_engine();
 
@@ -95,7 +92,7 @@ struct CoreState {
   Timing timing_;
   Stats stats_;
   ExecContext ctx_;
-  Engine engine_ = Engine::Predecoded;
+  Engine engine_ = Engine::Jit;
   fp::MathBackend backend_ = fp::default_backend();
 
   std::uint32_t text_base_ = 0;
@@ -138,10 +135,10 @@ class Core : private detail::CoreState {
   void set_engine(Engine e) { engine_ = e; }
   [[nodiscard]] Engine engine() const { return engine_; }
 
-  /// Select the softfloat math backend (fp::MathBackend). The predecoded and
-  /// jit engines bind their micro-op entry points from the selected table
-  /// family, so switching after load_program re-lowers the text and drops
-  /// every compiled trace. The reference interpreter is the frozen
+  /// Select the softfloat math backend (fp::MathBackend). The jit engine
+  /// binds its micro-op entry points from the selected table family, so
+  /// switching after load_program re-lowers the text and drops every
+  /// compiled trace. The reference interpreter is the frozen
   /// pre-refactor oracle and always computes through the Grs routines; the
   /// backends are bit- and fflags-identical, so architectural results never
   /// depend on this choice (the conformance suites enforce it).
@@ -191,7 +188,7 @@ class Core : private detail::CoreState {
 
   /// Direct access to the execution context (for piecewise engine tests).
   [[nodiscard]] ExecContext& context() { return ctx_; }
-  /// The predecoded micro-op cache (index = (pc - text_base) / 4).
+  /// The micro-op cache (index = (pc - text_base) / 4).
   [[nodiscard]] const std::vector<DecodedOp>& uops() const { return uops_; }
 
   // ---- Engine::Jit knobs and telemetry (sim/jit.hpp) ----
@@ -223,24 +220,22 @@ class Core : private detail::CoreState {
 
   /// pc -> micro-op index with the fetch checks of step(); throws SimError.
   [[nodiscard]] std::uint32_t fetch_index(std::uint32_t pc) const;
-  /// One micro-op through the predecoded path (trace, execute, account).
-  void step_predecoded(std::uint32_t idx);
-  /// Post-execution bookkeeping for one retired micro-op: dynamic-outcome
-  /// timing, cycle/instret counters, per-op and per-pc attribution. Shared
-  /// by the predecoded engine and the JIT's cold tier (the identity
-  /// contract).
+  /// Post-execution bookkeeping for one micro-op retired by the cold tier:
+  /// dynamic-outcome timing, cycle/instret counters, per-op and per-pc
+  /// attribution.
   void account(const DecodedOp& u, std::uint32_t idx);
 
   // Trace-compilation engine (Engine::Jit, see sim/jit.hpp).
   RunResult run_jit(std::uint64_t max_steps);
-  /// The JIT's cold tier: execute micro-ops from text index `idx` (already
-  /// fetch-checked) until a branch, jump, or system op retires, the text
-  /// ends, or `budget` (>= 1) instructions retire, so the driver regains
-  /// control at every block entry for hotness counting and cache lookup.
-  /// Returns the number of retired instructions.
+  /// The JIT's cold tier and the only micro-op walker: execute micro-ops
+  /// from text index `idx` (already fetch-checked) until a branch, jump, or
+  /// system op retires, the text ends, or `budget` (>= 1) instructions
+  /// retire, so run_jit regains control at every block entry for hotness
+  /// counting and cache lookup. Returns the number of retired instructions.
   std::uint64_t run_cold(std::uint32_t idx, std::uint64_t budget);
-  /// Execute one compiled trace (full when budget covers it, bounded
-  /// otherwise). Returns retired instructions.
+  /// Execute one compiled trace when `budget` covers it; otherwise hand the
+  /// budget to run_cold from the trace head. Returns retired instructions,
+  /// which on the cold hand-off can be fewer than `budget`.
   std::uint64_t exec_trace(jit::Trace& t, std::uint64_t budget);
 
   // Reference interpreter (the retained pre-refactor execute path).

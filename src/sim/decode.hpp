@@ -10,8 +10,8 @@
 //   * pre-bound softfloat entry points from the per-(op, format) tables in
 //     softfloat/runtime.hpp (`fp1`/`fp2`),
 //   * a pre-computed timing class and base cycle count.
-// Core::step() then becomes a single indirect call plus a small timing
-// adjustment switch.
+// The JIT's cold tier (Core::run_cold) then retires each one with a single
+// indirect call plus a small timing adjustment switch.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,8 @@
 namespace sfrv::sim {
 
 /// The dynamic-outcome-dependent part of the timing model, resolved at
-/// decode time so step() switches on five values instead of ~30 op classes.
+/// decode time so the cold tier switches on five values instead of ~30 op
+/// classes.
 /// Loads, stores, and jumps have fixed extra costs (fixed_cycles below);
 /// Branch is the only class whose cost depends on the outcome.
 enum class TimingClass : std::uint8_t { None, Load, Store, Jump, Branch };

@@ -1,17 +1,14 @@
 // Trace translation and execution for Engine::Jit (see jit.hpp).
 //
-// Two executors share one set of per-op bodies (the SFRV_JB_* macros, which
-// replicate the decode.cpp handler semantics verbatim, minus the pc bump):
-//
-//  * run_trace_full — the hot path. Computed-goto threaded dispatch (GCC and
-//    Clang support address-of-label; the repo builds with nothing else).
-//    Books nothing per slot, restarts internally on a taken back-edge to the
-//    trace head (hot loops never leave the executor), and reports the
-//    number of complete executions for the caller's note_runs.
-//  * run_trace_bounded — the exact-retirement path for Core::run(k)
-//    lockstep semantics. A token switch executes exactly `budget < n`
-//    slots, booking each one immediately (so no deferred state exists when
-//    the run stops mid-trace), and re-materializes pc.
+// One executor, run_trace_full, runs a trace through computed-goto threaded
+// dispatch (GCC and Clang support address-of-label; the repo builds with
+// nothing else). Its per-op bodies (the SFRV_JB_* macros) replicate the
+// decode.cpp handler semantics verbatim, minus the pc bump. It books nothing
+// per slot, restarts internally on a taken back-edge to the trace head (hot
+// loops never leave the executor), and reports the number of complete
+// executions for the caller's note_runs. A step budget shorter than the
+// trace never reaches it: Core::exec_trace hands that budget to the cold
+// tier instead.
 //
 // Fault model: the only slot bodies that can throw are the memory ops —
 // the fourteen scalar loads/stores (jm_* range checks, the same shared
@@ -20,15 +17,13 @@
 // body is total (FP ops saturate/flag, integer division is fully defined,
 // set_x cannot fault). Memory bodies therefore record their slot index in
 // `tr.cursor` before touching memory; the unwind path books the completed
-// prefix and parks pc on the faulting instruction, exactly as the
-// predecoded engine leaves it.
+// prefix and parks pc on the faulting instruction, exactly as the cold
+// tier leaves it.
 #include "sim/jit.hpp"
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 
 #include "sim/exec.hpp"
 
@@ -46,13 +41,11 @@ constexpr std::uint32_t kNever = 0xffffffffu;
 
 std::atomic<std::uint32_t> g_default_threshold{8};
 
-/// Book one retired slot directly into `st` (bounded runs and fault
+/// Book one retired straight-line slot directly into `st` (fault
 /// unwinding). Mirrors Core::account() with the static cycle classes
-/// pre-folded into slot.cycles; `extra` carries the dynamic taken-branch
-/// penalty.
-inline void book_slot(Stats& st, const Trace& tr, const TraceSlot* s,
-                      std::uint64_t extra) {
-  const std::uint64_t cyc = s->cycles + extra;
+/// pre-folded into slot.cycles; a straight-line slot has no dynamic part.
+inline void book_slot(Stats& st, const Trace& tr, const TraceSlot* s) {
+  const std::uint64_t cyc = s->cycles;
   st.cycles += cyc;
   ++st.instructions;
   switch (s->u.tclass) {
@@ -314,9 +307,8 @@ inline void jm_st32(const ExecContext& c, U32 a, U32 v) {
     c.fflags |= fl.bits;                                             \
   } while (0)
 
-// The straight-line body list, shared by both executors. B(name, body)
-// expands once per non-terminating TOp (terminators and Exit exist only in
-// the threaded executor: a bounded run never reaches them).
+// The straight-line body list. B(name, body) expands once per
+// non-terminating TOp; the terminators and Exit follow it in the executor.
 #define SFRV_JIT_STRAIGHT_BODIES(B)                                          \
   B(Nop, do { } while (0))                                                   \
   B(LoadImm, c.x[s->u.rd] = s->p0)                                           \
@@ -455,36 +447,6 @@ L_Exit:
 #undef SFRV_JIT_NEXT
 }
 
-/// The bounded exact-retirement executor: a token switch that executes
-/// exactly `budget` slots (0 < budget < n), booking each one immediately,
-/// and leaves pc at the next unexecuted instruction. Only slots before the
-/// last one run, and a trace holds a terminator only in its last slot (the
-/// translator stops at the first one; the trace checker enforces it), so
-/// every slot run here is straight-line.
-void run_switch(Trace& tr, ExecContext& c, Stats& st, std::uint64_t budget) {
-  const TraceSlot* s = tr.slots.data();
-  for (std::uint64_t done = 0; done < budget; ++done, ++s) {
-    switch (s->top) {
-#define SFRV_JIT_B(name, body) \
-  case TOp::name:              \
-    body;                      \
-    break;
-      SFRV_JIT_STRAIGHT_BODIES(SFRV_JIT_B)
-#undef SFRV_JIT_B
-#define SFRV_JIT_B(name, OP) case TOp::name:
-      SFRV_JIT_BRANCH_LIST(SFRV_JIT_B)
-#undef SFRV_JIT_B
-      case TOp::Jal:
-      case TOp::Jalr:
-      case TOp::Halt:
-      case TOp::Exit:
-        throw std::logic_error("jit: bounded run reached a trace terminator");
-    }
-    book_slot(st, tr, s, 0);
-  }
-  c.pc = tr.base_pc + 4 * static_cast<U32>(budget);
-}
-
 const void* const* threaded_labels() {
   static const void* labels[kNumTOps] = {};
   static const bool init = [] {
@@ -542,28 +504,15 @@ std::uint64_t run_trace_full(Trace& t, ExecContext& c, Stats& st,
     // charge them straight into `st` (each ended in its taken back-edge).
     // Then book the partial run: only memory slots fault, and the faulting
     // slot recorded itself in cursor before the access, so [0, cursor) is
-    // the completed prefix (none of which can be the branch terminator —
-    // extra stays 0).
+    // the completed prefix (none of which can be the branch terminator).
     if (t.runs_done != 0) t.charge(st, t.runs_done, t.runs_done);
     for (std::uint32_t i = 0; i < t.cursor; ++i) {
-      book_slot(st, t, &t.slots[i], 0);
+      book_slot(st, t, &t.slots[i]);
     }
     c.pc = t.base_pc + 4 * t.cursor;
     throw;
   }
   return t.runs_done + 1;
-}
-
-void run_trace_bounded(Trace& t, ExecContext& c, Stats& st,
-                       std::uint64_t budget) {
-  t.cursor = 0;
-  try {
-    run_switch(t, c, st, budget);
-  } catch (...) {
-    // Completed slots were already booked; just re-materialize pc.
-    c.pc = t.base_pc + 4 * t.cursor;
-    throw;
-  }
 }
 
 // ---- translation ------------------------------------------------------------
@@ -681,7 +630,7 @@ Lowered lower_slot(const DecodedOp& u, std::uint32_t pc, const Timing& timing,
   // registers, fflags, vl-governed lanes, and pc (+4, a dead store inside a
   // trace). The five common handler shapes inline as dedicated slots
   // calling the bound softfloat pointer directly; the rest keep the
-  // predecoded handler call. Defensively keep any residual control/system
+  // micro-op's handler call. Defensively keep any residual control/system
   // class on the interpreter.
   switch (isa::op_class(u.op)) {
     case isa::Cls::Branch:

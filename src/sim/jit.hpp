@@ -1,10 +1,10 @@
 // Engine::Jit: threaded-code trace compilation over the predecoded micro-op
 // stream.
 //
-// The predecoded engine still pays, per retired instruction, a fetch check,
-// one indirect call plus operand unpacking, and a handful of accounting
-// stores. This layer removes those by *translating* hot straight-line runs
-// instead of interpreting them:
+// The cold tier (Core::run_cold) pays, per retired instruction, one indirect
+// call plus operand unpacking and a handful of accounting stores. This layer
+// removes those by *translating* hot straight-line runs instead of
+// interpreting them:
 //
 //  * `JitProgram::translate` lowers the maximal straight-line run starting
 //    at a text index — up to the next terminator (branch/jump/halt) or the
@@ -21,11 +21,11 @@
 //    ISA, and the common FP handler shapes inlined as slot bodies that call
 //    the bound softfloat pointer directly — under the fast backend that
 //    pointer is the fast kernel. Everything else (remaining softfloat ops,
-//    converts) keeps the predecoded handler call, minus the fetch/account
+//    converts) keeps the micro-op's handler call, minus the accounting
 //    overhead.
 //  * Interior slots never write `pc`: control-flow constants are absolute,
 //    so `pc` materializes only at side exits (terminators, the fall-through
-//    `Exit` slot, a bounded-budget stop, or a memory fault).
+//    `Exit` slot, or a memory fault).
 //  * A branch terminator whose taken target is the trace's own head (the
 //    compiled shape of every inner loop) restarts the trace *inside* the
 //    executor, up to the step budget: a hot loop pays the driver's
@@ -38,15 +38,16 @@
 // `materialize_all` multiplies the aggregates out into `Stats` — including
 // the per-pc cycle attribution — before any observation point: CSR reads
 // (CSR ops never translate; the driver flushes before every cold-tier
-// block), Core::run returning, exceptions, and cache invalidation. Partial
-// executions (budget stop, fault) book per-slot immediately, so simulated
-// cycles, fflags, and architectural digests stay bit-identical to
+// block), Core::run returning, exceptions, and cache invalidation. A fault
+// books the completed prefix per-slot, and a step budget shorter than the
+// trace runs on the cold tier, which books every op as it retires, so
+// simulated cycles, fflags, and architectural digests stay bit-identical to
 // Engine::Reference.
 //
 // Translation cache. Traces are keyed on the starting text index alone
 // within a (backend, code version) generation. A trace is valid at every
 // dynamic vector length: packed slots read the live vl CSR on every visit,
-// exactly as the predecoded handlers do, so a strip-mined loop re-entering
+// exactly as the micro-op handlers do, so a strip-mined loop re-entering
 // its body under a new VL replays the same trace. `Core::set_backend` and
 // `load_program` re-lower the micro-op stream and call `on_code_change`,
 // which drops every trace (stale bound pointers must not survive). A
@@ -73,10 +74,10 @@
 namespace sfrv::sim::jit {
 
 // Specialized trace opcodes. Order is load-bearing: the threaded executor's
-// label table and the bounded executor's cases are generated from this list.
+// label table is generated from this list.
 //   Nop       — fence, and any rd=x0 ALU op (architecturally pure).
 //   LoadImm   — lui, and auipc with pc+imm folded (p0 = value).
-//   CallUop   — generic FP/vector op: calls the bound predecoded handler
+//   CallUop   — generic FP/vector op: calls the micro-op's bound handler
 //               (its pc bump is a dead store; exits re-materialize pc).
 //   VMem      — VL-governed vector load/store (vflb/vflh/vfsb/vfsh):
 //               records the fault cursor, then calls the bound handler
@@ -281,12 +282,5 @@ class JitProgram {
 /// and guaranteed budget >= max_runs * t.n, max_runs >= 1.
 std::uint64_t run_trace_full(Trace& t, ExecContext& c, Stats& st,
                              std::uint64_t max_runs);
-
-/// Execute exactly `budget` slots of `t` (precondition: 0 < budget < t.n),
-/// booking each retired slot immediately, and leave pc at the next
-/// unexecuted instruction. Fault handling as above (already-booked slots
-/// stay booked).
-void run_trace_bounded(Trace& t, ExecContext& c, Stats& st,
-                       std::uint64_t budget);
 
 }  // namespace sfrv::sim::jit

@@ -52,7 +52,7 @@ CellKey synthetic_key() {
   key.acc = ir::ScalarType::F32;
   key.mode = ir::CodegenMode::ManualVec;
   key.vl = 4;
-  key.engine = sim::Engine::Predecoded;
+  key.engine = sim::Engine::Jit;
   key.backend = fp::MathBackend::Grs;
   key.opt.unroll_factor = 2;
   key.opt.ptr_strength_reduction = true;
@@ -102,7 +102,7 @@ TEST(CellKey, EveryAxisChangesTheAddress) {
   }
   {
     CellKey k = base;
-    k.engine = sim::Engine::Jit;
+    k.engine = sim::Engine::Reference;
     expect_differs(k, "engine");
   }
   {
@@ -153,7 +153,7 @@ TEST(CellKey, AddressIsStableAcrossProcesses) {
   // worker) must be readable by any other. If this fails, the canonical text
   // or the FNV seeding changed, and every persistent cache is invalidated —
   // bump the report schema if that is intentional.
-  EXPECT_EQ(synthetic_key().address(), "ffadc6fa7abe1be96938c50ded5230b9");
+  EXPECT_EQ(synthetic_key().address(), "681e11fd4bbc771b12c95270550404eb");
 }
 
 TEST(CellKey, DefaultSchemaIsTheReportSchema) {

@@ -158,11 +158,11 @@ TEST(Campaign, ParallelAggregationIsDeterministic) {
 }
 
 TEST(Campaign, ReportIsEngineInvariant) {
-  // The same campaign through all three engines must produce byte-identical
+  // The same campaign through both engines must produce byte-identical
   // JSON apart from the recorded engine name — the report measures the
   // simulated machine, not the simulator.
   std::vector<std::string> dumps;
-  for (const auto e : {sim::Engine::Reference, sim::Engine::Predecoded}) {
+  for (const auto e : {sim::Engine::Reference, sim::Engine::Jit}) {
     CampaignSpec spec = small_spec();
     spec.engine = e;
     EvalReport report = run_campaign(spec, 2);

@@ -29,6 +29,25 @@ TEST(Executor, RunsEveryIndexExactlyOnce) {
   }
 }
 
+TEST(Executor, MoreShardsThanTasksRunsEachTaskOnce) {
+  // Far more shards than tasks (sfrv-eval -j 100000 over a handful of
+  // cells): at most one worker per task starts, and a single task runs
+  // inline on the caller.
+  for (const std::size_t n : {1u, 3u, 17u}) {
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::atomic<int>> runs(n);
+    std::atomic<bool> inline_run{false};
+    run_sharded(n, 100000, [&](std::size_t i) {
+      runs.at(i).fetch_add(1);
+      if (std::this_thread::get_id() == caller) inline_run = true;
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "n=" << n << " index=" << i;
+    }
+    EXPECT_EQ(inline_run.load(), n == 1) << "n=" << n;
+  }
+}
+
 TEST(Executor, OneShardRunsInlineInIndexOrder) {
   // Shard counts below one clamp to one.
   for (const int shards : {1, 0}) {

@@ -89,12 +89,11 @@ TEST(OptDifferential, BitIdenticalAcrossLevelsEnginesBackends) {
             ir::CodegenMode::ManualVec}) {
         const kernels::KernelSpec spec = b.bench.make(tc.tc);
         const auto base = kernels::run_kernel(
-            spec, mode, {}, isa::IsaConfig::full(), sim::Engine::Predecoded,
+            spec, mode, {}, isa::IsaConfig::full(), sim::Engine::Jit,
             fp::MathBackend::Grs, OptConfig::O0());
         const auto base_digest = output_digest(base, spec.output_arrays);
         for (const auto& opt : {OptConfig::O1(), OptConfig::O2()}) {
-          for (const auto engine :
-               {sim::Engine::Predecoded, sim::Engine::Reference}) {
+          for (const auto engine : {sim::Engine::Jit, sim::Engine::Reference}) {
             for (const auto backend :
                  {fp::MathBackend::Grs, fp::MathBackend::Fast}) {
               const auto r = kernels::run_kernel(

@@ -1,9 +1,9 @@
-// Randomized differential suite: the predecoded micro-op engine AND the jit
-// trace-compilation engine must match the retained reference interpreter
-// bit-for-bit on architectural state (x/f register files, memory,
-// fflags/frm) AND on the timing model (cycles, instruction/load/store
-// counts) across every extension configuration. Streams read the cycle CSR
-// mid-run, so a single mis-accounted cycle also shows up as an
+// Randomized differential suite: the jit trace-compilation engine, on its
+// compiled traces and on its cold tier, must match the retained reference
+// interpreter bit-for-bit on architectural state (x/f register files,
+// memory, fflags/frm) AND on the timing model (cycles, instruction/load/
+// store counts) across every extension configuration. Streams read the
+// cycle CSR mid-run, so a single mis-accounted cycle also shows up as an
 // architectural divergence.
 //
 // Each random stream runs three ways:
@@ -11,8 +11,9 @@
 //    and the jit's cold tier fully exercised), final state + memory
 //    compared;
 //  * per-instruction lockstep — run(1) on all engines, full state compared
-//    after every retired instruction (this also drives the jit's bounded
-//    trace path and one-instruction cold-tier budgets);
+//    after every retired instruction (a budget shorter than a compiled
+//    trace hands off to the cold tier, so this drives one-instruction
+//    cold-tier budgets from trace heads);
 //  * random-chunk lockstep — run(k), k in [1, 8], so trace prefixes and
 //    partial cold blocks execute between observation points and state is
 //    compared at interior pcs.
@@ -203,8 +204,7 @@ void seed_state(sim::Core& core, std::uint64_t seed) {
   core.set_frm(static_cast<fp::RoundingMode>(sr() % 5));
 }
 
-constexpr sim::Engine kEngines[] = {sim::Engine::Reference,
-                                    sim::Engine::Predecoded, sim::Engine::Jit};
+constexpr sim::Engine kEngines[] = {sim::Engine::Reference, sim::Engine::Jit};
 
 /// Full architectural + timing state comparison between two cores.
 ::testing::AssertionResult state_eq(const sim::Core& a, const sim::Core& b) {

@@ -42,15 +42,18 @@ TEST(BackendNames, EnvContractWarnsAndFallsBack) {
 }
 
 TEST(EngineNames, EnvContractWarnsAndFallsBack) {
-  // SFRV_ENGINE: the same contract, falling back to Predecoded.
-  EXPECT_EQ(sim::engine_from_env(nullptr), Engine::Predecoded);
-  EXPECT_EQ(sim::engine_from_env(""), Engine::Predecoded);
+  // SFRV_ENGINE: the same contract, falling back to Jit.
+  EXPECT_EQ(sim::engine_from_env(nullptr), Engine::Jit);
+  EXPECT_EQ(sim::engine_from_env(""), Engine::Jit);
   EXPECT_EQ(sim::engine_from_env("reference"), Engine::Reference);
-  EXPECT_EQ(sim::engine_from_env("predecoded"), Engine::Predecoded);
   EXPECT_EQ(sim::engine_from_env("jit"), Engine::Jit);
-  EXPECT_EQ(sim::engine_from_env("bogus"), Engine::Predecoded);
-  EXPECT_EQ(sim::engine_from_env("fused"), Engine::Predecoded);  // removed
-  EXPECT_EQ(sim::engine_from_env("JIT"), Engine::Predecoded);  // case-sensitive
+  EXPECT_EQ(sim::engine_from_env("bogus"), Engine::Jit);
+  EXPECT_EQ(sim::engine_from_env("fused"), Engine::Jit);       // removed
+  EXPECT_EQ(sim::engine_from_env("predecoded"), Engine::Jit);  // removed
+  EXPECT_EQ(sim::engine_from_env("JIT"), Engine::Jit);  // case-sensitive
+  EXPECT_EQ(sim::engine_names(), "reference|jit");
+  EXPECT_EQ(sim::engine_name(static_cast<Engine>(0)), "unknown");
+  EXPECT_THROW((void)sim::engine_from_name("predecoded"), std::runtime_error);
 }
 
 TEST(EnvParsers, SharedHelperContractAcrossAllThreeVariables) {
@@ -59,8 +62,9 @@ TEST(EnvParsers, SharedHelperContractAcrossAllThreeVariables) {
   // parses, anything else warns on stderr and falls back — never throws
   // (resolution runs inside static initialization). One helper, one
   // contract; an invalid value must behave identically for every variable.
-  for (const char* invalid : {"bogus", " O1", "O1 ", "o1", "3", "--"}) {
-    EXPECT_EQ(sim::engine_from_env(invalid), Engine::Predecoded) << invalid;
+  for (const char* invalid :
+       {"bogus", " O1", "O1 ", "o1", "3", "--", "predecoded"}) {
+    EXPECT_EQ(sim::engine_from_env(invalid), Engine::Jit) << invalid;
     EXPECT_EQ(fp::backend_from_env(invalid), MathBackend::Grs) << invalid;
     EXPECT_EQ(ir::opt_name(ir::opt_from_env(invalid)), "O0") << invalid;
   }
@@ -154,7 +158,7 @@ Digest run_pair(Engine e, MathBackend b) {
 TEST(BackendConformance, EveryEngineBackendPairIsBitIdentical) {
   const Digest baseline = run_pair(Engine::Reference, MathBackend::Grs);
   ASSERT_NE(baseline.fflags, 0);  // the workout must actually raise flags
-  for (const Engine e : {Engine::Reference, Engine::Predecoded, Engine::Jit}) {
+  for (const Engine e : {Engine::Reference, Engine::Jit}) {
     for (const MathBackend b : {MathBackend::Grs, MathBackend::Fast}) {
       const Digest d = run_pair(e, b);
       EXPECT_EQ(d, baseline) << sim::engine_name(e) << "/"

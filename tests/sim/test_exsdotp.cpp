@@ -355,8 +355,7 @@ TEST(ExSdotpConformance, BitsAndFlagsIdenticalAcrossEnginesAndBackends) {
     const Digest baseline =
         run_matrix_program(sim::Engine::Reference, fp::MathBackend::Grs, seed);
     saw_flags |= baseline.fflags != 0;
-    for (const auto e : {sim::Engine::Reference, sim::Engine::Predecoded,
-                         sim::Engine::Jit}) {
+    for (const auto e : {sim::Engine::Reference, sim::Engine::Jit}) {
       for (const auto b : {fp::MathBackend::Grs, fp::MathBackend::Fast}) {
         const Digest d = run_matrix_program(e, b, seed);
         ASSERT_EQ(d, baseline)

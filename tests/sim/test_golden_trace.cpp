@@ -11,8 +11,9 @@
 // Regenerating after an *intentional* behavior change:
 //   ./build/tests/test_golden_trace --regen
 // (or SFRV_REGEN_GOLDEN=1 ./build/tests/test_golden_trace). Regeneration
-// computes the vectors with the predecoded engine and rewrites the file in
-// the source tree; re-run the test afterwards to confirm all engines agree.
+// computes the vectors with the reference interpreter (the oracle) and
+// rewrites the file in the source tree; re-run the test afterwards to
+// confirm all engines agree.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -211,7 +212,6 @@ TEST_P(GoldenTrace, MatchesCheckedInDigests) {
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, GoldenTrace,
                          ::testing::Values(sim::Engine::Reference,
-                                           sim::Engine::Predecoded,
                                            sim::Engine::Jit),
                          [](const auto& info) {
                            return std::string(sim::engine_name(info.param));
@@ -227,7 +227,7 @@ int regenerate() {
          "tests/sim/test_golden_trace.cpp).\n"
          "# Regenerate: ./build/tests/test_golden_trace --regen\n";
   for (const auto& cell : golden_matrix()) {
-    out << cell.name << ' ' << run_digest(cell, sim::Engine::Predecoded)
+    out << cell.name << ' ' << run_digest(cell, sim::Engine::Reference)
         << '\n';
   }
   std::printf("wrote %s\n", kGoldenPath);

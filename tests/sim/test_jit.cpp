@@ -4,7 +4,7 @@
 // pointers), mid-block jalr entry (a dynamic target that is not a cached
 // trace start), and the cap/eviction path. Architectural identity across
 // all of it is the fuzzer's job (test_ab_equivalence.cpp); these tests pin
-// the cache *mechanics* plus spot-check results against Engine::Predecoded.
+// the cache *mechanics* plus spot-check results against Engine::Reference.
 #include <gtest/gtest.h>
 
 #include "asmb/assembler.hpp"
@@ -39,19 +39,19 @@ sim::Core make_jit_core(const asmb::Program& prog, std::uint32_t threshold) {
   return core;
 }
 
-void expect_matches_predecoded(sim::Core& jit, const asmb::Program& prog) {
-  sim::Core pre;
-  pre.set_backend(jit.backend());
-  pre.load_program(prog);
-  ASSERT_EQ(pre.run(), sim::Core::RunResult::Halted);
+void expect_matches_reference(sim::Core& jit, const asmb::Program& prog) {
+  sim::Core ref;
+  ref.set_engine(Engine::Reference);
+  ref.load_program(prog);
+  ASSERT_EQ(ref.run(), sim::Core::RunResult::Halted);
   for (unsigned r = 0; r < 32; ++r) {
-    EXPECT_EQ(jit.x(r), pre.x(r)) << "x" << r;
-    EXPECT_EQ(jit.f_bits(r), pre.f_bits(r)) << "f" << r;
+    EXPECT_EQ(jit.x(r), ref.x(r)) << "x" << r;
+    EXPECT_EQ(jit.f_bits(r), ref.f_bits(r)) << "f" << r;
   }
-  EXPECT_EQ(jit.pc(), pre.pc());
-  EXPECT_EQ(jit.fflags(), pre.fflags());
-  EXPECT_EQ(jit.stats().cycles, pre.stats().cycles);
-  EXPECT_EQ(jit.stats().instructions, pre.stats().instructions);
+  EXPECT_EQ(jit.pc(), ref.pc());
+  EXPECT_EQ(jit.fflags(), ref.fflags());
+  EXPECT_EQ(jit.stats().cycles, ref.stats().cycles);
+  EXPECT_EQ(jit.stats().instructions, ref.stats().instructions);
 }
 
 TEST(JitCache, HotnessThresholdPromotion) {
@@ -66,7 +66,7 @@ TEST(JitCache, HotnessThresholdPromotion) {
     EXPECT_EQ(cold.jit_stats().translations, 0u);
     EXPECT_EQ(cold.jit_cache_size(), 0u);
     EXPECT_GT(cold.jit_stats().interp_entries, 0u);
-    expect_matches_predecoded(cold, counting_loop(kT + 1));
+    expect_matches_reference(cold, counting_loop(kT + 1));
   }
   {
     // count = kT+3: the head's (kT+1)-th entry compiles, and the one after
@@ -76,7 +76,7 @@ TEST(JitCache, HotnessThresholdPromotion) {
     EXPECT_EQ(hot.jit_stats().translations, 1u);
     EXPECT_EQ(hot.jit_cache_size(), 1u);
     EXPECT_GT(hot.jit_stats().hits, 0u);
-    expect_matches_predecoded(hot, counting_loop(kT + 3));
+    expect_matches_reference(hot, counting_loop(kT + 3));
   }
   // Threshold 0 compiles every entered block on first entry.
   {
@@ -84,7 +84,7 @@ TEST(JitCache, HotnessThresholdPromotion) {
     ASSERT_EQ(eager.run(), sim::Core::RunResult::Halted);
     EXPECT_GE(eager.jit_stats().translations, 2u);  // entry block + loop head
     EXPECT_EQ(eager.jit_stats().interp_entries, 0u);
-    expect_matches_predecoded(eager, counting_loop(4));
+    expect_matches_reference(eager, counting_loop(4));
   }
 }
 
@@ -115,12 +115,12 @@ TEST(JitCache, SetBackendInvalidatesAndRecompiles) {
   EXPECT_EQ(core.jit_cache_size(), 0u);
   EXPECT_GE(core.jit_stats().invalidations, 1u);
 
-  // A rerun under the new backend recompiles and still matches predecoded.
+  // A rerun under the new backend recompiles and still matches reference.
   core.load_program(prog);
   core.clear_stats();
   ASSERT_EQ(core.run(), sim::Core::RunResult::Halted);
   EXPECT_GT(core.jit_cache_size(), 0u);
-  expect_matches_predecoded(core, prog);
+  expect_matches_reference(core, prog);
 }
 
 TEST(JitCache, MidBlockJalrEntryCompilesSuffix) {
@@ -144,7 +144,7 @@ TEST(JitCache, MidBlockJalrEntryCompilesSuffix) {
   EXPECT_EQ(core.x(reg::s3), 333u);
   // Entry trace + the suffix trace at the landing index.
   EXPECT_EQ(core.jit_stats().translations, 2u);
-  expect_matches_predecoded(core, prog);
+  expect_matches_reference(core, prog);
 }
 
 TEST(JitCache, CapEvictionKeepsResultsIdentical) {
@@ -172,7 +172,7 @@ TEST(JitCache, CapEvictionKeepsResultsIdentical) {
   EXPECT_LE(core.jit_cache_size(), 2u);
   EXPECT_EQ(core.x(reg::t1), 5u);
   EXPECT_EQ(core.x(reg::t2), 10u);
-  expect_matches_predecoded(core, prog);
+  expect_matches_reference(core, prog);
 }
 
 TEST(JitCache, TelemetryAndKnobAccessors) {

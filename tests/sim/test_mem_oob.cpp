@@ -1,12 +1,12 @@
-// Differential out-of-bounds semantics: the interpreter engines and the
-// JIT's cached-base-pointer fast path share one bounds predicate
-// (sim::mem_access_oob) and one exception (throw_mem_oob), so a faulting
-// access must throw the same type with the same fully-retired state — and
-// the same exception *message* — under every engine. Covers the edges that
-// predicate folds together: the first byte, the last byte, the 32-bit
-// address-space wrap at UINT32_MAX, and a mid-vector fault where the first
-// element of a VL-governed packed access is in bounds and a later one is
-// not.
+// Differential out-of-bounds semantics: the reference interpreter, the
+// JIT's cold tier, and its cached-base-pointer trace path share one bounds
+// predicate (sim::mem_access_oob) and one exception (throw_mem_oob), so a
+// faulting access must throw the same type with the same fully-retired
+// state — and the same exception *message* — on every path. Covers the
+// edges that predicate folds together: the first byte, the last byte, the
+// 32-bit address-space wrap at UINT32_MAX, and a mid-vector fault where the
+// first element of a VL-governed packed access is in bounds and a later one
+// is not.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -22,8 +22,18 @@ using asmb::Assembler;
 using isa::Op;
 namespace reg = asmb::reg;
 
-constexpr sim::Engine kEngines[] = {sim::Engine::Reference,
-                                    sim::Engine::Predecoded, sim::Engine::Jit};
+/// One execution path: an engine and, for the jit, its hotness threshold.
+/// At 0 every block compiles, so the fault happens inside a trace; these
+/// programs never enter a block a million times, so at that threshold it
+/// happens on the cold tier.
+struct Path {
+  sim::Engine engine;
+  std::uint32_t jit_threshold;
+  const char* name;
+};
+constexpr Path kPaths[] = {{sim::Engine::Reference, 0, "reference"},
+                           {sim::Engine::Jit, 0, "jit trace"},
+                           {sim::Engine::Jit, 1'000'000, "jit cold tier"}};
 
 constexpr std::uint32_t kMemSize = 8u << 20;  // MemConfig default
 
@@ -37,14 +47,14 @@ struct Outcome {
   std::uint32_t last_byte = 0;  // memory()[kMemSize - 1] after the run
 };
 
-/// Run `body` under one engine and capture whether/where it faulted plus the
+/// Run `body` on one path and capture whether/where it faulted plus the
 /// retired state the fault left behind.
-Outcome run_one(const std::function<void(Assembler&)>& body, sim::Engine e) {
+Outcome run_one(const std::function<void(Assembler&)>& body, const Path& p) {
   Assembler a;
   body(a);
   sim::Core core(isa::IsaConfig::full());
-  core.set_engine(e);
-  if (e == sim::Engine::Jit) core.set_jit_threshold(0);  // fault mid-trace
+  core.set_engine(p.engine);
+  core.set_jit_threshold(p.jit_threshold);
   core.load_program(a.finish());
   Outcome o;
   try {
@@ -63,13 +73,13 @@ Outcome run_one(const std::function<void(Assembler&)>& body, sim::Engine e) {
   return o;
 }
 
-/// Run under all engines and require identical outcomes; returns the
+/// Run on every path and require identical outcomes; returns the
 /// reference outcome for the caller's own assertions.
 Outcome run_differential(const std::function<void(Assembler&)>& body) {
-  const Outcome ref = run_one(body, kEngines[0]);
-  for (std::size_t i = 1; i < std::size(kEngines); ++i) {
-    const Outcome o = run_one(body, kEngines[i]);
-    const char* name = sim::engine_name(kEngines[i]).data();
+  const Outcome ref = run_one(body, kPaths[0]);
+  for (std::size_t i = 1; i < std::size(kPaths); ++i) {
+    const Outcome o = run_one(body, kPaths[i]);
+    const char* name = kPaths[i].name;
     EXPECT_EQ(o.threw, ref.threw) << name;
     EXPECT_EQ(o.message, ref.message) << name;
     EXPECT_EQ(o.instructions, ref.instructions) << name;

@@ -22,8 +22,7 @@ using asmb::Assembler;
 using isa::Op;
 namespace reg = asmb::reg;
 
-constexpr sim::Engine kEngines[] = {sim::Engine::Reference,
-                                    sim::Engine::Predecoded, sim::Engine::Jit};
+constexpr sim::Engine kEngines[] = {sim::Engine::Reference, sim::Engine::Jit};
 
 sim::Core run_on(const asmb::Program& prog, sim::Engine e) {
   sim::Core core(isa::IsaConfig::full());
@@ -245,10 +244,10 @@ TEST(StripMine, O2MatchesO0BitForBit) {
   for (const auto& s : shapes) {
     for (const int cap : {1, 2, 4}) {
       const auto o0 = kernels::run_kernel(
-          s.spec, s.mode, {}, isa::IsaConfig::full(), sim::Engine::Predecoded,
+          s.spec, s.mode, {}, isa::IsaConfig::full(), sim::Engine::Jit,
           fp::default_backend(), with_vl(ir::OptConfig::O0(), cap));
       const auto o2 = kernels::run_kernel(
-          s.spec, s.mode, {}, isa::IsaConfig::full(), sim::Engine::Predecoded,
+          s.spec, s.mode, {}, isa::IsaConfig::full(), sim::Engine::Jit,
           fp::default_backend(), with_vl(ir::OptConfig::O2(), cap));
       const std::string what =
           std::string(s.what) + " cap=" + std::to_string(cap);
@@ -267,11 +266,11 @@ TEST(StripMine, ElementwiseKernelBitIdenticalAcrossVls) {
       kernels::TypeConfig::uniform(ir::ScalarType::F16), 6, 6, 3);
   const auto base = kernels::run_kernel(
       spec, ir::CodegenMode::ManualVec, {}, isa::IsaConfig::full(),
-      sim::Engine::Predecoded, fp::default_backend(), ir::OptConfig::O0());
+      sim::Engine::Jit, fp::default_backend(), ir::OptConfig::O0());
   for (const int cap : {1, 2, 4}) {
     const auto strip = kernels::run_kernel(
         spec, ir::CodegenMode::ManualVec, {}, isa::IsaConfig::full(),
-        sim::Engine::Predecoded, fp::default_backend(),
+        sim::Engine::Jit, fp::default_backend(),
         with_vl(ir::OptConfig::O0(), cap));
     expect_bit_identical(base, strip, spec.output_arrays,
                          "conv2d cap=" + std::to_string(cap));

@@ -287,7 +287,7 @@ TEST(F8NaNBoxing, ExecContextWritesBoxUpperBits) {
 TEST(F8NaNBoxing, ScalarOpsBoxThroughTheCore) {
   // End-to-end: fmv.b.x, flb, and fcvt.b.s all produce NaN-boxed registers,
   // under every engine (the differential contract includes the box bits).
-  for (const auto engine : {sim::Engine::Reference, sim::Engine::Predecoded}) {
+  for (const auto engine : {sim::Engine::Reference, sim::Engine::Jit}) {
     asmb::Assembler a;
     const std::uint32_t buf = a.data_zero(16);
     a.la(asmb::reg::t0, buf);

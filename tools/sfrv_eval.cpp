@@ -56,7 +56,7 @@ int usage(const char* argv0) {
       "  --mem         memory level: l1=1, l2=10, l3=100 cycles load latency\n"
       "                (default: l1)\n"
       "  --engine      simulator engine; results are engine-independent, only\n"
-      "                wall-clock changes (default: $SFRV_ENGINE or predecoded)\n"
+      "                wall-clock changes (default: $SFRV_ENGINE or jit)\n"
       "  --backend     softfloat math backend; bit- and fflags-identical, only\n"
       "                wall-clock changes (default: $SFRV_BACKEND or grs)\n"
       "  --opt         post-lowering optimization level; outputs and QoR are\n"
