@@ -91,8 +91,18 @@ class Parser {
   Json value() {
     skip_ws();
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        // Each open container is one level of recursion: bound it, so a
+        // hostile document fails here instead of overflowing the stack.
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        ++depth_;
+        Json v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -234,8 +244,12 @@ class Parser {
     return Json(d);
   }
 
+  /// Far above the few levels any report or cell entry uses.
+  static constexpr int kMaxDepth = 256;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< containers open at pos_
 };
 
 }  // namespace

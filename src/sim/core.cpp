@@ -115,10 +115,11 @@ void Core::set_backend(fp::MathBackend b) {
   backend_ = b;
   if (decoded_.empty()) return;
   // Re-bind the micro-op entry points from the newly selected table family.
-  // Every compiled trace holds stale bound pointers, so the JIT cache is
+  // Compiled traces are ranges of the old program, so the JIT cache is
   // invalidated wholesale.
-  uops_ = decode_program(decoded_, cfg_, timing_, backend_);
-  jit_.on_code_change(uops_.size());
+  uops_ = decode_program(decoded_, text_base_, cfg_, timing_, mem_.config(),
+                         backend_);
+  jit_.on_code_change(decoded_.size());
 }
 
 void Core::load_program(const asmb::Program& prog) {
@@ -130,10 +131,11 @@ void Core::load_program(const asmb::Program& prog) {
     mem_.write_block(prog.data_base, prog.data.data(), prog.data.size());
   }
   decoded_ = prog.text;
-  uops_ = decode_program(decoded_, cfg_, timing_, backend_);
-  // New text drops every compiled trace.
-  jit_.on_code_change(uops_.size());
   text_base_ = prog.text_base;
+  uops_ = decode_program(decoded_, text_base_, cfg_, timing_, mem_.config(),
+                         backend_);
+  // New text drops every compiled trace.
+  jit_.on_code_change(decoded_.size());
   ctx_.pc = prog.entry();
   ctx_.x[2] = asmb::kDefaultStackTop;  // sp
   ctx_.halted = false;
@@ -159,7 +161,7 @@ Core::RunResult Core::run(std::uint64_t max_steps) {
 
 std::uint32_t Core::fetch_index(std::uint32_t pc) const {
   const std::uint32_t idx = (pc - text_base_) / 4;
-  if (pc < text_base_ || idx >= uops_.size() || (pc & 3) != 0) {
+  if (pc < text_base_ || idx >= decoded_.size() || (pc & 3) != 0) {
     throw SimError("instruction fetch outside text segment", pc);
   }
   return idx;
@@ -182,7 +184,7 @@ void Core::step() {
 }
 
 void Core::account(const DecodedOp& u, std::uint32_t idx) {
-  int cyc = fixed_cycles(u, timing_, mem_.config());
+  int cyc = u.cycles;
   switch (u.tclass) {
     case TimingClass::Load: ++stats_.load_count; break;
     case TimingClass::Store: ++stats_.store_count; break;
@@ -208,8 +210,7 @@ Core::RunResult Core::run_jit(std::uint64_t max_steps) {
       const std::uint32_t idx = fetch_index(ctx_.pc);
       jit::Trace* t = jit_.lookup(idx);
       if (t == nullptr && jit_.note_entry(idx)) {
-        t = jit_.translate(idx, uops_, timing_, mem_.config(), text_base_,
-                           stats_);
+        t = jit_.translate(idx, uops_, timing_, text_base_);
         if (t != nullptr && verify::enabled()) {
           verify_trace_or_throw(*t, uops_, timing_, mem_.config(), text_base_);
         }
@@ -221,24 +222,24 @@ Core::RunResult Core::run_jit(std::uint64_t max_steps) {
         // into stats_, and a counter CSR read in the block must observe
         // every retired cycle, so deferred trace accounting lands first.
         jit_.note_interp();
-        jit_.materialize_all(stats_);
+        jit_.materialize_all(stats_, uops_);
         remaining -= run_cold(idx, remaining);
       }
     }
   } catch (...) {
-    jit_.materialize_all(stats_);
+    jit_.materialize_all(stats_, uops_);
     throw;
   }
-  jit_.materialize_all(stats_);
+  jit_.materialize_all(stats_, uops_);
   return ctx_.halted ? RunResult::Halted : RunResult::MaxStepsReached;
 }
 
 std::uint64_t Core::run_cold(std::uint32_t idx, std::uint64_t budget) {
-  // A micro-op that does not end the block falls through to idx + 1, so only
-  // the end of the text needs a check; the driver's fetch_index then raises
-  // the fetch fault. A faulting handler throws before account(), leaving pc
-  // on the faulting instruction with every earlier one booked.
-  const auto end = static_cast<std::uint32_t>(uops_.size());
+  // A micro-op that does not end the block falls through to idx + 1. Past
+  // the last instruction sits the decoded program's sentinel, whose handler
+  // raises the fetch fault, so the walk needs no end check. A faulting
+  // handler throws before account(), leaving pc on the faulting instruction
+  // with every earlier one booked.
   std::uint64_t retired = 0;
   for (;;) {
     const DecodedOp& u = uops_[idx];
@@ -246,7 +247,8 @@ std::uint64_t Core::run_cold(std::uint32_t idx, std::uint64_t budget) {
     u.fn(ctx_, u);
     account(u, idx);
     ++retired;
-    if (ends_block(u) || retired == budget || ++idx == end) return retired;
+    if (ends_block(u) || retired == budget) return retired;
+    ++idx;
   }
 }
 
@@ -254,15 +256,15 @@ std::uint64_t Core::exec_trace(jit::Trace& t, std::uint64_t budget) {
   if (budget < t.n) {
     // A budget that stops inside the trace runs on the cold tier, which
     // books each op as it retires. It may stop short of the budget (a fence
-    // is a Nop slot here but ends a cold block); run_jit loops on.
-    jit_.materialize_all(stats_);
+    // is a Nop inside a trace but ends a cold block); run_jit loops on.
+    jit_.materialize_all(stats_, uops_);
     return run_cold(t.start_idx, budget);
   }
-  // Terminator slots publish the taken flag the way run_cold does (cleared,
+  // Terminators publish the taken flag the way run_cold does (cleared,
   // then set only by a taken branch).
   ctx_.branch_taken = false;
   const std::uint64_t runs =
-      jit::run_trace_full(t, ctx_, stats_, budget / t.n);
+      jit::run_trace_full(t, uops_, ctx_, stats_, budget / t.n);
   jit_.note_runs(t, runs);
   return runs * t.n;
 }

@@ -13,13 +13,14 @@
 // same relaxation the PULP FPU makes when Xfvec is enabled).
 //
 // Two execution engines share the architectural state (ExecContext):
-//  * Engine::Jit (default): load_program lowers the text into micro-ops
-//    (sim/decode.hpp) carrying a resolved handler pointer, lane plan,
-//    pre-bound softfloat entry points, and timing class. Hot straight-line
-//    runs are translated into threaded-code traces (sim/jit.hpp) with
-//    constants, timing, and fast-math entries folded in at translation
-//    time. Until a block crosses the hotness threshold, the cold tier
-//    (run_cold) walks its micro-ops to the block end. run_cold is the only
+//  * Engine::Jit (default): load_program decodes the text once into the
+//    micro-op program (sim/decode.hpp): each op carries its executor token,
+//    a resolved handler pointer, lane plan, pre-bound softfloat entry
+//    points, timing class, and its folded targets and fixed cycles. Until a
+//    block crosses the hotness threshold, the cold tier (run_cold) walks
+//    its micro-ops to the block end. A hot straight-line run compiles into
+//    a trace (sim/jit.hpp): a range of the same micro-ops plus aggregated
+//    accounting, run in place by the threaded executor. run_cold is the only
 //    micro-op walker: step() retires one micro-op through it, and so does a
 //    trace entry whose step budget is shorter than the trace. Tracing falls
 //    back to per-step execution so traces stay equal.
@@ -97,7 +98,7 @@ struct CoreState {
 
   std::uint32_t text_base_ = 0;
   std::vector<isa::Inst> decoded_;   // predecoded text (no self-modifying code)
-  std::vector<DecodedOp> uops_;      // micro-op cache (same indexing)
+  std::vector<DecodedOp> uops_;      // decoded program: same indexing + sentinel
   jit::JitProgram jit_;              // translation cache (Engine::Jit)
 
   std::ostream* trace_ = nullptr;
@@ -137,7 +138,7 @@ class Core : private detail::CoreState {
 
   /// Select the softfloat math backend (fp::MathBackend). The jit engine
   /// binds its micro-op entry points from the selected table family, so
-  /// switching after load_program re-lowers the text and drops every
+  /// switching after load_program re-decodes the text and drops every
   /// compiled trace. The reference interpreter is the frozen
   /// pre-refactor oracle and always computes through the Grs routines; the
   /// backends are bit- and fflags-identical, so architectural results never
@@ -146,7 +147,7 @@ class Core : private detail::CoreState {
   [[nodiscard]] fp::MathBackend backend() const { return backend_; }
 
   /// Copy a program image into memory, point the PC at its entry, set up the
-  /// stack pointer, and predecode the text into the micro-op cache.
+  /// stack pointer, and decode the text into the micro-op program.
   void load_program(const asmb::Program& prog);
 
   enum class RunResult { Halted, MaxStepsReached };
@@ -188,8 +189,6 @@ class Core : private detail::CoreState {
 
   /// Direct access to the execution context (for piecewise engine tests).
   [[nodiscard]] ExecContext& context() { return ctx_; }
-  /// The micro-op cache (index = (pc - text_base) / 4).
-  [[nodiscard]] const std::vector<DecodedOp>& uops() const { return uops_; }
 
   // ---- Engine::Jit knobs and telemetry (sim/jit.hpp) ----
   /// Hotness threshold: a block interprets until it has been entered more
@@ -199,9 +198,7 @@ class Core : private detail::CoreState {
   [[nodiscard]] std::uint32_t jit_threshold() const {
     return jit_.threshold();
   }
-  /// Translation-cache capacity in traces (flush-all eviction when full).
-  void set_jit_cache_cap(std::uint32_t cap) { jit_.set_cache_cap(cap); }
-  /// Compiled traces currently cached.
+  /// Compiled traces currently cached (at most one per text index).
   [[nodiscard]] std::size_t jit_cache_size() const { return jit_.size(); }
   [[nodiscard]] const jit::JitStats& jit_stats() const {
     return jit_.stats();
@@ -212,7 +209,6 @@ class Core : private detail::CoreState {
 
  private:
   void rebind_context() {
-    ctx_.mem = &mem_;
     ctx_.mem_base = mem_.data();
     ctx_.mem_size = mem_.size();
     ctx_.stats = &stats_;
@@ -229,9 +225,10 @@ class Core : private detail::CoreState {
   RunResult run_jit(std::uint64_t max_steps);
   /// The JIT's cold tier and the only micro-op walker: execute micro-ops
   /// from text index `idx` (already fetch-checked) until a branch, jump, or
-  /// system op retires, the text ends, or `budget` (>= 1) instructions
-  /// retire, so run_jit regains control at every block entry for hotness
-  /// counting and cache lookup. Returns the number of retired instructions.
+  /// system op retires or `budget` (>= 1) instructions retire, so run_jit
+  /// regains control at every block entry for hotness counting and cache
+  /// lookup. Walking off the end of the text raises the fetch fault.
+  /// Returns the number of retired instructions.
   std::uint64_t run_cold(std::uint32_t idx, std::uint64_t budget);
   /// Execute one compiled trace when `budget` covers it; otherwise hand the
   /// budget to run_cold from the trace head. Returns retired instructions,

@@ -3,11 +3,15 @@
 // Handlers are small free functions over ExecContext. They must replicate the
 // reference interpreter in core.cpp bit-for-bit (architectural state, fflags,
 // and the timing-relevant outcome bits); the randomized A/B equivalence suite
-// in tests/sim/test_ab_equivalence.cpp enforces this.
+// in tests/sim/test_ab_equivalence.cpp enforces this. The straight-line
+// tokens' handlers are generated from their one body each (bodies.hpp); the
+// rest (terminators, CallUop and VMem ops, stop-class ops) are written out
+// here, each the one definition of its op outside the reference.
 #include "sim/decode.hpp"
 
-#include <climits>
 #include <string>
+
+#include "sim/bodies.hpp"
 
 namespace sfrv::sim {
 
@@ -23,17 +27,32 @@ using U32 = std::uint32_t;
 using U64 = std::uint64_t;
 using I32 = std::int32_t;
 
-// ---- integer handlers -------------------------------------------------------
+// ---- generated straight-line handlers ---------------------------------------
+// One cold-tier handler per straight-line token: its body (bodies.hpp), then
+// the pc bump. The threaded executor expands the same bodies (jit.cpp).
 
-void h_lui(ExecContext& c, const DecodedOp& u) {
-  c.set_x(u.rd, static_cast<U32>(u.imm));
-  c.pc += 4;
+#define SFRV_H(name, body)                            \
+  void h_##name(ExecContext& c, const DecodedOp& u) { \
+    (void)u;                                          \
+    body;                                             \
+    c.pc += 4;                                        \
+  }
+SFRV_STRAIGHT_BODIES(SFRV_H, SFRV_H)
+#undef SFRV_H
+
+ExecFn straight_handler(TOp t) {
+  switch (t) {
+#define SFRV_H(name, body) \
+  case TOp::name:          \
+    return &h_##name;
+    SFRV_STRAIGHT_BODIES(SFRV_H, SFRV_H)
+#undef SFRV_H
+    default:
+      return nullptr;
+  }
 }
 
-void h_auipc(ExecContext& c, const DecodedOp& u) {
-  c.set_x(u.rd, c.pc + static_cast<U32>(u.imm));
-  c.pc += 4;
-}
+// ---- terminators ------------------------------------------------------------
 
 void h_jal(ExecContext& c, const DecodedOp& u) {
   c.set_x(u.rd, c.pc + 4);
@@ -56,169 +75,8 @@ void h_branch(ExecContext& c, const DecodedOp& u) {
   }
 }
 
-// ALU handlers: EXPR sees `rs1`, `rs2` (pre-read register values) and `imm`.
-#define SFRV_H_ALU(NAME, EXPR)                           \
-  void h_##NAME(ExecContext& c, const DecodedOp& u) {    \
-    const U32 rs1 = c.x[u.rs1];                          \
-    const U32 rs2 = c.x[u.rs2];                          \
-    const U32 imm = static_cast<U32>(u.imm);             \
-    (void)rs1;                                           \
-    (void)rs2;                                           \
-    (void)imm;                                           \
-    c.set_x(u.rd, (EXPR));                               \
-    c.pc += 4;                                           \
-  }
-
-SFRV_H_ALU(addi, rs1 + imm)
-SFRV_H_ALU(sltiu, rs1 < imm ? 1 : 0)
-SFRV_H_ALU(xori, rs1 ^ imm)
-SFRV_H_ALU(ori, rs1 | imm)
-SFRV_H_ALU(andi, rs1 & imm)
-SFRV_H_ALU(slli, rs1 << (imm & 31))
-SFRV_H_ALU(srli, rs1 >> (imm & 31))
-SFRV_H_ALU(srai, static_cast<U32>(static_cast<I32>(rs1) >> (imm & 31)))
-SFRV_H_ALU(add, rs1 + rs2)
-SFRV_H_ALU(sub, rs1 - rs2)
-SFRV_H_ALU(sll, rs1 << (rs2 & 31))
-SFRV_H_ALU(slt, static_cast<I32>(rs1) < static_cast<I32>(rs2) ? 1 : 0)
-SFRV_H_ALU(sltu, rs1 < rs2 ? 1 : 0)
-SFRV_H_ALU(xorr, rs1 ^ rs2)
-SFRV_H_ALU(srl, rs1 >> (rs2 & 31))
-SFRV_H_ALU(sra, static_cast<U32>(static_cast<I32>(rs1) >> (rs2 & 31)))
-SFRV_H_ALU(orr, rs1 | rs2)
-SFRV_H_ALU(andr, rs1 & rs2)
-SFRV_H_ALU(mul, rs1 * rs2)
-SFRV_H_ALU(mulh,
-           static_cast<U32>((static_cast<std::int64_t>(static_cast<I32>(rs1)) *
-                             static_cast<std::int64_t>(static_cast<I32>(rs2))) >>
-                            32))
-SFRV_H_ALU(mulhsu,
-           static_cast<U32>((static_cast<std::int64_t>(static_cast<I32>(rs1)) *
-                             static_cast<std::int64_t>(rs2)) >>
-                            32))
-SFRV_H_ALU(mulhu, static_cast<U32>((static_cast<U64>(rs1) * rs2) >> 32))
-SFRV_H_ALU(divu, rs2 == 0 ? ~0u : rs1 / rs2)
-SFRV_H_ALU(remu, rs2 == 0 ? rs1 : rs1 % rs2)
-#undef SFRV_H_ALU
-
-void h_slti(ExecContext& c, const DecodedOp& u) {
-  c.set_x(u.rd, static_cast<I32>(c.x[u.rs1]) < u.imm ? 1 : 0);
-  c.pc += 4;
-}
-
-void h_div(ExecContext& c, const DecodedOp& u) {
-  const auto a = static_cast<I32>(c.x[u.rs1]);
-  const auto b = static_cast<I32>(c.x[u.rs2]);
-  I32 q = -1;
-  if (b == 0) {
-    q = -1;
-  } else if (a == INT32_MIN && b == -1) {
-    q = INT32_MIN;
-  } else {
-    q = a / b;
-  }
-  c.set_x(u.rd, static_cast<U32>(q));
-  c.pc += 4;
-}
-
-void h_rem(ExecContext& c, const DecodedOp& u) {
-  const auto a = static_cast<I32>(c.x[u.rs1]);
-  const auto b = static_cast<I32>(c.x[u.rs2]);
-  I32 r = a;
-  if (b == 0) {
-    r = a;
-  } else if (a == INT32_MIN && b == -1) {
-    r = 0;
-  } else {
-    r = a % b;
-  }
-  c.set_x(u.rd, static_cast<U32>(r));
-  c.pc += 4;
-}
-
-void h_lb(ExecContext& c, const DecodedOp& u) {
-  c.set_x(u.rd, static_cast<U32>(static_cast<I32>(static_cast<std::int8_t>(
-                    c.mem->load8(c.x[u.rs1] + static_cast<U32>(u.imm))))));
-  c.pc += 4;
-}
-
-void h_lh(ExecContext& c, const DecodedOp& u) {
-  c.set_x(u.rd, static_cast<U32>(static_cast<I32>(static_cast<std::int16_t>(
-                    c.mem->load16(c.x[u.rs1] + static_cast<U32>(u.imm))))));
-  c.pc += 4;
-}
-
-void h_lw(ExecContext& c, const DecodedOp& u) {
-  c.set_x(u.rd, c.mem->load32(c.x[u.rs1] + static_cast<U32>(u.imm)));
-  c.pc += 4;
-}
-
-void h_lbu(ExecContext& c, const DecodedOp& u) {
-  c.set_x(u.rd, c.mem->load8(c.x[u.rs1] + static_cast<U32>(u.imm)));
-  c.pc += 4;
-}
-
-void h_lhu(ExecContext& c, const DecodedOp& u) {
-  c.set_x(u.rd, c.mem->load16(c.x[u.rs1] + static_cast<U32>(u.imm)));
-  c.pc += 4;
-}
-
-void h_sb(ExecContext& c, const DecodedOp& u) {
-  c.mem->store8(c.x[u.rs1] + static_cast<U32>(u.imm),
-                static_cast<std::uint8_t>(c.x[u.rs2]));
-  c.pc += 4;
-}
-
-void h_sh(ExecContext& c, const DecodedOp& u) {
-  c.mem->store16(c.x[u.rs1] + static_cast<U32>(u.imm),
-                 static_cast<std::uint16_t>(c.x[u.rs2]));
-  c.pc += 4;
-}
-
-void h_sw(ExecContext& c, const DecodedOp& u) {
-  c.mem->store32(c.x[u.rs1] + static_cast<U32>(u.imm), c.x[u.rs2]);
-  c.pc += 4;
-}
-
-void h_fence(ExecContext& c, const DecodedOp&) { c.pc += 4; }
-
 void h_halt(ExecContext& c, const DecodedOp&) {
   c.halted = true;
-  c.pc += 4;
-}
-
-// ---- FP loads/stores --------------------------------------------------------
-
-void h_flw(ExecContext& c, const DecodedOp& u) {
-  c.write_fp(u.rd, 32, c.mem->load32(c.x[u.rs1] + static_cast<U32>(u.imm)));
-  c.pc += 4;
-}
-
-void h_flh(ExecContext& c, const DecodedOp& u) {
-  c.write_fp(u.rd, 16, c.mem->load16(c.x[u.rs1] + static_cast<U32>(u.imm)));
-  c.pc += 4;
-}
-
-void h_flb(ExecContext& c, const DecodedOp& u) {
-  c.write_fp(u.rd, 8, c.mem->load8(c.x[u.rs1] + static_cast<U32>(u.imm)));
-  c.pc += 4;
-}
-
-void h_fsw(ExecContext& c, const DecodedOp& u) {
-  c.mem->store32(c.x[u.rs1] + static_cast<U32>(u.imm),
-                 static_cast<U32>(c.read_fp(u.rs2, 32)));
-  c.pc += 4;
-}
-
-void h_fsh(ExecContext& c, const DecodedOp& u) {
-  c.mem->store16(c.x[u.rs1] + static_cast<U32>(u.imm),
-                 static_cast<std::uint16_t>(c.read_fp(u.rs2, 16)));
-  c.pc += 4;
-}
-
-void h_fsb(ExecContext& c, const DecodedOp& u) {
-  c.mem->store8(c.x[u.rs1] + static_cast<U32>(u.imm),
-                static_cast<std::uint8_t>(c.read_fp(u.rs2, 8)));
   c.pc += 4;
 }
 
@@ -275,18 +133,6 @@ void h_csr(ExecContext& c, const DecodedOp& u) {
 }
 
 // ---- scalar FP --------------------------------------------------------------
-
-/// Two-operand FP op through the pre-bound table entry (add/sub/mul/div,
-/// min/max, sign injection -- all share the RtBinFn shape).
-void h_fp_bin(ExecContext& c, const DecodedOp& u) {
-  Flags fl;
-  const RoundingMode rm = c.resolve_rm(u.rm);
-  const U64 a = c.read_fp(u.rs1, u.width);
-  const U64 b = c.read_fp(u.rs2, u.width);
-  c.write_fp(u.rd, u.width, u.fp1.bin(a, b, rm, fl));
-  c.fflags |= fl.bits;
-  c.pc += 4;
-}
 
 void h_fp_sqrt(ExecContext& c, const DecodedOp& u) {
   Flags fl;
@@ -416,28 +262,6 @@ void h_fmacex(ExecContext& c, const DecodedOp& u) {
 // merged back undisturbed (cast-and-pack is VL-agnostic, comparisons zero
 // their tail mask bits), bit-for-bit the reference interpreter's rule.
 
-void h_vec_bin(ExecContext& c, const DecodedOp& u) {
-  Flags fl;
-  const int active = c.vl_active(u.lanes);
-  const U64 keep = width_mask(active * u.width);
-  const U64 r = u.fp1.vbin(c.f[u.rs1], c.f[u.rs2], active, u.replicate,
-                           c.frm_mode(), fl);
-  c.f[u.rd] = ((r & keep) | (c.f[u.rd] & ~keep)) & c.flen_mask;
-  c.fflags |= fl.bits;
-  c.pc += 4;
-}
-
-void h_vec_mac(ExecContext& c, const DecodedOp& u) {
-  Flags fl;
-  const int active = c.vl_active(u.lanes);
-  const U64 keep = width_mask(active * u.width);
-  const U64 r = u.fp1.vtern(c.f[u.rs1], c.f[u.rs2], c.f[u.rd], active,
-                            u.replicate, c.frm_mode(), fl);
-  c.f[u.rd] = ((r & keep) | (c.f[u.rd] & ~keep)) & c.flen_mask;
-  c.fflags |= fl.bits;
-  c.pc += 4;
-}
-
 void h_vec_un(ExecContext& c, const DecodedOp& u) {
   Flags fl;
   const int active = c.vl_active(u.lanes);
@@ -488,32 +312,6 @@ void h_vec_cpk(ExecContext& c, const DecodedOp& u) {
   c.pc += 4;
 }
 
-void h_vec_dotp(ExecContext& c, const DecodedOp& u) {
-  Flags fl;
-  const U64 acc = c.read_fp(u.rd, 32);
-  c.write_fp(u.rd, 32,
-             u.fp1.vdotp(c.f[u.rs1], c.f[u.rs2], acc, c.vl_active(u.lanes),
-                         u.replicate, c.frm_mode(), fl));
-  c.fflags |= fl.bits;
-  c.pc += 4;
-}
-
-/// Widening sum-of-dot-products: unlike h_vec_dotp's single binary32
-/// accumulator, the destination is a full vector packed in the one-step-wider
-/// format, so the whole register is read and written (under VL, the wide
-/// lanes past ceil(active/2) are undisturbed).
-void h_vec_exsdotp(ExecContext& c, const DecodedOp& u) {
-  Flags fl;
-  const int active = c.vl_active(u.lanes);
-  const U64 keep = width_mask((active + 1) / 2 * 2 * u.width);
-  const U64 acc = c.f[u.rd];
-  const U64 r = u.fp1.vdotp(c.f[u.rs1], c.f[u.rs2], acc, active, u.replicate,
-                            c.frm_mode(), fl);
-  c.f[u.rd] = ((r & keep) | (acc & ~keep)) & c.flen_mask;
-  c.fflags |= fl.bits;
-  c.pc += 4;
-}
-
 // ---- dynamic vector length --------------------------------------------------
 
 /// setvl rd, rs1, imm: grant vl = min(AVL, VLMAX for the element width in
@@ -537,8 +335,8 @@ void h_vfl(ExecContext& c, const DecodedOp& u) {
   const U32 base = c.x[u.rs1] + static_cast<U32>(u.imm);
   U64 out = c.f[u.rd];
   for (int l = 0; l < active; ++l) {
-    const U64 v = W == 16 ? c.mem->load16(base + 2 * l)
-                          : c.mem->load8(base + static_cast<U32>(l));
+    const U64 v = W == 16 ? c.load16(base + 2 * l)
+                          : c.load8(base + static_cast<U32>(l));
     out = set_lane(out, l, W, v);
   }
   c.f[u.rd] = out & c.flen_mask;
@@ -554,17 +352,16 @@ void h_vfs(ExecContext& c, const DecodedOp& u) {
   const U64 v = c.f[u.rs2];
   for (int l = 0; l < active; ++l) {
     if constexpr (W == 16) {
-      c.mem->store16(base + 2 * l,
-                     static_cast<std::uint16_t>(get_lane(v, l, 16)));
+      c.store16(base + 2 * l, static_cast<std::uint16_t>(get_lane(v, l, 16)));
     } else {
-      c.mem->store8(base + static_cast<U32>(l),
-                    static_cast<std::uint8_t>(get_lane(v, l, 8)));
+      c.store8(base + static_cast<U32>(l),
+               static_cast<std::uint8_t>(get_lane(v, l, 8)));
     }
   }
   c.pc += 4;
 }
 
-// ---- fault handlers ---------------------------------------------------------
+// ---- stop-class fault handlers ---------------------------------------------
 
 void h_unsupported(ExecContext& c, const DecodedOp& u) {
   throw SimError(std::string("unsupported instruction: ") +
@@ -572,8 +369,15 @@ void h_unsupported(ExecContext& c, const DecodedOp& u) {
                  c.pc);
 }
 
+/// A supported op this decoder has no handler for.
 void h_unhandled(ExecContext& c, const DecodedOp&) {
   throw SimError("unhandled op in micro-op decoder", c.pc);
+}
+
+/// The sentinel past the last instruction: reaching it is a fetch past the
+/// end of the text (Core::fetch_index raises the same fault).
+void h_past_text_end(ExecContext& c, const DecodedOp&) {
+  throw SimError("instruction fetch outside text segment", c.pc);
 }
 
 // ---- binding ----------------------------------------------------------------
@@ -597,7 +401,11 @@ void h_unhandled(ExecContext& c, const DecodedOp&) {
   case Op::NAME##_P8:     \
   case Op::NAME##_P16:
 
-void bind_handler(DecodedOp& u, const isa::IsaConfig& cfg,
+/// Bind `u`'s executor token, handler, softfloat entries, and folded
+/// targets. A straight-line token leaves `fn` null here: decode_op binds the
+/// token's generated handler. An FP op that only binds `fn` keeps the
+/// CallUop token it starts with.
+void bind_handler(DecodedOp& u, std::uint32_t pc, const isa::IsaConfig& cfg,
                   fp::MathBackend backend) {
   const isa::OpFmt of = isa::op_format(u.op);
   if (of != isa::OpFmt::None) {
@@ -610,7 +418,40 @@ void bind_handler(DecodedOp& u, const isa::IsaConfig& cfg,
   const fp::RtOps& so = fp::rt_ops(u.fmt, backend);
   const fp::RtVecOps& vo = fp::rt_vec_ops(u.fmt, backend);
   const fp::RtOps& s32 = fp::rt_ops(FpFormat::F32, backend);
+  u.top = TOp::CallUop;
 
+  // Integer ALU, lui and auipc: with rd = x0 the op is pure and runs as Nop.
+  auto alu = [&u](TOp t) { u.top = u.rd == 0 ? TOp::Nop : t; };
+  auto branch = [&u, pc](TOp t, ExecFn fn) {
+    u.top = t;
+    u.fn = fn;
+    u.p0 = pc + static_cast<U32>(u.imm);
+    u.p1 = pc + 4;
+  };
+  // Stop class: runs on the cold tier only, and ends an open trace.
+  auto stop = [&u](ExecFn fn) {
+    u.top = TOp::Exit;
+    u.fn = fn;
+  };
+  auto fpbin = [&u](fp::RtBinFn f) {
+    u.top = TOp::FpBin;
+    u.fp1.bin = f;
+  };
+  auto vecbin = [&u](fp::RtVecBinFn f, bool replicate) {
+    u.top = TOp::VecBin;
+    u.fp1.vbin = f;
+    u.replicate = replicate;
+  };
+  auto vecmac = [&u, &vo](bool replicate) {
+    u.top = TOp::VecMac;
+    u.fp1.vtern = vo.mac;
+    u.replicate = replicate;
+  };
+  auto vecdotp = [&u](TOp t, fp::RtVecDotpFn f, bool replicate) {
+    u.top = t;
+    u.fp1.vdotp = f;
+    u.replicate = replicate;
+  };
   // Binds an FP<->FP converter and the source/destination widths.
   auto cvt = [&u, backend](FpFormat to, FpFormat from) {
     u.fn = &h_fp_cvt;
@@ -620,104 +461,126 @@ void bind_handler(DecodedOp& u, const isa::IsaConfig& cfg,
   };
 
   switch (u.op) {
-    case Op::LUI: u.fn = &h_lui; break;
-    case Op::AUIPC: u.fn = &h_auipc; break;
-    case Op::JAL: u.fn = &h_jal; break;
-    case Op::JALR: u.fn = &h_jalr; break;
-    case Op::BEQ: u.fn = &h_branch<Op::BEQ>; break;
-    case Op::BNE: u.fn = &h_branch<Op::BNE>; break;
-    case Op::BLT: u.fn = &h_branch<Op::BLT>; break;
-    case Op::BGE: u.fn = &h_branch<Op::BGE>; break;
-    case Op::BLTU: u.fn = &h_branch<Op::BLTU>; break;
-    case Op::BGEU: u.fn = &h_branch<Op::BGEU>; break;
-    case Op::LB: u.fn = &h_lb; break;
-    case Op::LH: u.fn = &h_lh; break;
-    case Op::LW: u.fn = &h_lw; break;
-    case Op::LBU: u.fn = &h_lbu; break;
-    case Op::LHU: u.fn = &h_lhu; break;
-    case Op::SB: u.fn = &h_sb; break;
-    case Op::SH: u.fn = &h_sh; break;
-    case Op::SW: u.fn = &h_sw; break;
-    case Op::ADDI: u.fn = &h_addi; break;
-    case Op::SLTI: u.fn = &h_slti; break;
-    case Op::SLTIU: u.fn = &h_sltiu; break;
-    case Op::XORI: u.fn = &h_xori; break;
-    case Op::ORI: u.fn = &h_ori; break;
-    case Op::ANDI: u.fn = &h_andi; break;
-    case Op::SLLI: u.fn = &h_slli; break;
-    case Op::SRLI: u.fn = &h_srli; break;
-    case Op::SRAI: u.fn = &h_srai; break;
-    case Op::ADD: u.fn = &h_add; break;
-    case Op::SUB: u.fn = &h_sub; break;
-    case Op::SLL: u.fn = &h_sll; break;
-    case Op::SLT: u.fn = &h_slt; break;
-    case Op::SLTU: u.fn = &h_sltu; break;
-    case Op::XOR: u.fn = &h_xorr; break;
-    case Op::SRL: u.fn = &h_srl; break;
-    case Op::SRA: u.fn = &h_sra; break;
-    case Op::OR: u.fn = &h_orr; break;
-    case Op::AND: u.fn = &h_andr; break;
-    case Op::MUL: u.fn = &h_mul; break;
-    case Op::MULH: u.fn = &h_mulh; break;
-    case Op::MULHSU: u.fn = &h_mulhsu; break;
-    case Op::MULHU: u.fn = &h_mulhu; break;
-    case Op::DIV: u.fn = &h_div; break;
-    case Op::DIVU: u.fn = &h_divu; break;
-    case Op::REM: u.fn = &h_rem; break;
-    case Op::REMU: u.fn = &h_remu; break;
-    case Op::FENCE: u.fn = &h_fence; break;
+    case Op::LUI:
+      u.p0 = static_cast<U32>(u.imm);
+      alu(TOp::LoadImm);
+      break;
+    case Op::AUIPC:
+      u.p0 = pc + static_cast<U32>(u.imm);
+      alu(TOp::LoadImm);
+      break;
+    case Op::JAL:
+      branch(TOp::Jal, &h_jal);
+      break;
+    case Op::JALR:
+      u.top = TOp::Jalr;
+      u.fn = &h_jalr;
+      u.p1 = pc + 4;
+      break;
+    case Op::BEQ: branch(TOp::Beq, &h_branch<Op::BEQ>); break;
+    case Op::BNE: branch(TOp::Bne, &h_branch<Op::BNE>); break;
+    case Op::BLT: branch(TOp::Blt, &h_branch<Op::BLT>); break;
+    case Op::BGE: branch(TOp::Bge, &h_branch<Op::BGE>); break;
+    case Op::BLTU: branch(TOp::Bltu, &h_branch<Op::BLTU>); break;
+    case Op::BGEU: branch(TOp::Bgeu, &h_branch<Op::BGEU>); break;
+    case Op::LB: u.top = TOp::Lb; break;
+    case Op::LH: u.top = TOp::Lh; break;
+    case Op::LW: u.top = TOp::Lw; break;
+    case Op::LBU: u.top = TOp::Lbu; break;
+    case Op::LHU: u.top = TOp::Lhu; break;
+    case Op::SB: u.top = TOp::Sb; break;
+    case Op::SH: u.top = TOp::Sh; break;
+    case Op::SW: u.top = TOp::Sw; break;
+    case Op::ADDI: alu(TOp::Addi); break;
+    case Op::SLTI: alu(TOp::Slti); break;
+    case Op::SLTIU: alu(TOp::Sltiu); break;
+    case Op::XORI: alu(TOp::Xori); break;
+    case Op::ORI: alu(TOp::Ori); break;
+    case Op::ANDI: alu(TOp::Andi); break;
+    case Op::SLLI: alu(TOp::Slli); break;
+    case Op::SRLI: alu(TOp::Srli); break;
+    case Op::SRAI: alu(TOp::Srai); break;
+    case Op::ADD: alu(TOp::Add); break;
+    case Op::SUB: alu(TOp::Sub); break;
+    case Op::SLL: alu(TOp::Sll); break;
+    case Op::SLT: alu(TOp::Slt); break;
+    case Op::SLTU: alu(TOp::Sltu); break;
+    case Op::XOR: alu(TOp::Xor); break;
+    case Op::SRL: alu(TOp::Srl); break;
+    case Op::SRA: alu(TOp::Sra); break;
+    case Op::OR: alu(TOp::Or); break;
+    case Op::AND: alu(TOp::And); break;
+    case Op::MUL: alu(TOp::Mul); break;
+    case Op::MULH: alu(TOp::Mulh); break;
+    case Op::MULHSU: alu(TOp::Mulhsu); break;
+    case Op::MULHU: alu(TOp::Mulhu); break;
+    case Op::DIV: alu(TOp::Div); break;
+    case Op::DIVU: alu(TOp::Divu); break;
+    case Op::REM: alu(TOp::Rem); break;
+    case Op::REMU: alu(TOp::Remu); break;
+    case Op::FENCE: u.top = TOp::Nop; break;
     case Op::ECALL:
-    case Op::EBREAK: u.fn = &h_halt; break;
-    case Op::CSRRW: u.fn = &h_csr<CsrKind::Rw, false>; break;
-    case Op::CSRRS: u.fn = &h_csr<CsrKind::Rs, false>; break;
-    case Op::CSRRC: u.fn = &h_csr<CsrKind::Rc, false>; break;
-    case Op::CSRRWI: u.fn = &h_csr<CsrKind::Rw, true>; break;
-    case Op::CSRRSI: u.fn = &h_csr<CsrKind::Rs, true>; break;
-    case Op::CSRRCI: u.fn = &h_csr<CsrKind::Rc, true>; break;
-    case Op::FLW: u.fn = &h_flw; break;
-    case Op::FLH: u.fn = &h_flh; break;
-    case Op::FLB: u.fn = &h_flb; break;
-    case Op::FSW: u.fn = &h_fsw; break;
-    case Op::FSH: u.fn = &h_fsh; break;
-    case Op::FSB: u.fn = &h_fsb; break;
+    case Op::EBREAK:
+      u.top = TOp::Halt;
+      u.fn = &h_halt;
+      u.p1 = pc + 4;
+      break;
+    // CSR reads observe the live cycle/instret counters mid-execution, so
+    // CSR ops stay on the cold tier, which books every retired op at once.
+    case Op::CSRRW: stop(&h_csr<CsrKind::Rw, false>); break;
+    case Op::CSRRS: stop(&h_csr<CsrKind::Rs, false>); break;
+    case Op::CSRRC: stop(&h_csr<CsrKind::Rc, false>); break;
+    case Op::CSRRWI: stop(&h_csr<CsrKind::Rw, true>); break;
+    case Op::CSRRSI: stop(&h_csr<CsrKind::Rs, true>); break;
+    case Op::CSRRCI: stop(&h_csr<CsrKind::Rc, true>); break;
+    case Op::FLW: u.top = TOp::Flw; break;
+    case Op::FLH: u.top = TOp::Flh; break;
+    case Op::FLB: u.top = TOp::Flb; break;
+    case Op::FSW: u.top = TOp::Fsw; break;
+    case Op::FSH: u.top = TOp::Fsh; break;
+    case Op::FSB: u.top = TOp::Fsb; break;
 
     case Op::SETVL:
-      u.fn = &h_setvl;
+      stop(&h_setvl);
       u.lanes = static_cast<std::uint8_t>(
           (cfg.flen / 8) >> (static_cast<U32>(u.imm) & 7u));  // VLMAX
       u.width2 =
           static_cast<std::uint8_t>((static_cast<U32>(u.imm) >> 3) & 63u);
       break;
     case Op::VFLH:
+      u.top = TOp::VMem;
       u.fn = &h_vfl<16>;
       u.width = 16;
       u.lanes = static_cast<std::uint8_t>(cfg.flen / 16);
       break;
     case Op::VFLB:
+      u.top = TOp::VMem;
       u.fn = &h_vfl<8>;
       u.width = 8;
       u.lanes = static_cast<std::uint8_t>(cfg.flen / 8);
       break;
     case Op::VFSH:
+      u.top = TOp::VMem;
       u.fn = &h_vfs<16>;
       u.width = 16;
       u.lanes = static_cast<std::uint8_t>(cfg.flen / 16);
       break;
     case Op::VFSB:
+      u.top = TOp::VMem;
       u.fn = &h_vfs<8>;
       u.width = 8;
       u.lanes = static_cast<std::uint8_t>(cfg.flen / 8);
       break;
 
-    SFRV_CASE4(FADD) u.fn = &h_fp_bin; u.fp1.bin = so.add; break;
-    SFRV_CASE4(FSUB) u.fn = &h_fp_bin; u.fp1.bin = so.sub; break;
-    SFRV_CASE4(FMUL) u.fn = &h_fp_bin; u.fp1.bin = so.mul; break;
-    SFRV_CASE4(FDIV) u.fn = &h_fp_bin; u.fp1.bin = so.div; break;
-    SFRV_CASE4(FMIN) u.fn = &h_fp_bin; u.fp1.bin = so.min; break;
-    SFRV_CASE4(FMAX) u.fn = &h_fp_bin; u.fp1.bin = so.max; break;
-    SFRV_CASE4(FSGNJ) u.fn = &h_fp_bin; u.fp1.bin = so.sgnj; break;
-    SFRV_CASE4(FSGNJN) u.fn = &h_fp_bin; u.fp1.bin = so.sgnjn; break;
-    SFRV_CASE4(FSGNJX) u.fn = &h_fp_bin; u.fp1.bin = so.sgnjx; break;
+    SFRV_CASE4(FADD) fpbin(so.add); break;
+    SFRV_CASE4(FSUB) fpbin(so.sub); break;
+    SFRV_CASE4(FMUL) fpbin(so.mul); break;
+    SFRV_CASE4(FDIV) fpbin(so.div); break;
+    SFRV_CASE4(FMIN) fpbin(so.min); break;
+    SFRV_CASE4(FMAX) fpbin(so.max); break;
+    SFRV_CASE4(FSGNJ) fpbin(so.sgnj); break;
+    SFRV_CASE4(FSGNJN) fpbin(so.sgnjn); break;
+    SFRV_CASE4(FSGNJX) fpbin(so.sgnjx); break;
     SFRV_CASE4(FSQRT) u.fn = &h_fp_sqrt; u.fp1.un = so.sqrt; break;
     SFRV_CASE4(FEQ) u.fn = &h_fp_cmp; u.fp1.cmp = so.feq; break;
     SFRV_CASE4(FLT) u.fn = &h_fp_cmp; u.fp1.cmp = so.flt; break;
@@ -829,51 +692,23 @@ void bind_handler(DecodedOp& u, const isa::IsaConfig& cfg,
     case Op::FCVT_P16_B: cvt(FpFormat::P16, FpFormat::F8); break;
     case Op::FCVT_P16_P8: cvt(FpFormat::P16, FpFormat::P8); break;
 
-    SFRV_VCASE3(VFADD) u.fn = &h_vec_bin; u.fp1.vbin = vo.add; break;
-    SFRV_VCASE3(VFSUB) u.fn = &h_vec_bin; u.fp1.vbin = vo.sub; break;
-    SFRV_VCASE3(VFMUL) u.fn = &h_vec_bin; u.fp1.vbin = vo.mul; break;
-    SFRV_VCASE3(VFDIV) u.fn = &h_vec_bin; u.fp1.vbin = vo.div; break;
-    SFRV_VCASE3(VFMIN) u.fn = &h_vec_bin; u.fp1.vbin = vo.min; break;
-    SFRV_VCASE3(VFMAX) u.fn = &h_vec_bin; u.fp1.vbin = vo.max; break;
-    SFRV_VCASE3(VFSGNJ) u.fn = &h_vec_bin; u.fp1.vbin = vo.sgnj; break;
-    SFRV_VCASE3(VFSGNJN) u.fn = &h_vec_bin; u.fp1.vbin = vo.sgnjn; break;
-    SFRV_VCASE3(VFSGNJX) u.fn = &h_vec_bin; u.fp1.vbin = vo.sgnjx; break;
-    SFRV_VCASE3(VFMAC) u.fn = &h_vec_mac; u.fp1.vtern = vo.mac; break;
-    SFRV_VCASE3(VFADD_R)
-    u.fn = &h_vec_bin;
-    u.fp1.vbin = vo.add;
-    u.replicate = true;
-    break;
-    SFRV_VCASE3(VFSUB_R)
-    u.fn = &h_vec_bin;
-    u.fp1.vbin = vo.sub;
-    u.replicate = true;
-    break;
-    SFRV_VCASE3(VFMUL_R)
-    u.fn = &h_vec_bin;
-    u.fp1.vbin = vo.mul;
-    u.replicate = true;
-    break;
-    SFRV_VCASE3(VFDIV_R)
-    u.fn = &h_vec_bin;
-    u.fp1.vbin = vo.div;
-    u.replicate = true;
-    break;
-    SFRV_VCASE3(VFMIN_R)
-    u.fn = &h_vec_bin;
-    u.fp1.vbin = vo.min;
-    u.replicate = true;
-    break;
-    SFRV_VCASE3(VFMAX_R)
-    u.fn = &h_vec_bin;
-    u.fp1.vbin = vo.max;
-    u.replicate = true;
-    break;
-    SFRV_VCASE3(VFMAC_R)
-    u.fn = &h_vec_mac;
-    u.fp1.vtern = vo.mac;
-    u.replicate = true;
-    break;
+    SFRV_VCASE3(VFADD) vecbin(vo.add, false); break;
+    SFRV_VCASE3(VFSUB) vecbin(vo.sub, false); break;
+    SFRV_VCASE3(VFMUL) vecbin(vo.mul, false); break;
+    SFRV_VCASE3(VFDIV) vecbin(vo.div, false); break;
+    SFRV_VCASE3(VFMIN) vecbin(vo.min, false); break;
+    SFRV_VCASE3(VFMAX) vecbin(vo.max, false); break;
+    SFRV_VCASE3(VFSGNJ) vecbin(vo.sgnj, false); break;
+    SFRV_VCASE3(VFSGNJN) vecbin(vo.sgnjn, false); break;
+    SFRV_VCASE3(VFSGNJX) vecbin(vo.sgnjx, false); break;
+    SFRV_VCASE3(VFMAC) vecmac(false); break;
+    SFRV_VCASE3(VFADD_R) vecbin(vo.add, true); break;
+    SFRV_VCASE3(VFSUB_R) vecbin(vo.sub, true); break;
+    SFRV_VCASE3(VFMUL_R) vecbin(vo.mul, true); break;
+    SFRV_VCASE3(VFDIV_R) vecbin(vo.div, true); break;
+    SFRV_VCASE3(VFMIN_R) vecbin(vo.min, true); break;
+    SFRV_VCASE3(VFMAX_R) vecbin(vo.max, true); break;
+    SFRV_VCASE3(VFMAC_R) vecmac(true); break;
 
     SFRV_VCASE3(VFEQ) u.fn = &h_vec_cmp; u.fp1.vcmp = vo.feq; break;
     SFRV_VCASE3(VFLT) u.fn = &h_vec_cmp; u.fp1.vcmp = vo.flt; break;
@@ -914,31 +749,24 @@ void bind_handler(DecodedOp& u, const isa::IsaConfig& cfg,
       u.fp1.cvt = fp::rt_convert_fn(u.fmt, FpFormat::F32, backend);
       break;
 
-    SFRV_VCASE3(VFDOTPEX_S) u.fn = &h_vec_dotp; u.fp1.vdotp = vo.dotp; break;
-    SFRV_VCASE3(VFDOTPEX_S_R)
-    u.fn = &h_vec_dotp;
-    u.fp1.vdotp = vo.dotp;
-    u.replicate = true;
-    break;
+    SFRV_VCASE3(VFDOTPEX_S) vecdotp(TOp::VecDotp, vo.dotp, false); break;
+    SFRV_VCASE3(VFDOTPEX_S_R) vecdotp(TOp::VecDotp, vo.dotp, true); break;
 
     case Op::VFEXSDOTP_H_B:
     case Op::VFEXSDOTP_S_H:
     case Op::VFEXSDOTP_S_AH:
     case Op::VFEXSDOTP_P16_P8:
-      u.fn = &h_vec_exsdotp;
-      u.fp1.vdotp = vo.exsdotp;
+      vecdotp(TOp::VecExsdotp, vo.exsdotp, false);
       break;
     case Op::VFEXSDOTP_R_H_B:
     case Op::VFEXSDOTP_R_S_H:
     case Op::VFEXSDOTP_R_S_AH:
     case Op::VFEXSDOTP_R_P16_P8:
-      u.fn = &h_vec_exsdotp;
-      u.fp1.vdotp = vo.exsdotp;
-      u.replicate = true;
+      vecdotp(TOp::VecExsdotp, vo.exsdotp, true);
       break;
 
     default:
-      u.fn = &h_unhandled;
+      stop(&h_unhandled);
       break;
   }
 }
@@ -948,8 +776,9 @@ void bind_handler(DecodedOp& u, const isa::IsaConfig& cfg,
 
 }  // namespace
 
-DecodedOp decode_op(const Inst& inst, const isa::IsaConfig& cfg,
-                    const Timing& timing, fp::MathBackend backend) {
+DecodedOp decode_op(const Inst& inst, std::uint32_t pc,
+                    const isa::IsaConfig& cfg, const Timing& timing,
+                    const MemConfig& mem, fp::MathBackend backend) {
   DecodedOp u;
   u.rd = inst.rd;
   u.rs1 = inst.rs1;
@@ -958,45 +787,58 @@ DecodedOp decode_op(const Inst& inst, const isa::IsaConfig& cfg,
   u.rm = inst.rm;
   u.imm = inst.imm;
   u.op = inst.op;
-  u.base_cycles = static_cast<std::uint16_t>(timing.base_cycles(inst.op));
+  // Timing class and fixed cycles: everything but a taken branch's
+  // refetch penalty is constant for the core's lifetime.
+  int cyc = timing.base_cycles(inst.op);
   switch (isa::op_class(inst.op)) {
     case Cls::Load:
-    case Cls::FpLoad: u.tclass = TimingClass::Load; break;
+    case Cls::FpLoad:
+      u.tclass = TimingClass::Load;
+      cyc += mem.load_latency - 1;
+      break;
     case Cls::Store:
-    case Cls::FpStore: u.tclass = TimingClass::Store; break;
-    case Cls::Jump: u.tclass = TimingClass::Jump; break;
+    case Cls::FpStore:
+      u.tclass = TimingClass::Store;
+      cyc += mem.store_latency - 1;
+      break;
+    case Cls::Jump:
+      u.tclass = TimingClass::Jump;
+      cyc += timing.jump_penalty;
+      break;
     case Cls::Branch: u.tclass = TimingClass::Branch; break;
     default: u.tclass = TimingClass::None; break;
   }
+  u.cycles = static_cast<std::uint16_t>(cyc);
   if (!cfg.supports(inst.op)) {
     u.fn = &h_unsupported;
     u.supported = false;
-    return u;
+  } else {
+    bind_handler(u, pc, cfg, backend);
+    if (u.fn == nullptr) u.fn = straight_handler(u.top);
   }
-  bind_handler(u, cfg, backend);
-  // Handler-shape tag for the JIT translator, derived from the bound
-  // handler so the big switch above stays single-purpose.
-  if (u.fn == &h_fp_bin) {
-    u.hkind = HandlerKind::FpBin;
-  } else if (u.fn == &h_vec_bin) {
-    u.hkind = HandlerKind::VecBin;
-  } else if (u.fn == &h_vec_mac) {
-    u.hkind = HandlerKind::VecMac;
-  } else if (u.fn == &h_vec_dotp) {
-    u.hkind = HandlerKind::VecDotp;
-  } else if (u.fn == &h_vec_exsdotp) {
-    u.hkind = HandlerKind::VecExsdotp;
-  }
+  if (u.top == TOp::Exit) u.p1 = pc;  // an open trace exits here
+  u.cont = jit::token_label(u.top);
   return u;
 }
 
 std::vector<DecodedOp> decode_program(const std::vector<Inst>& text,
+                                      std::uint32_t text_base,
                                       const isa::IsaConfig& cfg,
                                       const Timing& timing,
+                                      const MemConfig& mem,
                                       fp::MathBackend backend) {
   std::vector<DecodedOp> uops;
-  uops.reserve(text.size());
-  for (const Inst& i : text) uops.push_back(decode_op(i, cfg, timing, backend));
+  uops.reserve(text.size() + 1);
+  std::uint32_t pc = text_base;
+  for (const Inst& i : text) {
+    uops.push_back(decode_op(i, pc, cfg, timing, mem, backend));
+    pc += 4;
+  }
+  DecodedOp sentinel;
+  sentinel.fn = &h_past_text_end;
+  sentinel.p1 = pc;
+  sentinel.cont = jit::token_label(TOp::Exit);
+  uops.push_back(sentinel);
   return uops;
 }
 

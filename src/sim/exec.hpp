@@ -73,20 +73,58 @@ struct ExecContext {
   /// programs that never execute SETVL are unaffected.
   std::uint32_t vl = 4;
 
-  Memory* mem = nullptr;
   Stats* stats = nullptr;  ///< for the counter CSRs (cycle/instret)
 
-  // Cached Memory backing store (mem->data()/size(), rebound alongside
-  // `mem`). The jit trace bodies access memory through these instead of the
-  // Memory object: the base pointer lives in a register across the trace,
-  // where `mem->bytes_` would be re-loaded after every opaque call. The
-  // handlers keep using `mem` — both routes perform the identical bounds
-  // check and throw the identical exception.
+  // The Core's Memory backing store (Memory::data()/size()). Both engine
+  // tiers access simulated memory through it rather than through the
+  // Memory object: the base pointer lives in a register across a trace,
+  // where a Memory's own pointer would be re-loaded after every opaque
+  // call. Every access is gated on the shared mem_access_oob() predicate
+  // and throws the shared exception, exactly as Memory::check() does.
   std::uint8_t* mem_base = nullptr;
   std::uint32_t mem_size = 0;
 
   void set_x(unsigned i, std::uint32_t v) {
     if ((i & 31) != 0) x[i & 31] = v;
+  }
+
+  void check_mem(std::uint32_t addr, std::uint32_t n) const {
+    if (mem_access_oob(addr, n, mem_size)) throw_mem_oob(addr);
+  }
+  [[nodiscard]] std::uint8_t load8(std::uint32_t a) const {
+    check_mem(a, 1);
+    return mem_base[a];
+  }
+  [[nodiscard]] std::uint16_t load16(std::uint32_t a) const {
+    check_mem(a, 2);
+    const std::uint8_t* p = mem_base + a;
+    return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
+  }
+  [[nodiscard]] std::uint32_t load32(std::uint32_t a) const {
+    check_mem(a, 4);
+    const std::uint8_t* p = mem_base + a;
+    return static_cast<std::uint32_t>(p[0]) |
+           (static_cast<std::uint32_t>(p[1]) << 8) |
+           (static_cast<std::uint32_t>(p[2]) << 16) |
+           (static_cast<std::uint32_t>(p[3]) << 24);
+  }
+  void store8(std::uint32_t a, std::uint8_t v) {
+    check_mem(a, 1);
+    mem_base[a] = v;
+  }
+  void store16(std::uint32_t a, std::uint16_t v) {
+    check_mem(a, 2);
+    std::uint8_t* p = mem_base + a;
+    p[0] = static_cast<std::uint8_t>(v);
+    p[1] = static_cast<std::uint8_t>(v >> 8);
+  }
+  void store32(std::uint32_t a, std::uint32_t v) {
+    check_mem(a, 4);
+    std::uint8_t* p = mem_base + a;
+    p[0] = static_cast<std::uint8_t>(v);
+    p[1] = static_cast<std::uint8_t>(v >> 8);
+    p[2] = static_cast<std::uint8_t>(v >> 16);
+    p[3] = static_cast<std::uint8_t>(v >> 24);
   }
 
   [[nodiscard]] std::uint64_t read_fp(unsigned reg, int width) const {

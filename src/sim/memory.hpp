@@ -30,9 +30,9 @@ namespace sfrv::sim {
 /// The one bounds predicate for simulated memory: true when [addr, addr+n)
 /// is not contained in a `size`-byte backing store, including the 32-bit
 /// wrap case (addr + n overflowing past UINT32_MAX reads as a small sum).
-/// Memory::check() and the JIT's cached-base-pointer fast path (jit.cpp's
-/// jm_* accessors) both call this — it is the single source of truth, so
-/// the two paths cannot drift.
+/// Memory::check() and the engine's cached-base-pointer accessors
+/// (ExecContext::load8 and friends) both call this — it is the single
+/// source of truth, so the two paths cannot drift.
 [[nodiscard]] constexpr bool mem_access_oob(std::uint32_t addr,
                                             std::uint32_t n,
                                             std::uint32_t size) {
@@ -40,8 +40,9 @@ namespace sfrv::sim {
 }
 
 /// The matching exception, shared so diagnostics stay byte-identical
-/// across the interpreter and JIT memory paths.
-[[noreturn]] inline void throw_mem_oob(std::uint32_t addr) {
+/// across the interpreter and engine memory paths. Never inlined, to keep
+/// the throw machinery off the accessors' hot path.
+[[noreturn, gnu::noinline]] inline void throw_mem_oob(std::uint32_t addr) {
   throw std::out_of_range("memory access out of bounds: addr=" +
                           std::to_string(addr));
 }

@@ -261,6 +261,13 @@ TEST(CellStore, QuestionableDiskEntriesAreRecomputedNeverServed) {
     EXPECT_FALSE(store.lookup(key).has_value());
     EXPECT_EQ(store.stats().rejected, 1u);
   }
+  // Nested far deeper than any entry: rejected, not a crash.
+  write_entry(std::string(200'000, '['));
+  {
+    CellStore store(dir.str());
+    EXPECT_FALSE(store.lookup(key).has_value());
+    EXPECT_EQ(store.stats().rejected, 1u);
+  }
   // Parses, but the recorded key text does not match the requested address
   // (tampering or a hash collision): must not be served.
   {

@@ -59,6 +59,15 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW((void)Json::parse("[1,]"), std::runtime_error);
   EXPECT_THROW((void)Json::parse("42 garbage"), std::runtime_error);
   EXPECT_THROW((void)Json::parse("\"unterminated"), std::runtime_error);
+  // Nesting is bounded: a hostile document is an ordinary parse error, not
+  // a stack overflow. Documents within the bound still parse.
+  EXPECT_THROW((void)Json::parse(std::string(200'000, '[')),
+               std::runtime_error);
+  EXPECT_THROW((void)Json::parse(std::string(1'000, '[') +
+                                 std::string(1'000, ']')),
+               std::runtime_error);
+  EXPECT_NO_THROW((void)Json::parse(std::string(100, '[') +
+                                    std::string(100, ']')));
 }
 
 TEST(Json, NonFiniteDoublesRejectedAtSerialization) {

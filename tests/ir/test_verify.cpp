@@ -2,9 +2,10 @@
 //
 //  * Positive matrix: real kernels lowered at every mode x opt level and
 //    their compiled traces must all check clean.
-//  * Negative corpus: hand-corrupted Inst streams and trace slots — every
-//    diagnostic class must fire, anchored at the right text index, and the
-//    *_or_throw hooks must stamp the right pass name.
+//  * Negative corpus: hand-corrupted Inst streams, decoded micro-ops, and
+//    trace aggregates — every diagnostic class must fire, anchored at the
+//    right text index, and the *_or_throw hooks must stamp the right pass
+//    name.
 //  * Regression: scalar vars must be zeroed in the lowering prologue (an
 //    accumulating var used to read the simulator's reset state — the first
 //    latent bug this verifier flushed out).
@@ -361,26 +362,30 @@ TEST(IrVerifier, ScalarVarsAreZeroedInThePrologue) {
 
 std::vector<sim::DecodedOp> decode_all(
     const asmb::Program& p, fp::MathBackend b = fp::default_backend()) {
-  return sim::decode_program(p.text, isa::IsaConfig::full(), kTim, b);
+  return sim::decode_program(p.text, p.text_base, isa::IsaConfig::full(),
+                             kTim, kMem, b);
 }
 
+/// A program, its decoded micro-ops, and the trace compiled at `idx`. The
+/// negative tests corrupt `uops` (the program the trace is a range of) or a
+/// copy of the trace's aggregates.
 struct TraceFixture {
   asmb::Program prog;
   std::vector<sim::DecodedOp> uops;
   sim::jit::JitProgram jp;
-  sim::Stats st;
   sim::jit::Trace* t = nullptr;
 
   explicit TraceFixture(asmb::Program p, std::uint32_t idx = 0,
                         fp::MathBackend b = fp::default_backend())
       : prog(std::move(p)), uops(decode_all(prog, b)) {
-    jp.on_code_change(uops.size());
-    t = jp.translate(idx, uops, kTim, kMem, prog.text_base, st);
+    jp.on_code_change(prog.text.size());
+    t = jp.translate(idx, uops, kTim, prog.text_base);
   }
 
   [[nodiscard]] std::vector<Diag> check(const sim::jit::Trace& tr) const {
     return sim::check_trace(tr, uops, kTim, kMem, prog.text_base);
   }
+  [[nodiscard]] std::vector<Diag> check() const { return check(*t); }
 };
 
 asmb::Program straightline_program() {
@@ -392,7 +397,7 @@ asmb::Program straightline_program() {
   return a.finish();
 }
 
-/// Scalar and packed FP ops the trace inlines as handler-shape slots.
+/// Scalar and packed FP ops the trace inlines as handler-shape bodies.
 asmb::Program fp_program() {
   Assembler a;
   a.fp_rrr(Op::FADD_S, 1, 2, 3);
@@ -405,7 +410,7 @@ asmb::Program csr_split_program() {
   Assembler a;
   a.li(reg::t0, 1);
   a.addi(reg::t1, reg::t0, 1);
-  a.csrrs(reg::t3, 0x001, reg::zero);  // untranslatable: ends the trace open
+  a.csrrs(reg::t3, 0x001, reg::zero);  // stop-class: ends the trace open
   a.ebreak();
   return a.finish();
 }
@@ -413,7 +418,7 @@ asmb::Program csr_split_program() {
 TEST(TraceChecker, CleanTranslationPasses) {
   TraceFixture f(straightline_program());
   ASSERT_NE(f.t, nullptr);
-  const auto ds = f.check(*f.t);
+  const auto ds = f.check();
   EXPECT_TRUE(ds.empty()) << render_all(ds);
 }
 
@@ -426,38 +431,21 @@ TEST(TraceChecker, FlagsWrongBasePc) {
 }
 
 TEST(TraceChecker, FastBackendUsesGenericSlots) {
-  // Under the fast backend the handler-shape slots call the bound pointer,
+  // Under the fast backend the handler-shape bodies call the bound pointer,
   // which is the fast kernel itself: no backend-specific token exists.
   TraceFixture f(fp_program(), 0, fp::MathBackend::Fast);
   ASSERT_NE(f.t, nullptr);
   ASSERT_EQ(f.t->n, 3u);
-  const sim::jit::TraceSlot& add = f.t->slots[0];
-  EXPECT_EQ(add.top, sim::jit::TOp::FpBin);
-  EXPECT_EQ(add.u.fp1.bin,
+  const sim::DecodedOp& add = f.uops[0];
+  EXPECT_EQ(add.top, sim::TOp::FpBin);
+  EXPECT_EQ(add.fp1.bin,
             fp::rt_ops(fp::FpFormat::F32, fp::MathBackend::Fast).add);
-  const sim::jit::TraceSlot& mac = f.t->slots[1];
-  EXPECT_EQ(mac.top, sim::jit::TOp::VecMac);
-  EXPECT_EQ(mac.u.fp1.vtern,
+  const sim::DecodedOp& mac = f.uops[1];
+  EXPECT_EQ(mac.top, sim::TOp::VecMac);
+  EXPECT_EQ(mac.fp1.vtern,
             fp::rt_vec_ops(fp::FpFormat::F16, fp::MathBackend::Fast).mac);
-  const auto ds = f.check(*f.t);
+  const auto ds = f.check();
   EXPECT_TRUE(ds.empty()) << render_all(ds);
-}
-
-TEST(TraceChecker, FlagsEmbeddedLaneDrift) {
-  // Packed slots read the live vl, so the embedded lane count must be the
-  // source op's hardware lane count, unchanged.
-  TraceFixture f(fp_program());
-  ASSERT_NE(f.t, nullptr);
-  {
-    const auto ds = f.check(*f.t);
-    EXPECT_TRUE(ds.empty()) << render_all(ds);
-  }
-  sim::jit::Trace tt = *f.t;
-  ASSERT_EQ(tt.slots[1].top, sim::jit::TOp::VecMac);
-  ASSERT_GT(tt.slots[1].u.lanes, 1);
-  tt.slots[1].u.lanes -= 1;
-  EXPECT_TRUE(has_diag(f.check(tt), "embedded micro-op differs",
-                       static_cast<std::int64_t>(tt.start_idx) + 1));
 }
 
 TEST(TraceChecker, FlagsStartPastEndAndBadSlotCount) {
@@ -468,25 +456,40 @@ TEST(TraceChecker, FlagsStartPastEndAndBadSlotCount) {
   EXPECT_TRUE(has_diag(f.check(tt), "starts past the end"));
   tt = *f.t;
   tt.n = 0;
-  EXPECT_TRUE(has_diag(f.check(tt), "retiring slot count"));
+  EXPECT_TRUE(has_diag(f.check(tt), "retires no instructions"));
+  tt = *f.t;
+  tt.n += 1;  // past the ebreak: into the sentinel
+  EXPECT_TRUE(has_diag(f.check(tt), "text ends"));
 }
 
 TEST(TraceChecker, FlagsSlotCycleCorruption) {
   TraceFixture f(straightline_program());
   ASSERT_NE(f.t, nullptr);
-  sim::jit::Trace tt = *f.t;
-  tt.slots[1].cycles += 1;
-  EXPECT_TRUE(has_diag(f.check(tt), "precomputed slot cycles",
-                       static_cast<std::int64_t>(tt.start_idx) + 1));
+  f.uops[1].cycles += 1;
+  EXPECT_TRUE(has_diag(f.check(), "folded cycles",
+                       static_cast<std::int64_t>(f.t->start_idx) + 1));
 }
 
 TEST(TraceChecker, FlagsWrongToken) {
   TraceFixture f(straightline_program());
   ASSERT_NE(f.t, nullptr);
-  sim::jit::Trace tt = *f.t;
-  ASSERT_EQ(tt.slots[1].top, sim::jit::TOp::Addi);
-  tt.slots[1].top = sim::jit::TOp::Add;
-  EXPECT_TRUE(has_diag(f.check(tt), "ALU token mismatch (expected Addi)"));
+  ASSERT_EQ(f.uops[1].top, sim::TOp::Addi);
+  f.uops[1].top = sim::TOp::Add;
+  f.uops[1].cont = sim::jit::token_label(sim::TOp::Add);
+  EXPECT_TRUE(has_diag(f.check(), "token mismatch (expected Addi)", 1));
+  // A rd = x0 ALU op must run as Nop.
+  f.uops[1].top = sim::TOp::Addi;
+  f.uops[1].cont = sim::jit::token_label(sim::TOp::Addi);
+  f.uops[1].rd = 0;
+  EXPECT_TRUE(has_diag(f.check(), "token mismatch (expected Nop)", 1));
+}
+
+TEST(TraceChecker, FlagsContinuationDrift) {
+  // The label the executor jumps to must be the token's own.
+  TraceFixture f(straightline_program());
+  ASSERT_NE(f.t, nullptr);
+  f.uops[2].cont = sim::jit::token_label(sim::TOp::Sub);
+  EXPECT_TRUE(has_diag(f.check(), "continuation", 2));
 }
 
 TEST(TraceChecker, FlagsFoldedBranchTargetDrift) {
@@ -494,9 +497,47 @@ TEST(TraceChecker, FlagsFoldedBranchTargetDrift) {
   TraceFixture f(loop_program(), /*idx=*/1);
   ASSERT_NE(f.t, nullptr);
   ASSERT_EQ(f.t->n, 2u);
+  f.uops[2].p0 += 4;
+  EXPECT_TRUE(has_diag(f.check(), "folded branch target", 2));
+  f.uops[2].p0 -= 4;
+  f.uops[2].p1 += 4;
+  EXPECT_TRUE(has_diag(f.check(), "folded branch target", 2));
+}
+
+TEST(TraceChecker, FlagsFoldedValueAndLinkDrift) {
+  Assembler a;
+  a.emit({.op = Op::AUIPC, .rd = reg::t2, .imm = 0x1000});
+  a.emit({.op = Op::JALR, .rd = reg::ra, .rs1 = reg::t2, .imm = 8});
+  a.ebreak();
+  TraceFixture f(a.finish());
+  ASSERT_NE(f.t, nullptr);
+  ASSERT_EQ(f.t->n, 2u);
+  f.uops[0].p0 += 4;
+  EXPECT_TRUE(has_diag(f.check(), "folded LoadImm value", 0));
+  f.uops[0].p0 -= 4;
+  f.uops[1].p1 += 4;
+  EXPECT_TRUE(has_diag(f.check(), "folded link", 1));
+}
+
+TEST(TraceChecker, FlagsOpenTraceEndDrift) {
+  // An open trace ends right before a stop-class op, which exits at its
+  // own pc.
+  TraceFixture f(csr_split_program());
+  ASSERT_NE(f.t, nullptr);
+  ASSERT_EQ(f.t->n, 2u);
+  {
+    const auto ds = f.check();
+    EXPECT_TRUE(ds.empty()) << render_all(ds);
+  }
+  f.uops[2].p1 += 4;
+  EXPECT_TRUE(has_diag(f.check(), "exit pc"));
+  f.uops[2].p1 -= 4;
   sim::jit::Trace tt = *f.t;
-  tt.slots[1].p0 += 4;
-  EXPECT_TRUE(has_diag(f.check(tt), "folded branch target"));
+  tt.n = 1;  // stops before a straight-line op
+  EXPECT_TRUE(has_diag(f.check(tt), "open trace stops before a Addi op"));
+  tt = *f.t;
+  tt.n = 3;  // swallows the CSR op
+  EXPECT_TRUE(has_diag(f.check(tt), "stop-class op inside a trace", 2));
 }
 
 TEST(TraceChecker, FlagsAggregateDrift) {
@@ -517,29 +558,12 @@ TEST(TraceChecker, FlagsAggregateDrift) {
   EXPECT_TRUE(has_diag(f.check(tt), "taken_extra"));
 }
 
-TEST(TraceChecker, FlagsExitSlotDrift) {
-  TraceFixture f(csr_split_program());
-  ASSERT_NE(f.t, nullptr);
-  ASSERT_EQ(f.t->slots.size(), f.t->n + 1u);  // open trace: Exit appended
-  {
-    const auto ds = f.check(*f.t);
-    EXPECT_TRUE(ds.empty()) << render_all(ds);
-  }
-  sim::jit::Trace tt = *f.t;
-  tt.slots[tt.n].p1 += 4;
-  EXPECT_TRUE(has_diag(f.check(tt), "Exit fall-through pc"));
-  tt = *f.t;
-  tt.slots.pop_back();
-  EXPECT_TRUE(has_diag(f.check(tt), "missing its Exit slot"));
-}
-
 TEST(TraceChecker, ThrowHookStampsTranslationPass) {
   TraceFixture f(straightline_program());
   ASSERT_NE(f.t, nullptr);
-  sim::jit::Trace tt = *f.t;
-  tt.slots[1].cycles += 1;
+  f.uops[1].cycles += 1;
   try {
-    sim::verify_trace_or_throw(tt, f.uops, kTim, kMem, f.prog.text_base);
+    sim::verify_trace_or_throw(*f.t, f.uops, kTim, kMem, f.prog.text_base);
     FAIL() << "expected VerifyError";
   } catch (const verify::VerifyError& e) {
     EXPECT_EQ(e.pass(), "translation");

@@ -1,6 +1,10 @@
-// Decode-cache tests: DecodedOp lane plans, timing classes, pre-bound
-// handlers, and piecewise handler execution over a bare ExecContext.
+// Decode tests: DecodedOp lane plans, timing classes, folded cycles,
+// executor tokens, pre-bound handlers, and piecewise handler execution over
+// a bare ExecContext.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
 
 #include "sim/decode.hpp"
 
@@ -13,7 +17,7 @@ using isa::IsaConfig;
 using isa::Op;
 
 DecodedOp dec(Inst i, IsaConfig cfg = IsaConfig::full()) {
-  return decode_op(i, cfg, Timing{});
+  return decode_op(i, 0, cfg, Timing{}, MemConfig{});
 }
 
 TEST(Decode, VectorLanePlansFollowTableII) {
@@ -87,13 +91,45 @@ TEST(Decode, TimingClasses) {
 }
 
 TEST(Decode, BaseCyclesPreResolveIterativeUnits) {
-  EXPECT_EQ(dec({.op = Op::ADD}).base_cycles, 1);
-  EXPECT_EQ(dec({.op = Op::DIV}).base_cycles, 32);
-  EXPECT_EQ(dec({.op = Op::FDIV_S}).base_cycles, 15);
-  EXPECT_EQ(dec({.op = Op::FDIV_H}).base_cycles, 9);
-  EXPECT_EQ(dec({.op = Op::FDIV_B}).base_cycles, 5);
-  EXPECT_EQ(dec({.op = Op::FSQRT_S}).base_cycles, 15);
-  EXPECT_EQ(dec({.op = Op::VFSQRT_B}).base_cycles, 5);
+  // At the default L1 latencies these ops' folded cycles are their base
+  // cycles.
+  EXPECT_EQ(dec({.op = Op::ADD}).cycles, 1);
+  EXPECT_EQ(dec({.op = Op::DIV}).cycles, 32);
+  EXPECT_EQ(dec({.op = Op::FDIV_S}).cycles, 15);
+  EXPECT_EQ(dec({.op = Op::FDIV_H}).cycles, 9);
+  EXPECT_EQ(dec({.op = Op::FDIV_B}).cycles, 5);
+  EXPECT_EQ(dec({.op = Op::FSQRT_S}).cycles, 15);
+  EXPECT_EQ(dec({.op = Op::VFSQRT_B}).cycles, 5);
+}
+
+TEST(Decode, FoldsMemoryLatencyJumpPenaltyAndTargets) {
+  MemConfig l3;
+  l3.set_level(kMemL3);
+  const Timing tim;
+  const auto at = [&](Inst i, std::uint32_t pc) {
+    return decode_op(i, pc, IsaConfig::full(), tim, l3);
+  };
+  EXPECT_EQ(at({.op = Op::LW}, 0).cycles, 100);
+  EXPECT_EQ(at({.op = Op::FSW}, 0).cycles, 1);  // posted store
+  const auto jal = at({.op = Op::JAL, .rd = 1, .imm = -8}, 0x100);
+  EXPECT_EQ(jal.cycles, 1 + tim.jump_penalty);
+  EXPECT_EQ(jal.top, TOp::Jal);
+  EXPECT_EQ(jal.p0, 0xf8u);
+  EXPECT_EQ(jal.p1, 0x104u);
+  const auto bne = at({.op = Op::BNE, .rs1 = 5, .imm = 12}, 0x100);
+  EXPECT_EQ(bne.top, TOp::Bne);
+  EXPECT_EQ(bne.p0, 0x10cu);
+  EXPECT_EQ(bne.p1, 0x104u);
+  const auto auipc = at({.op = Op::AUIPC, .rd = 3, .imm = 0x2000}, 0x100);
+  EXPECT_EQ(auipc.top, TOp::LoadImm);
+  EXPECT_EQ(auipc.p0, 0x2100u);
+  // A pure op writing x0 runs as Nop; a CSR op is stop-class and exits a
+  // trace at its own pc.
+  EXPECT_EQ(at({.op = Op::AUIPC, .imm = 0x2000}, 0x100).top, TOp::Nop);
+  const auto csr = at({.op = Op::CSRRS, .rd = 5, .imm = 0xc00}, 0x100);
+  EXPECT_EQ(csr.top, TOp::Exit);
+  EXPECT_EQ(csr.p1, 0x100u);
+  EXPECT_EQ(csr.cont, jit::token_label(TOp::Exit));
 }
 
 TEST(Decode, UnsupportedOpsBindFaultingHandler) {
@@ -151,11 +187,52 @@ TEST(Decode, ProgramLoweringPreservesIndexing) {
       {.op = Op::FADD_S, .rd = 2, .rs1 = 1, .rs2 = 1, .rm = isa::kRmDyn},
       {.op = Op::EBREAK},
   };
-  const auto uops = decode_program(text, IsaConfig::full(), Timing{});
-  ASSERT_EQ(uops.size(), text.size());
+  const auto uops =
+      decode_program(text, 0x1000, IsaConfig::full(), Timing{}, MemConfig{});
+  // One micro-op per instruction, then the stop-class sentinel.
+  ASSERT_EQ(uops.size(), text.size() + 1);
   for (std::size_t k = 0; k < text.size(); ++k) {
     EXPECT_EQ(uops[k].op, text[k].op) << k;
     ASSERT_NE(uops[k].fn, nullptr) << k;
+    EXPECT_EQ(uops[k].cont, jit::token_label(uops[k].top)) << k;
+  }
+  const DecodedOp& sentinel = uops.back();
+  EXPECT_EQ(sentinel.top, TOp::Exit);
+  EXPECT_EQ(sentinel.p1, 0x1000u + 4 * text.size());
+  // Reaching it is a fetch past the end of the text.
+  ExecContext ctx;
+  ctx.pc = sentinel.p1;
+  EXPECT_THROW(sentinel.fn(ctx, sentinel), SimError);
+}
+
+// A supported op the decoder had no handler for would run a faulting
+// placeholder and end traces early. No op any shipped configuration
+// supports may reach it: each binds a real handler, and only the CSR class
+// (setvl included) is stop-class.
+TEST(Decode, EverySupportedOpBindsARealHandler) {
+  for (const IsaConfig cfg :
+       {IsaConfig::full(32), IsaConfig::full(64), IsaConfig::rv32imf()}) {
+    int supported = 0;
+    for (std::size_t k = 0; k < isa::kNumOps; ++k) {
+      const auto op = static_cast<Op>(k);
+      if (!cfg.supports(op)) continue;
+      ++supported;
+      const std::string name(isa::mnemonic(op));
+      const DecodedOp u = dec({.op = op}, cfg);
+      EXPECT_EQ(u.top == TOp::Exit, isa::op_class(op) == isa::Cls::Csr)
+          << name;
+      // Run the handler on a bare context (no memory: accesses throw
+      // std::out_of_range; CSR 0 is unimplemented).
+      ExecContext ctx;
+      try {
+        u.fn(ctx, u);
+      } catch (const SimError& e) {
+        EXPECT_EQ(std::string(e.what()).find("unhandled"), std::string::npos)
+            << name << ": " << e.what();
+      } catch (const std::out_of_range&) {
+      }
+    }
+    EXPECT_GT(supported, 0) << cfg.flen;
   }
 }
 

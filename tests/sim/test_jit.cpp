@@ -1,11 +1,16 @@
 // Engine::Jit translation-cache unit tests: hotness-threshold promotion
 // (blocks interpret until entered more than `threshold` times), wholesale
-// invalidation on Core::set_backend (compiled traces hold bound softfloat
-// pointers), mid-block jalr entry (a dynamic target that is not a cached
-// trace start), and the cap/eviction path. Architectural identity across
-// all of it is the fuzzer's job (test_ab_equivalence.cpp); these tests pin
-// the cache *mechanics* plus spot-check results against Engine::Reference.
+// invalidation on Core::set_backend (the re-decoded program binds new
+// softfloat pointers), mid-block jalr entry (a dynamic target that is not a
+// cached trace start), long straight-line runs (a trace has no length cap),
+// and the cache bound (at most one trace per text index). Architectural
+// identity across all of it is the fuzzer's job (test_ab_equivalence.cpp);
+// these tests pin the cache *mechanics* plus spot-check results against
+// Engine::Reference.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "asmb/assembler.hpp"
 #include "sim/core.hpp"
@@ -147,46 +152,59 @@ TEST(JitCache, MidBlockJalrEntryCompilesSuffix) {
   expect_matches_reference(core, prog);
 }
 
-TEST(JitCache, CapEvictionKeepsResultsIdentical) {
-  // Four distinct trace starts (two loop entries, two loop heads — plus
-  // fall-through re-entries) against a 2-trace cap force the flush-all
-  // eviction path at least once; results must not change.
+TEST(JitCache, LongStraightLineBlockCompilesAsOneTrace) {
+  // 600 straight-line ops -- integer ALU, loads/stores, scalar and packed
+  // FP -- then ebreak: one trace covers the whole block, however long.
   asmb::Assembler a;
-  a.li(reg::t0, 5);
-  const auto l1 = a.here();
-  a.addi(reg::t1, reg::t1, 1);
-  a.addi(reg::t0, reg::t0, -1);
-  a.bne(reg::t0, reg::zero, l1);
-  a.li(reg::t0, 5);
-  const auto l2 = a.here();
-  a.addi(reg::t2, reg::t2, 2);
-  a.addi(reg::t0, reg::t0, -1);
-  a.bne(reg::t0, reg::zero, l2);
+  const std::uint32_t buf = a.data_zero(256);
+  a.li(reg::s0, static_cast<std::int32_t>(buf));
+  a.li(reg::t1, 0x3c003c00);
+  a.emit({.op = Op::FMV_S_X, .rd = 1, .rs1 = reg::t1});
+  for (int i = 0; i < 100; ++i) {  // 6 ops per round
+    a.addi(reg::t0, reg::t0, i);
+    a.sw(reg::t0, 4 * (i % 64), reg::s0);
+    a.lw(reg::t2, 4 * (i % 32), reg::s0);
+    a.add(reg::t1, reg::t1, reg::t2);
+    a.fp_rrr(Op::VFADD_H, 2, 2, 1);
+    a.fp_rrr(Op::FMUL_S, 3, 3, 1);
+  }
   a.ebreak();
   const asmb::Program prog = a.finish();
+  ASSERT_GT(prog.text.size(), 600u);
 
+  // The entry block is the whole program (li expands to straight-line
+  // ops): one trace, compiled on first entry at threshold 0.
   sim::Core core = make_jit_core(prog, 0);
-  core.set_jit_cache_cap(2);
   ASSERT_EQ(core.run(), sim::Core::RunResult::Halted);
-  EXPECT_GE(core.jit_stats().evictions, 1u);
-  EXPECT_LE(core.jit_cache_size(), 2u);
-  EXPECT_EQ(core.x(reg::t1), 5u);
-  EXPECT_EQ(core.x(reg::t2), 10u);
+  EXPECT_EQ(core.jit_stats().translations, 1u);
+  EXPECT_EQ(core.jit_stats().ops, prog.text.size());
   expect_matches_reference(core, prog);
+
+  sim::Core ref;
+  ref.set_engine(Engine::Reference);
+  ref.load_program(prog);
+  ASSERT_EQ(ref.run(), sim::Core::RunResult::Halted);
+  EXPECT_EQ(core.stats().pc_cycles, ref.stats().pc_cycles);
+  std::vector<std::uint8_t> mj(256), mr(256);
+  core.memory().read_block(buf, mj.data(), mj.size());
+  ref.memory().read_block(buf, mr.data(), mr.size());
+  EXPECT_EQ(mj, mr);
 }
 
 TEST(JitCache, TelemetryAndKnobAccessors) {
-  sim::Core core = make_jit_core(counting_loop(50), 0);
+  const asmb::Program prog = counting_loop(50);
+  sim::Core core = make_jit_core(prog, 0);
   EXPECT_EQ(core.jit_threshold(), 0u);
-  core.set_jit_cache_cap(0);  // clamps to 1
   ASSERT_EQ(core.run(), sim::Core::RunResult::Halted);
   const sim::jit::JitStats& st = core.jit_stats();
   EXPECT_GT(st.lookups, 0u);
   EXPECT_GT(st.hits, 0u);
   EXPECT_GT(st.hit_rate(), 0.0);
   EXPECT_LE(st.hit_rate(), 1.0);
-  EXPECT_GT(st.slots, 0u);
-  EXPECT_LE(core.jit_cache_size(), 1u);
+  EXPECT_GT(st.ops, 0u);
+  // At most one trace per text index: the cache is bounded by the text.
+  EXPECT_GE(core.jit_cache_size(), 1u);
+  EXPECT_LE(core.jit_cache_size(), prog.text.size());
 }
 
 }  // namespace
