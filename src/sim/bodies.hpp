@@ -1,20 +1,21 @@
 // The straight-line op bodies: outside the reference interpreter, the one
 // definition of each straight-line executor token (decode.hpp's TOp) --
-// Nop and LoadImm, the 27 integer-ALU ops, the 14 scalar loads/stores, and
-// the five common FP shapes. decode.cpp expands every body into the token's
-// cold-tier handler (the body plus `pc += 4`), and jit.cpp expands it into
-// the token's label in the threaded trace executor, so both tiers run the
-// same code.
+// Nop and LoadImm, the 27 integer-ALU ops, the 14 scalar loads/stores,
+// setvl, and the five common FP shapes. decode.cpp expands every body into
+// the token's cold-tier handler (the body plus `pc += 4`), and jit.cpp
+// expands it into the token's label in the threaded trace executor, so both
+// tiers run the same code.
 //
 // A body sees `c` (ExecContext&) and `u` (const DecodedOp&) and never
 // writes pc. ALU and LoadImm bodies write x[rd] unguarded: decode lowers
 // every such op with rd = x0 to Nop (the trace checker enforces it). Load
-// bodies keep the set_x guard, because the access must still happen: it
-// can fault. Memory bodies go through the context's cached backing store
-// (ExecContext::load8 and friends), gated by the shared mem_access_oob().
-// The FP shapes call the bound softfloat pointer, so one body serves both
-// math backends; the packed ones compute only the lanes active under the
-// live vl and merge the destination tail back.
+// and setvl bodies keep the set_x guard, because the op must still happen:
+// a load can fault, and setvl writes vl. Memory bodies go through the
+// context's cached backing store (ExecContext::load8 and friends), gated by
+// the shared mem_access_oob(). The FP shapes call the bound softfloat
+// pointer, so one body serves both math backends; the packed ones compute
+// only the lanes active under the live vl and merge the destination tail
+// back.
 #pragma once
 
 #include <climits>
@@ -142,6 +143,16 @@ namespace sfrv::sim::bodies {
                    static_cast<std::uint16_t>(c.read_fp(u.rs2, 16))))        \
   M(Fsb, c.store8(SFRV_BODY_EA,                                              \
                   static_cast<std::uint8_t>(c.read_fp(u.rs2, 8))))           \
+  /* vl = min(AVL in rs1, VLMAX, cap when nonzero); no x0 special case: */   \
+  /* AVL 0 grants vl 0. Decode folds VLMAX into lanes, the cap into */       \
+  /* width2. */                                                              \
+  S(Setvl, do {                                                              \
+    const std::uint32_t avl = c.x[u.rs1];                                    \
+    std::uint32_t vl = avl < u.lanes ? avl : u.lanes;                        \
+    if (u.width2 != 0 && vl > u.width2) vl = u.width2;                       \
+    c.vl = vl;                                                               \
+    c.set_x(u.rd, vl);                                                       \
+  } while (0))                                                               \
   /* Scalar two-operand op (add/sub/mul/div, min/max, sign injection). */    \
   S(FpBin, do {                                                              \
     fp::Flags fl;                                                            \

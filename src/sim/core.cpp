@@ -54,19 +54,6 @@ std::uint64_t widen_to_f32(FpFormat from, std::uint64_t bits, Flags& fl) {
   return fp::rt_convert(FpFormat::F32, from, bits, RoundingMode::RNE, fl);
 }
 
-/// Ops after which the JIT's cold tier hands control back to the driver:
-/// control transfers (the next pc is dynamic) and system ops.
-bool ends_block(const DecodedOp& u) {
-  switch (isa::op_class(u.op)) {
-    case Cls::Branch:
-    case Cls::Jump:
-    case Cls::Sys:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 std::string_view engine_name(Engine e) {
@@ -203,70 +190,45 @@ void Core::account(const DecodedOp& u, std::uint32_t idx) {
 // ---- trace-compilation engine (Engine::Jit) ---------------------------------
 
 Core::RunResult Core::run_jit(std::uint64_t max_steps) {
+  // Every block entry: look up the trace at pc, compile it on a miss, run
+  // it. A trace books its aggregates as it exits, so stats_ is exact
+  // between iterations (a CSR op on the cold tier reads it).
   std::uint64_t remaining = max_steps;
-  try {
-    while (remaining > 0) {
-      if (ctx_.halted) break;
-      const std::uint32_t idx = fetch_index(ctx_.pc);
-      jit::Trace* t = jit_.lookup(idx);
-      if (t == nullptr && jit_.note_entry(idx)) {
-        t = jit_.translate(idx, uops_, timing_, text_base_);
-        if (t != nullptr && verify::enabled()) {
-          verify_trace_or_throw(*t, uops_, timing_, mem_.config(), text_base_);
-        }
-      }
-      if (t != nullptr) {
-        remaining -= exec_trace(*t, remaining);
-      } else {
-        // Cold (or never-compilable) block: the cold tier books straight
-        // into stats_, and a counter CSR read in the block must observe
-        // every retired cycle, so deferred trace accounting lands first.
-        jit_.note_interp();
-        jit_.materialize_all(stats_, uops_);
-        remaining -= run_cold(idx, remaining);
+  while (remaining > 0 && !ctx_.halted) {
+    const std::uint32_t idx = fetch_index(ctx_.pc);
+    jit::Trace* t = jit_.lookup(idx);
+    if (t == nullptr) {
+      t = jit_.translate(idx, uops_, timing_, text_base_);
+      if (t != nullptr && verify::enabled()) {
+        verify_trace_or_throw(*t, uops_, timing_, mem_.config(), text_base_);
       }
     }
-  } catch (...) {
-    jit_.materialize_all(stats_, uops_);
-    throw;
+    if (t == nullptr || remaining < t->n) {
+      // A stop-class op retires alone; a budget that ends inside the trace
+      // retires its straight-line prefix.
+      const std::uint64_t count = t == nullptr ? 1 : remaining;
+      jit_.note_interp();
+      run_cold(idx, count);
+      remaining -= count;
+      continue;
+    }
+    const std::uint64_t runs =
+        jit::run_trace_full(*t, uops_, ctx_, stats_, remaining / t->n);
+    jit_.note_runs(runs);
+    remaining -= runs * t->n;
   }
-  jit_.materialize_all(stats_, uops_);
   return ctx_.halted ? RunResult::Halted : RunResult::MaxStepsReached;
 }
 
-std::uint64_t Core::run_cold(std::uint32_t idx, std::uint64_t budget) {
-  // A micro-op that does not end the block falls through to idx + 1. Past
-  // the last instruction sits the decoded program's sentinel, whose handler
-  // raises the fetch fault, so the walk needs no end check. A faulting
-  // handler throws before account(), leaving pc on the faulting instruction
-  // with every earlier one booked.
-  std::uint64_t retired = 0;
-  for (;;) {
+void Core::run_cold(std::uint32_t idx, std::uint64_t count) {
+  // A faulting handler throws before account(), leaving pc on the faulting
+  // instruction with every earlier one booked.
+  for (; count != 0; --count, ++idx) {
     const DecodedOp& u = uops_[idx];
     ctx_.branch_taken = false;
     u.fn(ctx_, u);
     account(u, idx);
-    ++retired;
-    if (ends_block(u) || retired == budget) return retired;
-    ++idx;
   }
-}
-
-std::uint64_t Core::exec_trace(jit::Trace& t, std::uint64_t budget) {
-  if (budget < t.n) {
-    // A budget that stops inside the trace runs on the cold tier, which
-    // books each op as it retires. It may stop short of the budget (a fence
-    // is a Nop inside a trace but ends a cold block); run_jit loops on.
-    jit_.materialize_all(stats_, uops_);
-    return run_cold(t.start_idx, budget);
-  }
-  // Terminators publish the taken flag the way run_cold does (cleared,
-  // then set only by a taken branch).
-  ctx_.branch_taken = false;
-  const std::uint64_t runs =
-      jit::run_trace_full(t, uops_, ctx_, stats_, budget / t.n);
-  jit_.note_runs(t, runs);
-  return runs * t.n;
 }
 
 // ---- reference interpreter --------------------------------------------------

@@ -16,14 +16,14 @@
 //  * Engine::Jit (default): load_program decodes the text once into the
 //    micro-op program (sim/decode.hpp): each op carries its executor token,
 //    a resolved handler pointer, lane plan, pre-bound softfloat entry
-//    points, timing class, and its folded targets and fixed cycles. Until a
-//    block crosses the hotness threshold, the cold tier (run_cold) walks
-//    its micro-ops to the block end. A hot straight-line run compiles into
-//    a trace (sim/jit.hpp): a range of the same micro-ops plus aggregated
-//    accounting, run in place by the threaded executor. run_cold is the only
-//    micro-op walker: step() retires one micro-op through it, and so does a
-//    trace entry whose step budget is shorter than the trace. Tracing falls
-//    back to per-step execution so traces stay equal.
+//    points, timing class, and its folded targets and fixed cycles. Every
+//    block compiles on its first entry into a trace (sim/jit.hpp): a range
+//    of the same micro-ops plus aggregated accounting, run in place by the
+//    threaded executor, which books the aggregates as the trace exits. The
+//    cold tier (run_cold) is the only micro-op walker: it retires a
+//    stop-class op, the one op of step(), and the ops a step budget still
+//    covers when it ends inside a trace. Tracing falls back to per-step
+//    execution so traces stay equal.
 //  * Engine::Reference: the original switch-tree interpreter, retained both
 //    as the oracle for the differential suite and as the baseline the
 //    dispatch bench measures against.
@@ -190,14 +190,7 @@ class Core : private detail::CoreState {
   /// Direct access to the execution context (for piecewise engine tests).
   [[nodiscard]] ExecContext& context() { return ctx_; }
 
-  // ---- Engine::Jit knobs and telemetry (sim/jit.hpp) ----
-  /// Hotness threshold: a block interprets until it has been entered more
-  /// than `t` times, then compiles (0 compiles on first entry). Wall-clock
-  /// only; simulated results never depend on it.
-  void set_jit_threshold(std::uint32_t t) { jit_.set_threshold(t); }
-  [[nodiscard]] std::uint32_t jit_threshold() const {
-    return jit_.threshold();
-  }
+  // ---- Engine::Jit telemetry (sim/jit.hpp) ----
   /// Compiled traces currently cached (at most one per text index).
   [[nodiscard]] std::size_t jit_cache_size() const { return jit_.size(); }
   [[nodiscard]] const jit::JitStats& jit_stats() const {
@@ -223,17 +216,12 @@ class Core : private detail::CoreState {
 
   // Trace-compilation engine (Engine::Jit, see sim/jit.hpp).
   RunResult run_jit(std::uint64_t max_steps);
-  /// The JIT's cold tier and the only micro-op walker: execute micro-ops
-  /// from text index `idx` (already fetch-checked) until a branch, jump, or
-  /// system op retires or `budget` (>= 1) instructions retire, so run_jit
-  /// regains control at every block entry for hotness counting and cache
-  /// lookup. Walking off the end of the text raises the fetch fault.
-  /// Returns the number of retired instructions.
-  std::uint64_t run_cold(std::uint32_t idx, std::uint64_t budget);
-  /// Execute one compiled trace when `budget` covers it; otherwise hand the
-  /// budget to run_cold from the trace head. Returns retired instructions,
-  /// which on the cold hand-off can be fewer than `budget`.
-  std::uint64_t exec_trace(jit::Trace& t, std::uint64_t budget);
+  /// The JIT's cold tier and the only micro-op walker: retire exactly
+  /// `count` micro-ops from text index `idx` (already fetch-checked),
+  /// booking each as it retires. `count` is 1 (a stop-class op, or step())
+  /// or a step budget that ends inside the trace at `idx`, whose first
+  /// `count` ops are then straight-line.
+  void run_cold(std::uint32_t idx, std::uint64_t count);
 
   // Reference interpreter (the retained pre-refactor execute path).
   void step_reference(std::uint32_t idx);

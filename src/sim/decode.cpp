@@ -312,19 +312,7 @@ void h_vec_cpk(ExecContext& c, const DecodedOp& u) {
   c.pc += 4;
 }
 
-// ---- dynamic vector length --------------------------------------------------
-
-/// setvl rd, rs1, imm: grant vl = min(AVL, VLMAX for the element width in
-/// imm[2:0], optional cap in imm[8:3]). Decode pre-folds VLMAX into u.lanes
-/// and the cap into u.width2. No x0 special case: AVL 0 grants vl 0.
-void h_setvl(ExecContext& c, const DecodedOp& u) {
-  const U32 avl = c.x[u.rs1];
-  U32 vl = avl < u.lanes ? avl : u.lanes;
-  if (u.width2 != 0 && vl > u.width2) vl = u.width2;
-  c.vl = vl;
-  c.set_x(u.rd, vl);
-  c.pc += 4;
-}
+// ---- VL-governed vector memory ops -----------------------------------------
 
 /// VL-governed vector load: min(vl, lanes) elements, lowest lane first, tail
 /// undisturbed. rd is written only after every element load succeeded, so a
@@ -541,7 +529,8 @@ void bind_handler(DecodedOp& u, std::uint32_t pc, const isa::IsaConfig& cfg,
     case Op::FSB: u.top = TOp::Fsb; break;
 
     case Op::SETVL:
-      stop(&h_setvl);
+      // imm[2:0] = log2(element bytes), imm[8:3] = optional cap.
+      u.top = TOp::Setvl;
       u.lanes = static_cast<std::uint8_t>(
           (cfg.flen / 8) >> (static_cast<U32>(u.imm) & 7u));  // VLMAX
       u.width2 =

@@ -70,6 +70,8 @@ template <isa::Op B>
 //               the five common FP shapes, which call the *bound*
 //               softfloat pointer (the same body serves either backend;
 //               packed bodies read the live vl).
+//   Setvl     — setvl, straight-line with one body (sim/bodies.hpp):
+//               lanes = VLMAX for its element width, width2 = its cap.
 //   CallUop   — any other FP/vector op: runs its hand-written handler
 //               (inside a trace its pc bump is a dead store).
 //   VMem      — VL-governed vector load/store (vflb/vflh/vfsb/vfsh): the
@@ -78,10 +80,10 @@ template <isa::Op B>
 //   Jal       — p0 = target, p1 = link (pc+4).
 //   Jalr      — p1 = link (the target is dynamic: (x[rs1]+imm)&~1).
 //   Halt      — ecall/ebreak: p1 = pc+4.
-//   Exit      — stop class: a CSR op (setvl included), an unsupported op,
-//               an op the decoder has no handler for, or the sentinel past
-//               the last instruction. Never part of a trace: the executor
-//               exits with pc = p1, the op's own pc, retiring nothing.
+//   Exit      — stop class: a CSR op, an unsupported op, an op the decoder
+//               has no handler for, or the sentinel past the last
+//               instruction. Never part of a trace: the executor exits with
+//               pc = p1, the op's own pc, retiring nothing.
 #define SFRV_TOP_LIST(X)                                                  \
   X(Nop) X(LoadImm)                                                       \
   X(Addi) X(Slti) X(Sltiu) X(Xori) X(Ori) X(Andi)                         \
@@ -89,7 +91,7 @@ template <isa::Op B>
   X(Add) X(Sub) X(Sll) X(Slt) X(Sltu) X(Xor) X(Srl) X(Sra) X(Or) X(And)   \
   X(Mul) X(Mulh) X(Mulhsu) X(Mulhu) X(Div) X(Divu) X(Rem) X(Remu)         \
   X(Lb) X(Lh) X(Lw) X(Lbu) X(Lhu) X(Sb) X(Sh) X(Sw)                       \
-  X(Flw) X(Flh) X(Flb) X(Fsw) X(Fsh) X(Fsb) X(VMem)                       \
+  X(Flw) X(Flh) X(Flb) X(Fsw) X(Fsh) X(Fsb) X(VMem) X(Setvl)              \
   X(CallUop) X(FpBin) X(VecBin) X(VecMac) X(VecDotp) X(VecExsdotp)        \
   X(Beq) X(Bne) X(Blt) X(Bge) X(Bltu) X(Bgeu)                             \
   X(Jal) X(Jalr) X(Halt) X(Exit)

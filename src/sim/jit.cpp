@@ -5,11 +5,11 @@
 // address-of-label; the repo builds with nothing else). Each micro-op's
 // `cont` is the label of its token here, and a straight-line token's label
 // expands the same body (sim/bodies.hpp) as its cold-tier handler, minus
-// the pc bump. The executor books nothing per op, restarts internally on a
-// taken back-edge to the trace head (hot loops never leave the executor),
-// and reports the number of complete executions for the caller's
-// note_runs. A step budget shorter than the trace never reaches it:
-// Core::exec_trace hands that budget to the cold tier instead.
+// the pc bump. The executor books nothing per op and restarts internally
+// on a taken back-edge to the trace head (hot loops never leave the
+// executor); run_trace_full books the complete executions when the trace
+// exits. A step budget shorter than the trace never reaches it:
+// Core::run_jit hands that budget to the cold tier instead.
 //
 // Fault model: the only ops in a trace that can throw are the memory ops —
 // the fourteen scalar loads/stores (the context's cached-base accessors,
@@ -22,7 +22,6 @@
 // cold tier leaves it.
 #include "sim/jit.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 
@@ -32,12 +31,6 @@
 namespace sfrv::sim::jit {
 
 namespace {
-
-/// Heat sentinel: the op at this index can never lead a trace (it is
-/// stop-class); the cold tier runs it forever.
-constexpr std::uint32_t kNever = 0xffffffffu;
-
-std::atomic<std::uint32_t> g_default_threshold{8};
 
 /// Book one retired straight-line op directly into `st` (fault unwinding).
 /// Mirrors Core::account(); a straight-line op has no dynamic timing part.
@@ -108,17 +101,17 @@ void trace_threaded(Trace* t, const DecodedOp* ops, ExecContext* cp,
 
 // Taken back-edge to the trace's own head: restart internally while the
 // caller's run budget lasts — the whole loop executes without leaving
-// threaded code. Any other ending is an exit.
+// threaded code. Any other ending is an exit; a taken one sets
+// branch_taken for run_trace_full's booking.
 #define SFRV_JIT_B(name, OP)                                          \
   L_##name : if (branch_taken<isa::Op::OP>(c.x[s->rs1], c.x[s->rs2])) { \
-    c.branch_taken = true;                                            \
     if (s->p0 == tr.base_pc && tr.runs_left != 0) {                   \
       --tr.runs_left;                                                 \
       ++tr.runs_done;                                                 \
       s = head;                                                       \
       goto* s->cont;                                                  \
     }                                                                 \
-    ++tr.pending_taken;                                               \
+    c.branch_taken = true;                                            \
     c.pc = s->p0;                                                     \
   }                                                                   \
   else {                                                              \
@@ -165,14 +158,6 @@ const void* token_label(TOp t) {
   return threaded_labels()[static_cast<int>(t)];
 }
 
-std::uint32_t default_threshold() {
-  return g_default_threshold.load(std::memory_order_relaxed);
-}
-
-void set_default_threshold(std::uint32_t threshold) {
-  g_default_threshold.store(threshold, std::memory_order_relaxed);
-}
-
 void Trace::charge(Stats& st, const std::vector<DecodedOp>& uops,
                    std::uint64_t runs, std::uint64_t taken) const {
   st.cycles += runs * sum_cycles + taken * taken_extra;
@@ -190,13 +175,6 @@ void Trace::charge(Stats& st, const std::vector<DecodedOp>& uops,
   }
 }
 
-void Trace::materialize(Stats& st, const std::vector<DecodedOp>& uops) {
-  if (pending != 0) charge(st, uops, pending, pending_taken);
-  pending = 0;
-  pending_taken = 0;
-  dirty = false;
-}
-
 std::uint64_t run_trace_full(Trace& t, const std::vector<DecodedOp>& uops,
                              ExecContext& c, Stats& st,
                              std::uint64_t max_runs) {
@@ -205,14 +183,17 @@ std::uint64_t run_trace_full(Trace& t, const std::vector<DecodedOp>& uops,
   t.runs_left = max_runs - 1 > 0x7fffffffu
                     ? 0x7fffffffu
                     : static_cast<std::uint32_t>(max_runs - 1);
+  // Terminators publish the taken flag the way the cold tier does (cleared,
+  // then set only by a taken branch).
+  c.branch_taken = false;
   try {
     trace_threaded(&t, uops.data(), &c, nullptr);
   } catch (...) {
-    // Internally-looped complete runs haven't been recorded anywhere yet —
-    // charge them straight into `st` (each ended in its taken back-edge).
-    // Then book the partial run: only memory ops fault, and the faulting
-    // op recorded itself in cursor before the access, so [0, cursor) is
-    // the completed prefix (none of which can be the branch terminator).
+    // Book the internally-looped complete runs (each ended in its taken
+    // back-edge), then the partial run: only memory ops fault, and the
+    // faulting op recorded itself in cursor before the access, so
+    // [0, cursor) is the completed prefix (none of which can be the branch
+    // terminator).
     if (t.runs_done != 0) t.charge(st, uops, t.runs_done, t.runs_done);
     for (std::uint32_t i = t.start_idx; i < t.start_idx + t.cursor; ++i) {
       book_op(st, uops[i], i);
@@ -220,7 +201,11 @@ std::uint64_t run_trace_full(Trace& t, const std::vector<DecodedOp>& uops,
     c.pc = t.base_pc + 4 * t.cursor;
     throw;
   }
-  return t.runs_done + 1;
+  // Every internal restart ended in the taken back-edge; the final run
+  // ended in a taken branch only if the executor set branch_taken.
+  const std::uint64_t runs = t.runs_done + 1;
+  t.charge(st, uops, runs, t.runs_done + (c.branch_taken ? 1 : 0));
+  return runs;
 }
 
 // ---- translation ------------------------------------------------------------
@@ -229,8 +214,6 @@ void JitProgram::on_code_change(std::size_t n_insts) {
   if (!traces_.empty()) ++stats_.invalidations;
   traces_.clear();
   trace_of_.assign(n_insts, -1);
-  dirty_.clear();
-  heat_.assign(n_insts, 0);
 }
 
 Trace* JitProgram::lookup(std::uint32_t idx) {
@@ -241,23 +224,12 @@ Trace* JitProgram::lookup(std::uint32_t idx) {
   return &traces_[static_cast<std::size_t>(id)];
 }
 
-bool JitProgram::note_entry(std::uint32_t idx) {
-  std::uint32_t& h = heat_[idx];
-  if (h == kNever) return false;
-  if (h < kNever - 1) ++h;
-  return h > threshold_;
-}
-
 Trace* JitProgram::translate(std::uint32_t idx,
                              const std::vector<DecodedOp>& uops,
                              const Timing& timing, std::uint32_t text_base) {
+  // A stop-class op leads no trace: the cold tier retires it.
+  if (uops[idx].top == TOp::Exit) return nullptr;
   const auto t0 = std::chrono::steady_clock::now();
-  const auto charge = [&] {
-    stats_.translate_ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  };
 
   // The maximal run: through the first terminator, or up to the first
   // stop-class op. The sentinel after the text is stop-class, so the walk
@@ -265,14 +237,6 @@ Trace* JitProgram::translate(std::uint32_t idx,
   std::uint32_t end = idx;
   while (uops[end].top != TOp::Exit) {
     if (is_terminator(uops[end++].top)) break;
-  }
-  if (end == idx) {
-    // The leading op itself is stop-class: pin the index so entry counting
-    // stops and the cold tier keeps it (its immediate accounting is
-    // required for CSR reads anyway).
-    heat_[idx] = kNever;
-    charge();
-    return nullptr;
   }
 
   Trace t;
@@ -297,39 +261,15 @@ Trace* JitProgram::translate(std::uint32_t idx,
     if (!found) t.op_counts.emplace_back(op, 1);
   }
 
-  const auto id = static_cast<std::int32_t>(traces_.size());
-  t.id = id;
+  trace_of_[idx] = static_cast<std::int32_t>(traces_.size());
   traces_.push_back(std::move(t));
-  trace_of_[idx] = id;
   ++stats_.translations;
   stats_.ops += traces_.back().n;
-  charge();
+  stats_.translate_ns += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
   return &traces_.back();
-}
-
-void JitProgram::materialize_all(Stats& st,
-                                 const std::vector<DecodedOp>& uops) {
-  if (dirty_.empty()) return;
-  for (const std::uint32_t id : dirty_) {
-    traces_[id].materialize(st, uops);
-  }
-  dirty_.clear();
-}
-
-void JitProgram::note_runs(Trace& t, std::uint64_t runs) {
-  if (!t.dirty) {
-    t.dirty = true;
-    // Ids stay valid until on_code_change, which runs only when nothing is
-    // pending.
-    dirty_.push_back(static_cast<std::uint32_t>(t.id));
-  }
-  t.pending += runs;
-  // Every internal restart ended in the taken back-edge; the final exit's
-  // taken-ness was recorded by the executor itself. Each restart is also a
-  // block entry that found compiled code — count it toward the hit rate.
-  t.pending_taken += runs - 1;
-  stats_.lookups += runs - 1;
-  stats_.hits += runs - 1;
 }
 
 }  // namespace sfrv::sim::jit

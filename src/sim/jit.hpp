@@ -3,7 +3,7 @@
 //
 // The cold tier (Core::run_cold) pays, per retired instruction, one indirect
 // call plus operand unpacking and a handful of accounting stores. This layer
-// removes those by running hot straight-line runs as *traces*:
+// removes those by running every straight-line run as a *trace*:
 //
 //  * A trace is a range [start, start+n) of the decoded program (held by
 //    text index, so it survives a Core move) plus pre-aggregated accounting.
@@ -13,8 +13,9 @@
 //    (pc+4), lui/auipc values, and the op's fixed cycle cost.
 //    `JitProgram::translate` finds the maximal run from a text index: up to
 //    and including the next terminator (branch/jump/halt), or up to the
-//    next stop-class op (CSR op, setvl, unsupported or decoder-gap op, or
-//    the sentinel after the last instruction), which the run never includes.
+//    next stop-class op (CSR op, unsupported or decoder-gap op, or the
+//    sentinel after the last instruction), which the run never includes.
+//    `setvl` is straight-line, so a strip-mined loop body is one trace.
 //  * The trace executor (jit.cpp) runs the decoded program in place from
 //    the trace head, dispatching op to op with computed goto (`cont` holds
 //    the label address; GCC and Clang both support it): no per-op indirect
@@ -32,31 +33,30 @@
 //    executor, up to the step budget: a hot loop pays the driver's
 //    lookup/dispatch cost once per entry, not once per iteration.
 //
-// Cycle identity. A completed trace books *nothing* per op: the translator
+// Cycle identity. The executor books *nothing* per op: the translator
 // aggregates the trace's total cycles, instruction/load/store counts, and
-// per-op retirement counts, and the executor just increments a per-trace
-// `pending` counter (plus `pending_taken` for a taken branch terminator).
-// `materialize_all` multiplies the aggregates out into `Stats` — including
-// the per-pc cycle attribution — before any observation point: CSR reads
-// (CSR ops are stop-class; run_jit flushes before every cold-tier
-// block), Core::run returning, exceptions, and cache invalidation. A fault
-// books the completed prefix per op, and a step budget shorter than the
-// trace runs on the cold tier, which books every op as it retires, so
-// simulated cycles, fflags, and architectural digests stay bit-identical to
-// Engine::Reference.
+// per-op retirement counts, and run_trace_full multiplies them out into
+// `Stats` — including the per-pc cycle attribution — when the trace exits,
+// for the complete executions of that call and the taken endings among them.
+// `Stats` is therefore exact whenever control is outside the executor. CSR
+// ops stay stop-class because the ops before them in the same trace run
+// would not be booked yet. A fault books the completed prefix per op, and a
+// step budget shorter than the trace runs on the cold tier, which books
+// every op as it retires, so simulated cycles, fflags, and architectural
+// digests stay bit-identical to Engine::Reference.
 //
-// Translation cache. Traces are keyed on the starting text index alone
-// within a (backend, code version) generation; there is at most one per
-// index, so the cache is bounded by the text. A trace is valid at every
-// dynamic vector length: packed bodies read the live vl CSR on every visit,
-// exactly as the handlers do, so a strip-mined loop re-entering its body
-// under a new VL replays the same trace. `Core::set_backend` and
-// `load_program` re-decode the program and call `on_code_change`, which
-// drops every trace. A hotness threshold keeps cold blocks on the cold tier
-// (Core::run_cold, a walk over the micro-ops to the block end) — a block
-// only compiles after `threshold` cold entries. Mid-block `jalr` entry
-// simply misses the cache at that index and either runs cold or compiles a
-// suffix trace — either way architecturally identical.
+// Translation cache. Every block compiles on its first entry. Traces are
+// keyed on the starting text index alone within a (backend, code version)
+// generation; there is at most one per index, so the cache is bounded by
+// the text. A trace is valid at every dynamic vector length: packed bodies
+// read the live vl CSR on every visit, exactly as the handlers do, so a
+// strip-mined loop re-entering its body under a new VL replays the same
+// trace. `Core::set_backend` and `load_program` re-decode the program and
+// call `on_code_change`, which drops every trace. A stop-class op cannot
+// lead a trace: `translate` rejects it and the cold tier retires it alone,
+// after which the rest of its block compiles as a suffix trace. Mid-block
+// `jalr` entry likewise misses the cache at that index and compiles a
+// suffix trace — architecturally identical either way.
 #pragma once
 
 #include <cstddef>
@@ -78,20 +78,12 @@ struct Trace {
   std::uint32_t start_idx = 0;  ///< text index of the first op
   std::uint32_t n = 0;          ///< instructions retired by a full execution
   std::uint32_t base_pc = 0;    ///< text_base + 4 * start_idx
-  std::int32_t id = -1;         ///< stable index into JitProgram's deque
   std::uint64_t sum_cycles = 0;  ///< sum of the ops' cycles (no taken penalty)
   std::uint32_t n_loads = 0;
   std::uint32_t n_stores = 0;
   std::uint16_t taken_extra = 0;  ///< timing.branch_taken_penalty
-  /// Deduplicated (isa::Op, count) pairs for op_count materialization.
+  /// Deduplicated (isa::Op, count) pairs for op_count booking.
   std::vector<std::pair<std::uint16_t, std::uint32_t>> op_counts;
-
-  // Deferred accounting: complete executions since the last materialize.
-  // Zero whenever control is outside Core::run() — every observation point
-  // flushes first.
-  std::uint64_t pending = 0;
-  std::uint64_t pending_taken = 0;  ///< of `pending`, taken-branch endings
-  bool dirty = false;               ///< pending != 0 (on JitProgram's list)
 
   /// Offset of the last *memory* op entered by the current execution; a
   /// fault can only originate there (every other body is total), so the
@@ -99,8 +91,8 @@ struct Trace {
   std::uint32_t cursor = 0;
 
   // Loop scratch for run_trace_full: when the trace's branch terminator is
-  // taken *back to this trace's own head* (the compiled shape of every inner
-  // loop), the executor restarts from the head internally instead of
+  // taken *back to this trace's own head* (the compiled shape of every
+  // inner loop), the executor restarts from the head internally instead of
   // exiting to run_jit — `runs_left` caps the restarts (budget / n - 1)
   // and `runs_done` counts them. Each internal restart is a complete
   // execution ending in a taken branch.
@@ -108,14 +100,9 @@ struct Trace {
   std::uint32_t runs_done = 0;
 
   /// Book `runs` complete executions (of which `taken` ended in a taken
-  /// branch) of this range of `uops` directly into `st`. Shared by
-  /// materialize() and the fault unwind path (which must land
-  /// internally-looped runs before rethrow).
+  /// branch) of this range of `uops` into `st`.
   void charge(Stats& st, const std::vector<DecodedOp>& uops,
               std::uint64_t runs, std::uint64_t taken) const;
-
-  /// Book `pending` complete executions into `st` and reset.
-  void materialize(Stats& st, const std::vector<DecodedOp>& uops);
 };
 
 /// Translation/execution telemetry (bench columns, tests).
@@ -124,7 +111,9 @@ struct JitStats {
   std::uint64_t hits = 0;          ///< entries that found a compiled trace
   std::uint64_t translations = 0;  ///< traces compiled
   std::uint64_t ops = 0;           ///< ops covered by compiled traces
-  std::uint64_t interp_entries = 0;  ///< block entries run by the cold tier
+  /// Cold-tier entries from Core::run: a stop-class op, or a step budget
+  /// that ends inside a trace.
+  std::uint64_t interp_entries = 0;
   std::uint64_t invalidations = 0;   ///< on_code_change flushes
   /// Always 0: traces are valid at every VL, so no lookup unmaps one. Kept
   /// because the repo benchmark's traced report still reads it.
@@ -138,54 +127,37 @@ struct JitStats {
   }
 };
 
-/// Process-wide default hotness threshold for new cores (sfrv-eval
-/// --jit-threshold): a block runs on the cold tier until it has been
-/// entered more than `threshold` times, then compiles. 0 compiles on
-/// first entry. Never affects simulated results, only wall clock.
-[[nodiscard]] std::uint32_t default_threshold();
-void set_default_threshold(std::uint32_t threshold);
-
-/// The per-core translation cache + hotness state. It moves with its Core
-/// (Core is move-only); traces are stored in a deque so pointers handed to
-/// the executor stay stable while the cache grows.
+/// The per-core translation cache. It moves with its Core (Core is
+/// move-only); traces are stored in a deque so pointers handed to the
+/// executor stay stable while the cache grows.
 class JitProgram {
  public:
-  JitProgram() : threshold_(default_threshold()) {}
-
-  /// New text segment or re-decoded backend: drop every trace and all heat.
-  /// `n_insts` is the text size. Callers materialize first; outside
-  /// Core::run() nothing is pending.
+  /// New text segment or re-decoded backend: drop every trace. `n_insts`
+  /// is the text size.
   void on_code_change(std::size_t n_insts);
 
   /// The compiled trace starting at text index `idx`, or null. Counts
   /// toward the hit rate.
   [[nodiscard]] Trace* lookup(std::uint32_t idx);
 
-  /// Record one cold entry at `idx`; true when the block just crossed the
-  /// hotness threshold and should be compiled now.
-  [[nodiscard]] bool note_entry(std::uint32_t idx);
-
   /// Compile the straight-line run of `uops` (a decode_program result)
-  /// starting at `idx`. Returns null (and pins `idx` as never-compile) when
-  /// the op at `idx` itself is stop-class — the cold tier keeps it, booking
-  /// every op as it retires (CSR reads observe live counters).
+  /// starting at `idx`. Returns null when the op at `idx` itself is
+  /// stop-class: the cold tier retires it, booking it at once (CSR reads
+  /// observe live counters).
   Trace* translate(std::uint32_t idx, const std::vector<DecodedOp>& uops,
                    const Timing& timing, std::uint32_t text_base);
 
-  /// Flush every trace's deferred accounting into `st`. Cheap when clean.
-  void materialize_all(Stats& st, const std::vector<DecodedOp>& uops);
+  /// Record `runs` complete executions from one run_trace_full call: the
+  /// first `runs - 1` ended in the taken back-edge that restarted the trace
+  /// (internal loops), so they count as cache hits — each back-edge is a
+  /// block entry that found compiled code.
+  void note_runs(std::uint64_t runs) {
+    stats_.lookups += runs - 1;
+    stats_.hits += runs - 1;
+  }
 
-  /// Record `runs` successful full executions of `t` from one
-  /// run_trace_full call: the first `runs - 1` ended in the taken back-edge
-  /// that restarted the trace (internal loops), so they also count as cache
-  /// hits — each back-edge is a block entry that found compiled code.
-  void note_runs(Trace& t, std::uint64_t runs);
-
-  /// Record one block entry run by the cold tier.
+  /// Record one cold-tier entry from Core::run.
   void note_interp() { ++stats_.interp_entries; }
-
-  void set_threshold(std::uint32_t t) { threshold_ = t; }
-  [[nodiscard]] std::uint32_t threshold() const { return threshold_; }
 
   [[nodiscard]] std::size_t size() const { return traces_.size(); }
   [[nodiscard]] const JitStats& stats() const { return stats_; }
@@ -195,22 +167,17 @@ class JitProgram {
   /// Direct-mapped text index -> trace id (-1 = none): the per-block-entry
   /// lookup is one array load, not a hash probe.
   std::vector<std::int32_t> trace_of_;
-  std::vector<std::uint32_t> heat_;   ///< per-index entries; kNever pins
-  std::vector<std::uint32_t> dirty_;  ///< trace ids with pending != 0
-  std::uint32_t threshold_;
   JitStats stats_;
 };
 
 /// Execute `t` in place over `uops` to its end, restarting internally (up
 /// to `max_runs` total executions) whenever the branch terminator takes its
 /// back-edge to the trace's own head — a hot inner loop runs to completion
-/// without ever leaving threaded code. Defers all accounting: the caller
-/// records the returned number of complete executions via
-/// JitProgram::note_runs. On a memory fault, charges completed internal
-/// runs, books the completed prefix of the partial run per op into `st`,
-/// sets pc to the faulting instruction, and rethrows. The caller must have
-/// cleared `branch_taken` and guaranteed budget >= max_runs * t.n,
-/// max_runs >= 1.
+/// without ever leaving threaded code — then book the complete executions
+/// into `st` and return their number. On a memory fault, books the
+/// completed internal runs and the completed prefix of the partial run per
+/// op, sets pc to the faulting instruction, and rethrows. The caller must
+/// guarantee budget >= max_runs * t.n, max_runs >= 1.
 std::uint64_t run_trace_full(Trace& t, const std::vector<DecodedOp>& uops,
                              ExecContext& c, Stats& st,
                              std::uint64_t max_runs);

@@ -86,11 +86,14 @@ TOp expected_top(Op op, std::uint8_t rd) {
     case Op::ECALL:
     case Op::EBREAK: return TOp::Halt;
     case Op::FENCE: return TOp::Nop;
+    // setvl writes only vl and rd: straight-line, so it may sit anywhere in
+    // a trace (packed bodies read the live vl).
+    case Op::SETVL: return TOp::Setvl;
     default: break;
   }
-  // CSR ops (setvl included) read or write live state: stop class. FP
-  // compute: the five inlined shapes by op class; any other op calls its
-  // handler.
+  // The other CSR ops read the live counters, which a trace books only as
+  // it exits: stop class. FP compute: the five inlined shapes by op class;
+  // any other op calls its handler.
   const bool vec = isa::is_vector(op);
   switch (isa::op_class(op)) {
     case Cls::Csr: return TOp::Exit;

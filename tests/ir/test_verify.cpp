@@ -540,6 +540,27 @@ TEST(TraceChecker, FlagsOpenTraceEndDrift) {
   EXPECT_TRUE(has_diag(f.check(tt), "stop-class op inside a trace", 2));
 }
 
+TEST(TraceChecker, AcceptsSetvlInsideATrace) {
+  // setvl is straight-line: the trace runs through it to the ebreak, and
+  // the checker restates its token.
+  Assembler a;
+  a.li(reg::t0, 5);
+  a.setvl(reg::t1, reg::t0, 0, 3);
+  a.addi(reg::t2, reg::t1, 1);
+  a.ebreak();
+  TraceFixture f(a.finish());
+  ASSERT_NE(f.t, nullptr);
+  ASSERT_EQ(f.t->n, f.prog.text.size());
+  ASSERT_EQ(f.uops[1].top, sim::TOp::Setvl);
+  {
+    const auto ds = f.check();
+    EXPECT_TRUE(ds.empty()) << render_all(ds);
+  }
+  f.uops[1].top = sim::TOp::Exit;
+  f.uops[1].cont = sim::jit::token_label(sim::TOp::Exit);
+  EXPECT_TRUE(has_diag(f.check(), "token mismatch (expected Setvl)", 1));
+}
+
 TEST(TraceChecker, FlagsAggregateDrift) {
   TraceFixture f(straightline_program());
   ASSERT_NE(f.t, nullptr);

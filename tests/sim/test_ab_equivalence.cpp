@@ -7,21 +7,21 @@
 // architectural divergence.
 //
 // Each random stream runs three ways:
-//  * free-run — every engine to completion at full speed (compiled traces
-//    and the jit's cold tier fully exercised), final state + memory
+//  * free-run — every engine to completion at full speed (compiled traces,
+//    and the jit's cold tier for stop-class ops), final state + memory
 //    compared;
 //  * per-instruction lockstep — run(1) on all engines, full state compared
 //    after every retired instruction (a budget shorter than a compiled
 //    trace hands off to the cold tier, so this drives one-instruction
 //    cold-tier budgets from trace heads);
-//  * random-chunk lockstep — run(k), k in [1, 8], so trace prefixes and
-//    partial cold blocks execute between observation points and state is
-//    compared at interior pcs.
+//  * random-chunk lockstep — run(k), k in [1, 8], so trace prefixes run on
+//    the cold tier, whole traces run compiled, and state is compared at
+//    interior pcs.
 // The streams' jalr groups produce dynamic targets that skip an
-// instruction (the +12 skip), covering mid-trace jalr entry. The jit runs
-// twice with the hotness threshold forced both ways: 0 (every block
-// compiles on first entry) and nonzero (early entries run on the cold tier,
-// later ones run compiled — the hot/cold transition happens mid-stream).
+// instruction (the +12 skip), covering mid-trace jalr entry, and their CSR
+// ops (stop-class, retired on the cold tier) read the cycle and instret
+// counters right after a trace exits, which checks that every trace books
+// its accounting as it exits.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -269,22 +269,16 @@ sim::Core make_core(const IsaConfig& cfg, const Stream& s, sim::Engine e,
                     std::uint64_t seed) {
   sim::Core core(cfg);
   core.set_engine(e);
-  if (e == sim::Engine::Jit) core.set_jit_threshold(0);  // always compiled
   core.load_program(s.prog);
   seed_state(core, seed);
   return core;
 }
 
-/// All differential cores for one stream: the kEngines set (jit at
-/// threshold 0, every block compiled on first entry) plus a second jit
-/// core with a nonzero threshold, so the hot/cold promotion happens
-/// mid-stream and cold entries run on the cold tier.
+/// All differential cores for one stream, one per engine (Reference first).
 std::vector<sim::Core> make_cores(const IsaConfig& cfg, const Stream& s,
                                   std::uint64_t seed) {
   std::vector<sim::Core> cores;
   for (const auto e : kEngines) cores.push_back(make_core(cfg, s, e, seed));
-  cores.push_back(make_core(cfg, s, sim::Engine::Jit, seed));
-  cores.back().set_jit_threshold(3);
   return cores;
 }
 
@@ -392,41 +386,43 @@ TEST(AbEquivalence, FuzzPoolCoversDynamicVl) {
   }
 }
 
-/// Runs `prog` on one core per engine plus a cold jit core whose hotness
-/// threshold the program never reaches (each block is entered once), so
-/// every block runs on the cold tier. Each run must throw `Fault`. The first
-/// core is Reference, the last the cold jit core.
+/// Runs `prog` to a `Fault` on one core per engine, each through run(),
+/// plus a jit core driven by step(), which retires every op on the cold
+/// tier. The first core is Reference, the last the stepped jit core.
 template <typename Fault>
 std::vector<sim::Core> run_until_fault(const asmb::Program& prog) {
   std::vector<sim::Core> cores;
-  const auto run = [&](sim::Engine e, std::uint32_t threshold) {
+  const auto load = [&](sim::Engine e) {
     sim::Core c(isa::IsaConfig::full());
     c.set_engine(e);
-    c.set_jit_threshold(threshold);
     c.load_program(prog);
-    EXPECT_THROW(c.run(), Fault)
-        << sim::engine_name(e) << " threshold " << threshold;
-    cores.push_back(std::move(c));
+    return c;
   };
-  for (const auto e : kEngines) run(e, 0);  // the jit traces every block
-  run(sim::Engine::Jit, 1);
+  for (const auto e : kEngines) {
+    sim::Core c = load(e);
+    EXPECT_THROW(c.run(), Fault) << sim::engine_name(e);
+    cores.push_back(std::move(c));
+  }
+  sim::Core stepped = load(sim::Engine::Jit);
+  EXPECT_THROW(
+      for (int n = 0; n < 1000 && !stepped.halted(); ++n) stepped.step(),
+      Fault);
+  cores.push_back(std::move(stepped));
   return cores;
 }
 
-/// Every core retired to Reference's state, and the cold jit core got
+/// Every core retired to Reference's state, and the stepped jit core got
 /// there without compiling a trace.
 void expect_same_fault_state(const std::vector<sim::Core>& cores) {
   for (std::size_t i = 1; i < cores.size(); ++i) {
     EXPECT_TRUE(state_eq(cores[0], cores[i]));
   }
-  const sim::jit::JitStats& cold = cores.back().jit_stats();
-  EXPECT_EQ(cold.translations, 0u);
-  EXPECT_GE(cold.interp_entries, 1u);
+  EXPECT_EQ(cores.back().jit_stats().translations, 0u);
 }
 
 // Falling through the last text instruction (no ebreak) must raise the same
-// fetch fault with the same fully-retired state under every engine — the
-// cold tier must stop at the end of the text, not walk off the micro-ops.
+// fetch fault with the same fully-retired state under every engine — an
+// open trace must stop at the end of the text, not walk off the micro-ops.
 TEST(EngineFaults, FallthroughOffTextEndMatchesAllEngines) {
   Assembler a;
   a.addi(asmb::reg::t0, asmb::reg::zero, 1);

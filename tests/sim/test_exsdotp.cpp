@@ -341,7 +341,6 @@ Digest run_matrix_program(sim::Engine e, fp::MathBackend b,
 
   sim::Core core;
   core.set_engine(e);
-  if (e == sim::Engine::Jit) core.set_jit_threshold(0);
   core.set_backend(b);
   core.load_program(a.finish());
   EXPECT_EQ(core.run(), sim::Core::RunResult::Halted);

@@ -1,9 +1,10 @@
-// Engine::Jit translation-cache unit tests: hotness-threshold promotion
-// (blocks interpret until entered more than `threshold` times), wholesale
-// invalidation on Core::set_backend (the re-decoded program binds new
-// softfloat pointers), mid-block jalr entry (a dynamic target that is not a
-// cached trace start), long straight-line runs (a trace has no length cap),
-// and the cache bound (at most one trace per text index). Architectural
+// Engine::Jit translation-cache unit tests: compilation on first entry
+// (no block runs on the cold tier), a stop-class loop head (it retires on
+// the cold tier and the rest of its block compiles as a suffix trace),
+// wholesale invalidation on Core::set_backend (the re-decoded program binds
+// new softfloat pointers), mid-block jalr entry (a dynamic target that is
+// not a cached trace start), long straight-line runs (a trace has no length
+// cap), and the cache bound (at most one trace per text index). Architectural
 // identity across all of it is the fuzzer's job (test_ab_equivalence.cpp);
 // these tests pin the cache *mechanics* plus spot-check results against
 // Engine::Reference.
@@ -36,10 +37,9 @@ asmb::Program counting_loop(int count) {
   return a.finish();
 }
 
-sim::Core make_jit_core(const asmb::Program& prog, std::uint32_t threshold) {
+sim::Core make_jit_core(const asmb::Program& prog) {
   sim::Core core;
   core.set_engine(Engine::Jit);
-  core.set_jit_threshold(threshold);
   core.load_program(prog);
   return core;
 }
@@ -59,38 +59,52 @@ void expect_matches_reference(sim::Core& jit, const asmb::Program& prog) {
   EXPECT_EQ(jit.stats().instructions, ref.stats().instructions);
 }
 
-TEST(JitCache, HotnessThresholdPromotion) {
-  // With threshold T the loop head compiles on its (T+1)-th entry. The head
-  // is entered count-1 times (taken back-edges), so count = T+2 is the
-  // first iteration count that compiles anything (the entry block runs
-  // once and never gets hot).
-  constexpr std::uint32_t kT = 3;
-  {
-    sim::Core cold = make_jit_core(counting_loop(kT + 1), kT);
-    ASSERT_EQ(cold.run(), sim::Core::RunResult::Halted);
-    EXPECT_EQ(cold.jit_stats().translations, 0u);
-    EXPECT_EQ(cold.jit_cache_size(), 0u);
-    EXPECT_GT(cold.jit_stats().interp_entries, 0u);
-    expect_matches_reference(cold, counting_loop(kT + 1));
+TEST(JitCache, EveryBlockCompilesOnFirstEntry) {
+  // The entry block (li, addi, then the loop body through bne) compiles on
+  // its first entry; the taken bne re-enters at the loop head, which
+  // compiles a trace that restarts internally; the ebreak compiles last.
+  // Nothing runs on the cold tier.
+  for (const int count : {1, 2, 5}) {
+    const asmb::Program prog = counting_loop(count);
+    sim::Core core = make_jit_core(prog);
+    ASSERT_EQ(core.run(), sim::Core::RunResult::Halted);
+    const sim::jit::JitStats& st = core.jit_stats();
+    EXPECT_EQ(st.interp_entries, 0u) << count;
+    EXPECT_EQ(st.translations, count == 1 ? 2u : 3u) << count;
+    EXPECT_EQ(core.jit_cache_size(), st.translations) << count;
+    // The loop-head trace's first run is its translation; every later
+    // iteration is an internal restart, which counts as a hit.
+    EXPECT_EQ(st.hits, count > 2 ? static_cast<std::uint64_t>(count - 2) : 0u)
+        << count;
+    expect_matches_reference(core, prog);
   }
-  {
-    // count = kT+3: the head's (kT+1)-th entry compiles, and the one after
-    // it is the first cache hit.
-    sim::Core hot = make_jit_core(counting_loop(kT + 3), kT);
-    ASSERT_EQ(hot.run(), sim::Core::RunResult::Halted);
-    EXPECT_EQ(hot.jit_stats().translations, 1u);
-    EXPECT_EQ(hot.jit_cache_size(), 1u);
-    EXPECT_GT(hot.jit_stats().hits, 0u);
-    expect_matches_reference(hot, counting_loop(kT + 3));
-  }
-  // Threshold 0 compiles every entered block on first entry.
-  {
-    sim::Core eager = make_jit_core(counting_loop(4), 0);
-    ASSERT_EQ(eager.run(), sim::Core::RunResult::Halted);
-    EXPECT_GE(eager.jit_stats().translations, 2u);  // entry block + loop head
-    EXPECT_EQ(eager.jit_stats().interp_entries, 0u);
-    expect_matches_reference(eager, counting_loop(4));
-  }
+}
+
+TEST(JitCache, StopClassLoopHeadRunsColdOncePerIteration) {
+  // The loop head reads the cycle CSR, which observes every cycle retired
+  // so far: it is stop-class, so each iteration retires it on the cold
+  // tier, after the trace before it booked its cycles on exit. The rest of
+  // the loop compiles once as a suffix trace. The accumulated reads in t2
+  // pin the booking against Reference.
+  constexpr int kIters = 10;
+  asmb::Assembler a;
+  a.li(reg::t0, kIters);
+  const auto loop = a.here();
+  a.csrrs(reg::t1, 0xc00, reg::zero);  // rdcycle
+  a.add(reg::t2, reg::t2, reg::t1);
+  a.addi(reg::t0, reg::t0, -1);
+  a.bne(reg::t0, reg::zero, loop);
+  a.ebreak();
+  const asmb::Program prog = a.finish();
+
+  sim::Core core = make_jit_core(prog);
+  ASSERT_EQ(core.run(), sim::Core::RunResult::Halted);
+  const sim::jit::JitStats& st = core.jit_stats();
+  EXPECT_EQ(st.interp_entries, static_cast<std::uint64_t>(kIters));
+  // Entry block, the suffix after the CSR op, and the ebreak.
+  EXPECT_EQ(st.translations, 3u);
+  EXPECT_NE(core.x(reg::t2), 0u);
+  expect_matches_reference(core, prog);
 }
 
 TEST(JitCache, SetBackendInvalidatesAndRecompiles) {
@@ -108,7 +122,7 @@ TEST(JitCache, SetBackendInvalidatesAndRecompiles) {
   a.ebreak();
   const asmb::Program prog = a.finish();
 
-  sim::Core core = make_jit_core(prog, 0);
+  sim::Core core = make_jit_core(prog);
   ASSERT_EQ(core.run(), sim::Core::RunResult::Halted);
   ASSERT_GT(core.jit_cache_size(), 0u);
 
@@ -131,8 +145,8 @@ TEST(JitCache, SetBackendInvalidatesAndRecompiles) {
 TEST(JitCache, MidBlockJalrEntryCompilesSuffix) {
   // The jalr lands 12 bytes past the auipc — on the *middle* of the trace
   // compiled from the entry block. That index is not a cached trace start:
-  // the driver misses, counts an entry, and (threshold 0) compiles a suffix
-  // trace at the landing pc. Both paths must retire identically.
+  // the driver misses and compiles a suffix trace at the landing pc. Both
+  // paths must retire identically.
   asmb::Assembler a;
   a.emit({.op = Op::AUIPC, .rd = reg::t2, .imm = 0});
   a.emit({.op = Op::JALR, .rd = reg::ra, .rs1 = reg::t2, .imm = 12});
@@ -142,7 +156,7 @@ TEST(JitCache, MidBlockJalrEntryCompilesSuffix) {
   a.ebreak();
   const asmb::Program prog = a.finish();
 
-  sim::Core core = make_jit_core(prog, 0);
+  sim::Core core = make_jit_core(prog);
   ASSERT_EQ(core.run(), sim::Core::RunResult::Halted);
   EXPECT_EQ(core.x(reg::s1), 0u);
   EXPECT_EQ(core.x(reg::s2), 222u);
@@ -173,8 +187,8 @@ TEST(JitCache, LongStraightLineBlockCompilesAsOneTrace) {
   ASSERT_GT(prog.text.size(), 600u);
 
   // The entry block is the whole program (li expands to straight-line
-  // ops): one trace, compiled on first entry at threshold 0.
-  sim::Core core = make_jit_core(prog, 0);
+  // ops): one trace, compiled on first entry.
+  sim::Core core = make_jit_core(prog);
   ASSERT_EQ(core.run(), sim::Core::RunResult::Halted);
   EXPECT_EQ(core.jit_stats().translations, 1u);
   EXPECT_EQ(core.jit_stats().ops, prog.text.size());
@@ -193,8 +207,7 @@ TEST(JitCache, LongStraightLineBlockCompilesAsOneTrace) {
 
 TEST(JitCache, TelemetryAndKnobAccessors) {
   const asmb::Program prog = counting_loop(50);
-  sim::Core core = make_jit_core(prog, 0);
-  EXPECT_EQ(core.jit_threshold(), 0u);
+  sim::Core core = make_jit_core(prog);
   ASSERT_EQ(core.run(), sim::Core::RunResult::Halted);
   const sim::jit::JitStats& st = core.jit_stats();
   EXPECT_GT(st.lookups, 0u);

@@ -22,18 +22,17 @@ using asmb::Assembler;
 using isa::Op;
 namespace reg = asmb::reg;
 
-/// One execution path: an engine and, for the jit, its hotness threshold.
-/// At 0 every block compiles, so the fault happens inside a trace; these
-/// programs never enter a block a million times, so at that threshold it
-/// happens on the cold tier.
+/// One execution path: an engine and how it is driven. run() compiles
+/// every jit block, so the fault happens inside a trace; step() retires
+/// every op on the jit's cold tier.
 struct Path {
   sim::Engine engine;
-  std::uint32_t jit_threshold;
+  bool step;
   const char* name;
 };
-constexpr Path kPaths[] = {{sim::Engine::Reference, 0, "reference"},
-                           {sim::Engine::Jit, 0, "jit trace"},
-                           {sim::Engine::Jit, 1'000'000, "jit cold tier"}};
+constexpr Path kPaths[] = {{sim::Engine::Reference, false, "reference"},
+                           {sim::Engine::Jit, false, "jit trace"},
+                           {sim::Engine::Jit, true, "jit cold tier"}};
 
 constexpr std::uint32_t kMemSize = 8u << 20;  // MemConfig default
 
@@ -54,11 +53,14 @@ Outcome run_one(const std::function<void(Assembler&)>& body, const Path& p) {
   body(a);
   sim::Core core(isa::IsaConfig::full());
   core.set_engine(p.engine);
-  core.set_jit_threshold(p.jit_threshold);
   core.load_program(a.finish());
   Outcome o;
   try {
-    core.run(1'000'000);
+    if (p.step) {
+      for (int n = 0; n < 1'000'000 && !core.halted(); ++n) core.step();
+    } else {
+      core.run(1'000'000);
+    }
   } catch (const std::out_of_range& ex) {
     o.threw = true;
     o.message = ex.what();

@@ -1,6 +1,7 @@
 // Dynamic vector length (setvl) conformance: grant rules at the ISA level,
 // vl=0 no-op semantics, one JIT trace replayed when a block is re-entered
-// under a different VL, and the strip-mined kernel lowering — O2's unrolled
+// under a different VL, a strip-mined loop compiled whole (setvl is
+// straight-line), and the strip-mined kernel lowering — O2's unrolled
 // setvl loops must match O0's bit-for-bit (outputs and fflags), and
 // elementwise kernels must be bit-identical across every VL choice.
 #include <gtest/gtest.h>
@@ -24,14 +25,24 @@ namespace reg = asmb::reg;
 
 constexpr sim::Engine kEngines[] = {sim::Engine::Reference, sim::Engine::Jit};
 
-sim::Core run_on(const asmb::Program& prog, sim::Engine e) {
-  sim::Core core(isa::IsaConfig::full());
+sim::Core run_on(const asmb::Program& prog, sim::Engine e,
+                 fp::MathBackend b = fp::default_backend(), int flen = 32) {
+  sim::Core core(isa::IsaConfig::full(flen));
   core.set_engine(e);
-  if (e == sim::Engine::Jit) core.set_jit_threshold(0);
+  core.set_backend(b);
   core.load_program(prog);
   EXPECT_EQ(core.run(1'000'000), sim::Core::RunResult::Halted)
       << sim::engine_name(e);
   return core;
+}
+
+/// The bytes of `prog`'s data segment below `end`, as `core` left them.
+std::vector<std::uint8_t> data_of(const sim::Core& core,
+                                  const asmb::Program& prog,
+                                  std::uint32_t end) {
+  std::vector<std::uint8_t> bytes(end - prog.data_base);
+  core.memory().read_block(prog.data_base, bytes.data(), bytes.size());
+  return bytes;
 }
 
 TEST(Setvl, GrantRules) {
@@ -130,8 +141,6 @@ TEST(Setvl, JitTraceReplaysUnderEveryVl) {
   const auto loop = a.here();
   a.addi(reg::t3, reg::t3, -1);  // AVL 7, 6, ..., 0
   a.setvl(reg::zero, reg::t3, 0, 0);
-  // setvl cannot lead a trace, so jump past it: the body heads its own.
-  a.emit({.op = Op::JAL, .rd = reg::zero, .imm = 4});
   a.vflb(1, 0, reg::s0);
   a.vflb(2, 8, reg::s0);
   a.vflh(3, 16, reg::s0);
@@ -154,42 +163,95 @@ TEST(Setvl, JitTraceReplaysUnderEveryVl) {
   a.bne(reg::t3, reg::zero, loop);
   a.ebreak();
   const asmb::Program prog = a.finish();
-  const std::size_t data_len = out + 8 * 48 - prog.data_base;
-
-  const auto run = [&](int flen, sim::Engine e, fp::MathBackend b) {
-    sim::Core core(isa::IsaConfig::full(flen));
-    core.set_engine(e);
-    core.set_backend(b);
-    core.set_jit_threshold(0);
-    core.load_program(prog);
-    EXPECT_EQ(core.run(1'000'000), sim::Core::RunResult::Halted);
-    return core;
-  };
-  const auto data = [&](const sim::Core& core) {
-    std::vector<std::uint8_t> bytes(data_len);
-    core.memory().read_block(prog.data_base, bytes.data(), bytes.size());
-    return bytes;
-  };
+  const std::uint32_t end = out + 8 * 48;
 
   for (const int flen : {32, 64}) {
     const sim::Core ref =
-        run(flen, sim::Engine::Reference, fp::MathBackend::Grs);
+        run_on(prog, sim::Engine::Reference, fp::MathBackend::Grs, flen);
     for (const auto b : {fp::MathBackend::Grs, fp::MathBackend::Fast}) {
-      const sim::Core jit = run(flen, sim::Engine::Jit, b);
+      const sim::Core jit = run_on(prog, sim::Engine::Jit, b, flen);
       const std::string what = "flen=" + std::to_string(flen) +
                                " backend=" + std::string(fp::backend_name(b));
       for (unsigned r = 0; r < 32; ++r) {
         EXPECT_EQ(jit.f_bits(r), ref.f_bits(r)) << what << " f" << r;
         EXPECT_EQ(jit.x(r), ref.x(r)) << what << " x" << r;
       }
-      EXPECT_EQ(data(jit), data(ref)) << what;
+      EXPECT_EQ(data_of(jit, prog, end), data_of(ref, prog, end)) << what;
       EXPECT_EQ(jit.fflags(), ref.fflags()) << what;
       EXPECT_EQ(jit.stats().cycles, ref.stats().cycles) << what;
       EXPECT_EQ(jit.stats().pc_cycles, ref.stats().pc_cycles) << what;
-      // Prologue, loop head, body and halt: each compiles once.
-      EXPECT_EQ(jit.jit_stats().translations, 4u) << what;
+      // The prologue (through the first iteration), the loop and the halt
+      // each compile once; the loop's trace restarts internally.
+      EXPECT_EQ(jit.jit_stats().translations, 3u) << what;
       EXPECT_EQ(jit.jit_stats().vl_invalidations, 0u) << what;
     }
+  }
+}
+
+TEST(Setvl, StripMinedLoopRunsCompiled) {
+  // The shape the strip-mining lowering emits: a guard branch, then
+  // `sub avl; setvl gvl; body; pointer and induction bumps; blt`, with a
+  // cap (3) that does not divide the trip count (11): strips of 3, 3, 3
+  // and 2 elements. setvl is straight-line, so one trace covers the whole
+  // loop and restarts internally for every strip after the first, and
+  // nothing runs on the cold tier.
+  constexpr int kTrip = 11;
+  constexpr int kCap = 3;
+  constexpr int kStrips = (kTrip + kCap - 1) / kCap;
+  const std::uint8_t x_bytes[kTrip] = {0x3c, 0x40, 0x3e, 0x3a, 0xbd, 0x42,
+                                       0x38, 0x3f, 0x3d, 0x41, 0x3b};
+  const std::uint8_t y_bytes[kTrip] = {0x3d, 0x41, 0x3b, 0xc0, 0x3c, 0x45,
+                                       0x39, 0x37, 0x3e, 0xb9, 0x43};
+  Assembler a;
+  const std::uint32_t x = a.data_bytes(x_bytes, sizeof x_bytes);
+  const std::uint32_t y = a.data_bytes(y_bytes, sizeof y_bytes);
+  const std::uint32_t out = a.data_zero(16);
+  a.la(reg::s0, x);
+  a.la(reg::s1, y);
+  a.la(reg::s2, out);
+  a.li(reg::a0, kTrip);  // trip end
+  a.li(reg::a1, 0);      // induction variable
+  const auto done = a.make_label();
+  a.bge(reg::a1, reg::a0, done);
+  const auto loop = a.here();
+  a.sub(reg::t0, reg::a0, reg::a1);
+  a.setvl(reg::t1, reg::t0, 0, kCap);
+  a.vflb(1, 0, reg::s0);
+  a.vflb(2, 0, reg::s1);
+  a.fp_rrr(Op::VFMUL_B, 3, 1, 2);
+  a.fp_rrr(Op::VFMAC_B, 4, 1, 2);  // accumulates across strips
+  a.vfsb(3, 0, reg::s2);
+  a.add(reg::s0, reg::s0, reg::t1);
+  a.add(reg::s1, reg::s1, reg::t1);
+  a.add(reg::s2, reg::s2, reg::t1);
+  a.add(reg::a1, reg::a1, reg::t1);
+  a.blt(reg::a1, reg::a0, loop);
+  a.bind(done);
+  a.ebreak();
+  const asmb::Program prog = a.finish();
+  const std::uint32_t end = out + 16;
+
+  const sim::Core ref =
+      run_on(prog, sim::Engine::Reference, fp::MathBackend::Grs);
+  ASSERT_EQ(ref.x(reg::a1), static_cast<std::uint32_t>(kTrip));
+  for (const auto b : {fp::MathBackend::Grs, fp::MathBackend::Fast}) {
+    const sim::Core jit = run_on(prog, sim::Engine::Jit, b);
+    const std::string what = "backend=" + std::string(fp::backend_name(b));
+    const sim::jit::JitStats& st = jit.jit_stats();
+    EXPECT_EQ(st.interp_entries, 0u) << what;
+    // The prologue through the guard, the loop and the halt: the three
+    // traces cover the text, so one of them is `sub; setvl; ...; blt`.
+    EXPECT_EQ(st.translations, 3u) << what;
+    EXPECT_EQ(st.ops, prog.text.size()) << what;
+    EXPECT_GE(st.hits, static_cast<std::uint64_t>(kStrips - 1)) << what;
+    for (unsigned r = 0; r < 32; ++r) {
+      EXPECT_EQ(jit.f_bits(r), ref.f_bits(r)) << what << " f" << r;
+      EXPECT_EQ(jit.x(r), ref.x(r)) << what << " x" << r;
+    }
+    EXPECT_EQ(data_of(jit, prog, end), data_of(ref, prog, end)) << what;
+    EXPECT_EQ(jit.fflags(), ref.fflags()) << what;
+    EXPECT_EQ(jit.stats().cycles, ref.stats().cycles) << what;
+    EXPECT_EQ(jit.stats().pc_cycles, ref.stats().pc_cycles) << what;
   }
 }
 

@@ -27,7 +27,6 @@
 
 #include "eval/campaign.hpp"
 #include "sim/core.hpp"
-#include "sim/jit.hpp"
 #include "util/verify.hpp"
 
 namespace {
@@ -39,7 +38,7 @@ int usage(const char* argv0) {
       "          [--benchmarks a,b,...] [--vls a,b,...] [--mem l1|l2|l3]\n"
       "          [--engine %s]\n"
       "          [--backend grs|fast] [--opt O0|O1|O2]\n"
-      "          [--jit-threshold N] [--verify] [--wall-clock] [--no-tuner]\n"
+      "          [--verify] [--wall-clock] [--no-tuner]\n"
       "          [--cache-dir DIR] [--cache-bench]\n"
       "          [--list benchmarks|suites|engines|backends|opts]\n"
       "\n"
@@ -62,9 +61,6 @@ int usage(const char* argv0) {
       "  --opt         post-lowering optimization level; outputs and QoR are\n"
       "                bit-identical, cycle metrics improve\n"
       "                (default: $SFRV_OPT or O0)\n"
-      "  --jit-threshold  jit engine hotness threshold: blocks interpret until\n"
-      "                entered more than N times, then compile; 0 compiles on\n"
-      "                first entry. Wall-clock only (default: 8)\n"
       "  --verify      enable per-pass pipeline verification (equivalent to\n"
       "                SFRV_VERIFY=1): statically check every lowered kernel\n"
       "                and compiled trace, and abort with a pass-attributed\n"
@@ -181,7 +177,6 @@ int main(int argc, char** argv) {
   std::string cache_dir;
   std::string list_kind;
   int jobs = 1;
-  int jit_threshold = -1;  // -1: keep the process default
   bool wall_clock = false;
   bool cache_bench = false;
   bool tuner = true;
@@ -231,13 +226,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
       opt = v;
-    } else if (arg == "--jit-threshold") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      if (!parse_int(v, jit_threshold) || jit_threshold < 0) {
-        std::fprintf(stderr, "invalid jit threshold: %s\n", v);
-        return 2;
-      }
     } else if (arg == "--cache-dir") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -306,9 +294,6 @@ int main(int argc, char** argv) {
                    sim::engine_names().c_str());
       return usage(argv[0]);
     }
-  }
-  if (jit_threshold >= 0) {
-    sim::jit::set_default_threshold(static_cast<std::uint32_t>(jit_threshold));
   }
   if (!backend.empty()) {
     try {
