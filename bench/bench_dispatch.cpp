@@ -146,14 +146,15 @@ struct Measurement {
   double hit_rate = 0;         ///< trace-cache hits / block entries
 };
 
-/// Simulated cycles of a lowered kernel at one optimization level
-/// (deterministic: independent of engine, backend, and host).
+/// Simulated cycles of a lowered kernel at one optimization level, run on
+/// the jit engine with the grs backend (deterministic: the count is the
+/// same on every engine, backend, and host).
 std::uint64_t kernel_cycles(const sfrv::kernels::KernelSpec& spec,
                             sfrv::ir::CodegenMode mode,
                             const sfrv::ir::OptConfig& opt) {
   const auto r = sfrv::kernels::run_kernel(
-      spec, mode, {}, sfrv::isa::IsaConfig::full(), sfrv::sim::default_engine(),
-      sfrv::fp::default_backend(), opt);
+      spec, mode, {}, sfrv::isa::IsaConfig::full(), sfrv::sim::Engine::Jit,
+      sfrv::fp::MathBackend::Grs, opt);
   return r.stats.cycles;
 }
 

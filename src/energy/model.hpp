@@ -1,15 +1,14 @@
 // Per-instruction energy model.
 //
-// Substitution note (DESIGN.md section 2): the paper characterizes a
-// post-layout smallFloat unit in UMC 65 nm at 350 MHz. Here, per-class
-// energy constants play that role. The constants are calibrated so that the
-// paper's L1 headline numbers hold (~30 % saving for float16, ~50 % for
-// float8 over float); everything else (latency trends of Fig. 3, the
-// mixed-precision outcome of Fig. 6) follows from the model without further
-// fitting. Ratios between classes track the published PULP/FPnew 65 nm data:
-// narrower FP datapaths cost proportionally less, SIMD ops cost slightly
-// less than (lanes x scalar) but far more than one scalar op, and memory
-// access energy grows steeply with the memory level.
+// Substitution note: the paper characterizes a post-layout smallFloat unit in
+// UMC 65 nm at 350 MHz. Here, per-class energy constants play that role. The
+// constants are calibrated so that the paper's L1 headline numbers hold (~30 %
+// saving for float16, ~50 % for float8 over float); everything else (latency
+// trends of Fig. 3, the mixed-precision outcome of Fig. 6) follows from the
+// model without further fitting. Ratios between classes track the published
+// PULP/FPnew 65 nm data: narrower FP datapaths cost proportionally less, SIMD
+// ops cost slightly less than (lanes x scalar) but far more than one scalar op,
+// and memory access energy grows steeply with the memory level.
 #pragma once
 
 #include "isa/isa.hpp"

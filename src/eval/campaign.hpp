@@ -71,15 +71,15 @@ struct CampaignSpec {
   /// Simulator engine every cell (and the tuner study) executes through.
   /// The report records it; results must not depend on it — CI runs the
   /// smoke campaign under all engines and diffs the reports.
-  sim::Engine engine = sim::default_engine();
+  sim::Engine engine = sim::Engine::Jit;
   /// Softfloat math backend every cell binds its FP entry points from.
   /// Same contract as the engine: recorded for provenance, results must not
   /// depend on it (CI diffs the smoke reports across backends too).
-  fp::MathBackend backend = fp::default_backend();
+  fp::MathBackend backend = fp::MathBackend::Grs;
   /// Post-lowering optimization level every cell (and the tuner study) is
   /// lowered under. Cycle metrics depend on it; QoR metrics must not (CI
   /// diffs the QoR rows of the smoke report across levels).
-  ir::OptConfig opt = ir::default_opt();
+  ir::OptConfig opt = ir::OptConfig::O0();
   /// VL-sweep axis (innermost after mode). Each point overrides
   /// `opt.vl_cap` for its cells; 0 keeps the legacy fixed-lane lowering.
   /// Cells at the same VL point must be bit-identical across engines,
@@ -138,9 +138,9 @@ struct PlannedCell {
 /// Execute one cell: lower, simulate, and measure.
 [[nodiscard]] CellResult run_cell(
     const CellSpec& cell, const sim::MemConfig& mem,
-    sim::Engine engine = sim::default_engine(),
-    fp::MathBackend backend = fp::default_backend(),
-    const ir::OptConfig& opt = ir::default_opt());
+    sim::Engine engine = sim::Engine::Jit,
+    fp::MathBackend backend = fp::MathBackend::Grs,
+    const ir::OptConfig& opt = ir::OptConfig::O0());
 
 /// Completed-cell stream: invoked (serialized, from worker threads) as each
 /// cell lands, in arbitrary completion order — store hits first, then
@@ -172,9 +172,9 @@ using CellCallback = std::function<void(
 /// lookup hits/misses into a campaign's cache telemetry.
 [[nodiscard]] TunerStudy run_tuner_study(
     SuiteScale scale, const sim::MemConfig& mem,
-    sim::Engine engine = sim::default_engine(),
-    fp::MathBackend backend = fp::default_backend(),
-    const ir::OptConfig& opt = ir::default_opt(), CellStore* store = nullptr,
+    sim::Engine engine = sim::Engine::Jit,
+    fp::MathBackend backend = fp::MathBackend::Grs,
+    const ir::OptConfig& opt = ir::OptConfig::O0(), CellStore* store = nullptr,
     CacheTelemetry* tally = nullptr);
 
 }  // namespace sfrv::eval

@@ -78,8 +78,7 @@ struct LoweredKernel {
 /// empty entries are zero-initialized. `opt` selects the post-lowering loop
 /// optimizer pipeline (ir/opt.hpp); every level produces bit-identical
 /// outputs and fflags, only the glue instruction count and cycle totals
-/// change. Defaults to O0 so direct callers (lowering-shape tests) are
-/// environment-independent; the kernel runner layers SFRV_OPT on top.
+/// change. Defaults to O0, as every caller does.
 [[nodiscard]] LoweredKernel lower(
     const Kernel& kernel, CodegenMode mode,
     const std::vector<std::vector<double>>& array_init,

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <bitset>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "isa/encoding.hpp"
 #include "isa/opcodes.hpp"
-#include "util/env.hpp"
 
 namespace sfrv::ir {
 
@@ -44,17 +41,6 @@ OptConfig opt_from_name(std::string_view name) {
     if (name == opt_name(c)) return c;
   }
   throw std::runtime_error("unknown opt level: " + std::string(name));
-}
-
-OptConfig opt_from_env(const char* value) {
-  return util::parse_env_enum(
-      value, OptConfig::O0(),
-      [](const char* v) { return opt_from_name(v); }, "SFRV_OPT", "O0|O1|O2");
-}
-
-OptConfig default_opt() {
-  static const OptConfig c = opt_from_env(std::getenv("SFRV_OPT"));
-  return c;
 }
 
 // ---- dead-glue elimination --------------------------------------------------

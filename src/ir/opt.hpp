@@ -39,8 +39,8 @@
 namespace sfrv::ir {
 
 /// Optimization pipeline configuration. The named levels are the only
-/// spellings the CLI / SFRV_OPT accept; custom combinations are for
-/// programmatic use (benches, tests).
+/// spellings the CLI accepts; custom combinations are for programmatic use
+/// (benches, tests).
 struct OptConfig {
   /// Innermost-loop unroll factor; must be a power of two in [1, 8].
   int unroll_factor = 1;
@@ -75,17 +75,6 @@ void validate(const OptConfig& cfg);
 /// Parse a level name ("O0" | "O1" | "O2"); throws std::runtime_error on an
 /// unknown one.
 [[nodiscard]] OptConfig opt_from_name(std::string_view name);
-
-/// Resolve an SFRV_OPT-style environment value: null/empty selects O0, an
-/// invalid value warns on stderr and falls back to O0 (never throws - it
-/// runs inside static initialization via default arguments). Mirrors
-/// sim::engine_from_env / fp::backend_from_env.
-[[nodiscard]] OptConfig opt_from_env(const char* value);
-
-/// Process-wide default optimization level: the SFRV_OPT environment
-/// variable (O0|O1|O2, read once) or O0. Lets CI run the whole campaign and
-/// kernel stack at any level without threading flags by hand.
-[[nodiscard]] OptConfig default_opt();
 
 /// Outcome of the dead-glue pass (for the bench/doc glue accounting).
 struct GlueStats {

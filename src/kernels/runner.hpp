@@ -42,16 +42,14 @@ struct RunResult {
 
 /// Lower with `mode`, execute to completion, and read back every array in
 /// `spec.output_arrays`. The engine, math backend, and optimization level
-/// default to the process-wide selections (SFRV_ENGINE / SFRV_BACKEND /
-/// SFRV_OPT, see sim::default_engine, fp::default_backend and
-/// ir::default_opt) so the whole kernel/eval stack can be exercised under
-/// any combination without threading flags by hand.
+/// default to jit, grs and O0 (sfrv-eval's defaults); results are bit- and
+/// cycle-identical across engines and backends.
 [[nodiscard]] RunResult run_kernel(
     const KernelSpec& spec, ir::CodegenMode mode, sim::MemConfig mem = {},
     isa::IsaConfig cfg = isa::IsaConfig::full(),
-    sim::Engine engine = sim::default_engine(),
-    fp::MathBackend backend = fp::default_backend(),
-    const ir::OptConfig& opt = ir::default_opt());
+    sim::Engine engine = sim::Engine::Jit,
+    fp::MathBackend backend = fp::MathBackend::Grs,
+    const ir::OptConfig& opt = ir::OptConfig::O0());
 
 /// Execute an already-lowered kernel (the simulate half of run_kernel).
 /// Separated so the eval planner can lower every cell up front — computing
@@ -60,8 +58,8 @@ struct RunResult {
 [[nodiscard]] RunResult run_lowered(
     const KernelSpec& spec, const ir::LoweredKernel& lowered,
     sim::MemConfig mem = {}, isa::IsaConfig cfg = isa::IsaConfig::full(),
-    sim::Engine engine = sim::default_engine(),
-    fp::MathBackend backend = fp::default_backend());
+    sim::Engine engine = sim::Engine::Jit,
+    fp::MathBackend backend = fp::MathBackend::Grs);
 
 /// Content digest of a lowered kernel instance: a process-stable FNV-1a hash
 /// over the encoded text image, the initialized data segment (which embeds

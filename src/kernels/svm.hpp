@@ -1,11 +1,11 @@
 // Linear multi-class SVM for the gesture-recognition case study (paper
 // Section V-C, after Benatti et al.).
 //
-// Substitution note (DESIGN.md section 2): the EMG dataset is proprietary;
-// a synthetic Gaussian-cluster dataset with controlled margins exercises the
-// same inference code path (per-class dot products over a feature vector)
-// and reproduces the precision/accuracy trade-off the case study reports
-// (float/mixed exact, narrower accumulators losing classifications).
+// Substitution note: the EMG dataset is proprietary; a synthetic
+// Gaussian-cluster dataset with controlled margins exercises the same inference
+// code path (per-class dot products over a feature vector) and reproduces the
+// precision/accuracy trade-off the case study reports (float/mixed exact,
+// narrower accumulators losing classifications).
 #pragma once
 
 #include <vector>

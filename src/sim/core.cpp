@@ -1,14 +1,10 @@
 #include "sim/core.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
-#include "isa/disasm.hpp"
 #include "sim/verify.hpp"
 #include "softfloat/runtime.hpp"
-#include "util/env.hpp"
 #include "util/verify.hpp"
 
 namespace sfrv::sim {
@@ -79,18 +75,6 @@ Engine engine_from_name(std::string_view name) {
   throw std::runtime_error("unknown engine name: " + std::string(name));
 }
 
-Engine engine_from_env(const char* value) {
-  return util::parse_env_enum(
-      value, Engine::Jit,
-      [](const char* v) { return engine_from_name(v); }, "SFRV_ENGINE",
-      engine_names().c_str());
-}
-
-Engine default_engine() {
-  static const Engine e = engine_from_env(std::getenv("SFRV_ENGINE"));
-  return e;
-}
-
 Core::Core(isa::IsaConfig cfg, MemConfig mem_cfg, Timing timing)
     : detail::CoreState{cfg, Memory(mem_cfg), timing} {
   ctx_.flen_mask = width_mask(cfg.flen);
@@ -133,12 +117,7 @@ void Core::load_program(const asmb::Program& prog) {
 }
 
 Core::RunResult Core::run(std::uint64_t max_steps) {
-  // Tracing falls back to per-step execution: the jit engine retires the
-  // same instructions in the same order, so the traces stay equal either
-  // way, but the per-step path keeps the trace hook in one place.
-  if (engine_ == Engine::Jit && trace_ == nullptr) {
-    return run_jit(max_steps);
-  }
+  if (engine_ == Engine::Jit) return run_jit(max_steps);
   for (std::uint64_t n = 0; n < max_steps; ++n) {
     if (ctx_.halted) return RunResult::Halted;
     step();
@@ -160,12 +139,6 @@ void Core::step() {
   if (engine_ == Engine::Reference) {
     step_reference(idx);
     return;
-  }
-  // Trace only supported instructions: the reference interpreter faults on
-  // unsupported ops before tracing, and the engines must emit equal traces.
-  if (trace_ != nullptr && uops_[idx].supported) {
-    (*trace_) << std::hex << ctx_.pc << std::dec << ": "
-              << isa::disassemble(decoded_[idx], ctx_.pc) << '\n';
   }
   run_cold(idx, 1);
 }
@@ -243,11 +216,6 @@ void Core::step_reference(std::uint32_t idx) {
                        std::string(isa::mnemonic(i.op)),
                    ctx_.pc);
   }
-  if (trace_ != nullptr) {
-    (*trace_) << std::hex << ctx_.pc << std::dec << ": "
-              << isa::disassemble(i, ctx_.pc) << '\n';
-  }
-
   ctx_.branch_taken = false;
   execute(i);
 

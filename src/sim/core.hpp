@@ -1,11 +1,10 @@
 // RV32IMF + smallFloat functional simulator with a RISCY-like timing model.
 //
-// Substitution note (DESIGN.md section 2): this core stands in for the PULP
-// virtual platform. It executes the same instruction stream a RISCY + FPnew
-// core would, produces bit-accurate FP results through the soft-float
-// library, and accounts cycles with the in-order single-issue model of
-// timing.hpp. FP registers are FLEN bits wide; packed-SIMD lanes follow
-// paper Table II.
+// Substitution note: this core stands in for the PULP virtual platform. It
+// executes the same instruction stream a RISCY + FPnew core would, produces
+// bit-accurate FP results through the soft-float library, and accounts cycles
+// with the in-order single-issue model of timing.hpp. FP registers are FLEN
+// bits wide; packed-SIMD lanes follow paper Table II.
 //
 // Scalar sub-FLEN results are written NaN-boxed (upper bits all ones, the
 // RISC-V convention); reads take the low bits without a box check because the
@@ -22,8 +21,7 @@
 //    threaded executor, which books the aggregates as the trace exits. The
 //    cold tier (run_cold) is the only micro-op walker: it retires a
 //    stop-class op, the one op of step(), and the ops a step budget still
-//    covers when it ends inside a trace. Tracing falls back to per-step
-//    execution so traces stay equal.
+//    covers when it ends inside a trace.
 //  * Engine::Reference: the original switch-tree interpreter, retained both
 //    as the oracle for the differential suite and as the baseline the
 //    dispatch bench measures against.
@@ -31,7 +29,6 @@
 
 #include <array>
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <string_view>
 
@@ -51,8 +48,8 @@ namespace sfrv::sim {
 enum class Engine : std::uint8_t { Reference = 1, Jit = 3 };
 
 /// Every engine with its stable lowercase name, in listing order. The
-/// single source for engine_name/engine_from_name, the SFRV_ENGINE hint,
-/// and sfrv-eval's usage text, `--list engines`, and `--engine` error.
+/// single source for engine_name/engine_from_name and sfrv-eval's usage
+/// text, `--list engines`, and `--engine` error.
 struct EngineEntry {
   Engine engine;
   std::string_view name;
@@ -62,25 +59,12 @@ inline constexpr std::array<EngineEntry, 2> kEngines{{
     {Engine::Jit, "jit"},
 }};
 
-/// The kEngines names used by the CLI, the eval report JSON, and the
-/// SFRV_ENGINE variable.
+/// The kEngines names used by the CLI and the eval report JSON.
 [[nodiscard]] std::string_view engine_name(Engine e);
 /// Every engine name, '|'-separated ("reference|jit").
 [[nodiscard]] std::string engine_names();
 /// Parse an engine name; throws std::runtime_error on an unknown one.
 [[nodiscard]] Engine engine_from_name(std::string_view name);
-/// Resolve an SFRV_ENGINE-style environment value: null/empty selects Jit,
-/// an invalid value warns on stderr and falls back to Jit (never throws).
-/// Exposed separately from default_engine() so the invalid-value contract
-/// is directly testable (fp::backend_from_env is the SFRV_BACKEND
-/// counterpart).
-[[nodiscard]] Engine engine_from_env(const char* value);
-/// Process-wide default engine: the SFRV_ENGINE environment variable
-/// (one of the kEngines names, read once) or Engine::Jit. Lets CI run the
-/// whole test suite and campaigns under each engine. An invalid value
-/// falls back to Jit with a stderr warning — never throws
-/// (it runs inside static initialization via default arguments).
-[[nodiscard]] Engine default_engine();
 
 namespace detail {
 /// The memberwise-movable state of a Core, split into a base so Core's
@@ -94,14 +78,12 @@ struct CoreState {
   Stats stats_;
   ExecContext ctx_;
   Engine engine_ = Engine::Jit;
-  fp::MathBackend backend_ = fp::default_backend();
+  fp::MathBackend backend_ = fp::MathBackend::Grs;
 
   std::uint32_t text_base_ = 0;
   std::vector<isa::Inst> decoded_;   // predecoded text (no self-modifying code)
   std::vector<DecodedOp> uops_;      // decoded program: same indexing + sentinel
   jit::JitProgram jit_;              // translation cache (Engine::Jit)
-
-  std::ostream* trace_ = nullptr;
 };
 }  // namespace detail
 
@@ -196,9 +178,6 @@ class Core : private detail::CoreState {
   [[nodiscard]] const jit::JitStats& jit_stats() const {
     return jit_.stats();
   }
-
-  /// Stream instruction-level trace output (nullptr disables).
-  void set_trace(std::ostream* os) { trace_ = os; }
 
  private:
   void rebind_context() {

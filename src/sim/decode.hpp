@@ -164,8 +164,7 @@ struct DecodedOp {
   TOp top = TOp::Exit;
 };
 
-// Both tiers stream the decoded program: keep a micro-op within the 72
-// bytes of the trace slot it replaced.
+// Both tiers stream the decoded program: keep a micro-op within 72 bytes.
 static_assert(sizeof(DecodedOp) <= 72);
 
 /// Lower the instruction at address `pc` into a micro-op for the given
@@ -179,7 +178,7 @@ static_assert(sizeof(DecodedOp) <= 72);
 [[nodiscard]] DecodedOp decode_op(const isa::Inst& inst, std::uint32_t pc,
                                   const isa::IsaConfig& cfg,
                                   const Timing& timing, const MemConfig& mem,
-                                  fp::MathBackend backend = fp::default_backend());
+                                  fp::MathBackend backend = fp::MathBackend::Grs);
 
 /// Lower a whole text segment: index i is the instruction at
 /// text_base + 4*i, and one stop-class sentinel follows the last one (it is
@@ -188,6 +187,6 @@ static_assert(sizeof(DecodedOp) <= 72);
 [[nodiscard]] std::vector<DecodedOp> decode_program(
     const std::vector<isa::Inst>& text, std::uint32_t text_base,
     const isa::IsaConfig& cfg, const Timing& timing, const MemConfig& mem,
-    fp::MathBackend backend = fp::default_backend());
+    fp::MathBackend backend = fp::MathBackend::Grs);
 
 }  // namespace sfrv::sim

@@ -1,8 +1,6 @@
 #include "softfloat/runtime.hpp"
 
 #include <array>
-#include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -13,7 +11,6 @@
 #include "softfloat/convert.hpp"
 #include "softfloat/host.hpp"
 #include "softfloat/posit.hpp"
-#include "util/env.hpp"
 
 namespace sfrv::fp {
 
@@ -634,18 +631,6 @@ MathBackend backend_from_name(std::string_view name) {
     if (name == backend_name(b)) return b;
   }
   throw std::runtime_error("unknown backend name: " + std::string(name));
-}
-
-MathBackend backend_from_env(const char* value) {
-  return util::parse_env_enum(
-      value, MathBackend::Grs,
-      [](const char* v) { return backend_from_name(v); }, "SFRV_BACKEND",
-      "grs|fast");
-}
-
-MathBackend default_backend() {
-  static const MathBackend b = backend_from_env(std::getenv("SFRV_BACKEND"));
-  return b;
 }
 
 // Same out-of-range policy as dispatch_format: assert in debug, declared

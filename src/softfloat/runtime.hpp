@@ -9,10 +9,10 @@
 //    per call -- fine for cold paths (tracing, QoR extraction, tests).
 //  * per-(op, format) function-pointer tables (rt_ops / rt_vec_ops /
 //    rt_convert_fn) that resolve the format ONCE, so a hot caller (the
-//    simulator's predecoded micro-op engine) binds a direct handler at decode
-//    time instead of re-dispatching per lane per cycle. The JIT's trace
-//    slots call the same bound pointers; there are no separate per-backend
-//    entry points.
+//    simulator's micro-op decoder, sim/decode.hpp) binds a direct handler at
+//    decode time instead of re-dispatching per lane per cycle. The JIT's
+//    traces run those same decoded micro-ops; there are no separate
+//    per-backend entry points.
 #pragma once
 
 #include <cstdint>
@@ -43,20 +43,11 @@ namespace sfrv::fp {
 /// is that the two backends are indistinguishable except in wall-clock time.
 enum class MathBackend : std::uint8_t { Grs, Fast };
 
-/// Stable lowercase backend names ("grs", "fast") used by the CLI, the eval
-/// report JSON, and the SFRV_BACKEND variable.
+/// Stable lowercase backend names ("grs", "fast") used by the CLI and the
+/// eval report JSON.
 [[nodiscard]] std::string_view backend_name(MathBackend b);
 /// Parse a backend name; throws std::runtime_error on an unknown one.
 [[nodiscard]] MathBackend backend_from_name(std::string_view name);
-/// Resolve an SFRV_BACKEND-style environment value: null/empty selects Grs,
-/// an invalid value warns on stderr and falls back to Grs (same contract as
-/// SFRV_ENGINE; never throws -- it runs inside static initialization via
-/// default arguments). Exposed separately from default_backend() so the
-/// invalid-value contract is directly testable.
-[[nodiscard]] MathBackend backend_from_env(const char* value);
-/// Process-wide default backend: the SFRV_BACKEND environment variable
-/// (grs|fast, read once) or MathBackend::Grs.
-[[nodiscard]] MathBackend default_backend();
 
 // ---- per-(op, format) scalar tables ----------------------------------------
 

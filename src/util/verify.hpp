@@ -93,7 +93,7 @@ inline std::atomic<int>& verify_state() {
 /// Whether the per-pass verification hooks run. Defaults to the SFRV_VERIFY
 /// environment variable (read once); `set_enabled` (the --verify flag,
 /// tests) overrides it for the rest of the process. Unrecognized values warn
-/// and fall back to off, matching the SFRV_ENGINE/SFRV_BACKEND convention.
+/// and fall back to off.
 inline bool enabled() {
   int v = detail::verify_state().load(std::memory_order_relaxed);
   if (v < 0) {

@@ -360,8 +360,8 @@ TEST(IrVerifier, ScalarVarsAreZeroedInThePrologue) {
 
 // ---- trace checker ----------------------------------------------------------
 
-std::vector<sim::DecodedOp> decode_all(
-    const asmb::Program& p, fp::MathBackend b = fp::default_backend()) {
+std::vector<sim::DecodedOp> decode_all(const asmb::Program& p,
+                                       fp::MathBackend b) {
   return sim::decode_program(p.text, p.text_base, isa::IsaConfig::full(),
                              kTim, kMem, b);
 }
@@ -376,7 +376,7 @@ struct TraceFixture {
   sim::jit::Trace* t = nullptr;
 
   explicit TraceFixture(asmb::Program p, std::uint32_t idx = 0,
-                        fp::MathBackend b = fp::default_backend())
+                        fp::MathBackend b = fp::MathBackend::Grs)
       : prog(std::move(p)), uops(decode_all(prog, b)) {
     jp.on_code_change(prog.text.size());
     t = jp.translate(idx, uops, kTim, prog.text_base);

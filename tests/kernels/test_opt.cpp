@@ -1,9 +1,10 @@
 // Post-lowering optimizer (ir/opt.hpp) test suite.
 //
 //  * Differential matrix: every smoke-suite kernel at every type config and
-//    code generator must produce bit-identical outputs, fflags, and array
-//    digests at O1/O2 vs O0, under every engine x backend pair — the
-//    optimizer's core contract (per-element FP operation order preserved).
+//    code generator (ExSdotp included) must produce bit-identical outputs,
+//    fflags, and array digests at O1/O2 vs O0, on every simulator
+//    configuration — the optimizer's core contract (per-element FP
+//    operation order preserved).
 //  * Dead-glue elimination unit tests on synthetic programs: load/load and
 //    store/load forwarding, addi-chain merging, liveness DCE, branch
 //    retargeting after compaction, alias conservatism, and the bail-out on
@@ -21,6 +22,7 @@
 #include "kernels/polybench.hpp"
 #include "kernels/runner.hpp"
 #include "sim/core.hpp"
+#include "sim_util.hpp"
 
 namespace sfrv::test {
 namespace {
@@ -41,13 +43,6 @@ TEST(OptConfig, LevelNamesRoundTrip) {
   }
   EXPECT_THROW((void)ir::opt_from_name("O3"), std::runtime_error);
   EXPECT_THROW((void)ir::opt_from_name(""), std::runtime_error);
-}
-
-TEST(OptConfig, EnvParsingWarnsAndFallsBack) {
-  EXPECT_EQ(ir::opt_from_env(nullptr), OptConfig::O0());
-  EXPECT_EQ(ir::opt_from_env(""), OptConfig::O0());
-  EXPECT_EQ(ir::opt_from_env("O2"), OptConfig::O2());
-  EXPECT_EQ(ir::opt_from_env("bogus"), OptConfig::O0());  // warn + fallback
 }
 
 TEST(OptConfig, ValidateRejectsBadUnrollFactors) {
@@ -86,37 +81,32 @@ TEST(OptDifferential, BitIdenticalAcrossLevelsEnginesBackends) {
     for (const auto& tc : eval::default_type_configs()) {
       for (const auto mode :
            {ir::CodegenMode::Scalar, ir::CodegenMode::AutoVec,
-            ir::CodegenMode::ManualVec}) {
+            ir::CodegenMode::ManualVec, ir::CodegenMode::ManualVecExs}) {
         const kernels::KernelSpec spec = b.bench.make(tc.tc);
         const auto base = kernels::run_kernel(
             spec, mode, {}, isa::IsaConfig::full(), sim::Engine::Jit,
             fp::MathBackend::Grs, OptConfig::O0());
         const auto base_digest = output_digest(base, spec.output_arrays);
         for (const auto& opt : {OptConfig::O1(), OptConfig::O2()}) {
-          for (const auto engine : {sim::Engine::Jit, sim::Engine::Reference}) {
-            for (const auto backend :
-                 {fp::MathBackend::Grs, fp::MathBackend::Fast}) {
-              const auto r = kernels::run_kernel(
-                  spec, mode, {}, isa::IsaConfig::full(), engine, backend,
-                  opt);
-              const std::string where =
-                  b.bench.name + "/" + tc.name + "/" +
-                  std::string(ir::mode_name(mode)) + "/" +
-                  std::string(ir::opt_name(opt)) + "/" +
-                  std::string(sim::engine_name(engine)) + "/" +
-                  std::string(fp::backend_name(backend));
-              EXPECT_EQ(r.fflags, base.fflags) << where;
-              EXPECT_EQ(output_digest(r, spec.output_arrays), base_digest)
-                  << where;
-              for (const auto& name : spec.output_arrays) {
-                const auto& got = r.outputs.at(name);
-                const auto& want = base.outputs.at(name);
-                ASSERT_EQ(got.size(), want.size()) << where;
-                EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                                      got.size() * sizeof(double)),
-                          0)
-                    << where << " array " << name;
-              }
+          for (const SimConfig& c : kSimConfigs) {
+            const auto r =
+                kernels::run_kernel(spec, mode, {}, isa::IsaConfig::full(),
+                                    c.engine, c.backend, opt);
+            const std::string where = b.bench.name + "/" + tc.name + "/" +
+                                      std::string(ir::mode_name(mode)) + "/" +
+                                      std::string(ir::opt_name(opt)) + "/" +
+                                      c.name;
+            EXPECT_EQ(r.fflags, base.fflags) << where;
+            EXPECT_EQ(output_digest(r, spec.output_arrays), base_digest)
+                << where;
+            for (const auto& name : spec.output_arrays) {
+              const auto& got = r.outputs.at(name);
+              const auto& want = base.outputs.at(name);
+              ASSERT_EQ(got.size(), want.size()) << where;
+              EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                    got.size() * sizeof(double)),
+                        0)
+                  << where << " array " << name;
             }
           }
         }
@@ -135,11 +125,11 @@ TEST(OptDifferential, OptimizedLevelsReduceCycles) {
        {ir::CodegenMode::Scalar, ir::CodegenMode::AutoVec,
         ir::CodegenMode::ManualVec}) {
     const auto o0 = kernels::run_kernel(spec, mode, {}, isa::IsaConfig::full(),
-                                        sim::default_engine(),
-                                        fp::default_backend(), OptConfig::O0());
+                                        sim::Engine::Jit, fp::MathBackend::Grs,
+                                        OptConfig::O0());
     const auto o2 = kernels::run_kernel(spec, mode, {}, isa::IsaConfig::full(),
-                                        sim::default_engine(),
-                                        fp::default_backend(), OptConfig::O2());
+                                        sim::Engine::Jit, fp::MathBackend::Grs,
+                                        OptConfig::O2());
     EXPECT_LT(static_cast<double>(o2.cycles()),
               0.85 * static_cast<double>(o0.cycles()))
         << ir::mode_name(mode);
@@ -152,9 +142,8 @@ TEST(OptDifferential, StencilForwardingFires) {
   const auto tc = kernels::TypeConfig::uniform(ir::ScalarType::F16);
   const auto spec = kernels::make_fdtd2d(tc, 2, 8, 8);
   const auto r = kernels::run_kernel(spec, ir::CodegenMode::Scalar, {},
-                                     isa::IsaConfig::full(),
-                                     sim::default_engine(),
-                                     fp::default_backend(), OptConfig::O2());
+                                     isa::IsaConfig::full(), sim::Engine::Jit,
+                                     fp::MathBackend::Grs, OptConfig::O2());
   EXPECT_GE(r.lowered.glue.loads_forwarded, 1);
   EXPECT_EQ(ir::opt_name(r.lowered.opt), "O2");
 }

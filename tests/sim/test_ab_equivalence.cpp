@@ -1,16 +1,19 @@
 // Randomized differential suite: the jit trace-compilation engine, on its
-// compiled traces and on its cold tier, must match the retained reference
-// interpreter bit-for-bit on architectural state (x/f register files,
-// memory, fflags/frm) AND on the timing model (cycles, instruction/load/
-// store counts) across every extension configuration. Streams read the
-// cycle CSR mid-run, so a single mis-accounted cycle also shows up as an
+// compiled traces and on its cold tier and under both math backends, must
+// match the retained reference interpreter bit-for-bit on architectural
+// state (x/f register files, the scratch buffer, fflags/frm, vl) AND on
+// the timing model (cycles, instruction/load/store counts, per-op and
+// per-pc counters; same_state in sim_util.hpp) across every extension
+// configuration. Each stream runs on every simulator configuration of
+// kSimConfigs (jit-grs, reference, jit-fast). Streams read the cycle CSR
+// mid-run, so a single mis-accounted cycle also shows up as an
 // architectural divergence.
 //
 // Each random stream runs three ways:
-//  * free-run — every engine to completion at full speed (compiled traces,
-//    and the jit's cold tier for stop-class ops), final state + memory
+//  * free-run — every configuration to completion at full speed (compiled
+//    traces, and the jit's cold tier for stop-class ops), final state
 //    compared;
-//  * per-instruction lockstep — run(1) on all engines, full state compared
+//  * per-instruction lockstep — run(1) on all cores, full state compared
 //    after every retired instruction (a budget shorter than a compiled
 //    trace hands off to the cold tier, so this drives one-instruction
 //    cold-tier budgets from trace heads);
@@ -25,10 +28,12 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 #include <vector>
 
 #include "asmb/assembler.hpp"
 #include "sim/core.hpp"
+#include "sim_util.hpp"
 
 namespace sfrv::test {
 namespace {
@@ -193,7 +198,8 @@ class StreamGen {
   std::vector<Op> pool_;
 };
 
-/// Seed both cores with identical random architectural state.
+/// Seed a core with the random architectural state of `seed` (every core of
+/// one stream gets the same).
 void seed_state(sim::Core& core, std::uint64_t seed) {
   std::mt19937_64 sr(seed ^ 0x5eed5eed5eed5eedull);
   for (unsigned r = 1; r < 32; ++r) {
@@ -204,126 +210,79 @@ void seed_state(sim::Core& core, std::uint64_t seed) {
   core.set_frm(static_cast<fp::RoundingMode>(sr() % 5));
 }
 
-constexpr sim::Engine kEngines[] = {sim::Engine::Reference, sim::Engine::Jit};
-
-/// Full architectural + timing state comparison between two cores.
-::testing::AssertionResult state_eq(const sim::Core& a, const sim::Core& b) {
-  auto fail = [&](const char* what, std::uint64_t va, std::uint64_t vb) {
-    return ::testing::AssertionFailure()
-           << sim::engine_name(a.engine()) << " vs "
-           << sim::engine_name(b.engine()) << ": " << what << " " << va
-           << " != " << vb << " (pc=0x" << std::hex << a.pc() << ")";
-  };
-  if (a.pc() != b.pc()) return fail("pc", a.pc(), b.pc());
-  for (unsigned r = 0; r < 32; ++r) {
-    if (a.x(r) != b.x(r)) return fail("x reg", a.x(r), b.x(r));
-    if (a.f_bits(r) != b.f_bits(r)) return fail("f reg", a.f_bits(r), b.f_bits(r));
-  }
-  if (a.fflags() != b.fflags()) return fail("fflags", a.fflags(), b.fflags());
-  if (a.frm() != b.frm()) {
-    return fail("frm", static_cast<std::uint64_t>(a.frm()),
-                static_cast<std::uint64_t>(b.frm()));
-  }
-  if (a.halted() != b.halted()) return fail("halted", a.halted(), b.halted());
-  const sim::Stats& sa = a.stats();
-  const sim::Stats& sb = b.stats();
-  if (sa.cycles != sb.cycles) return fail("cycles", sa.cycles, sb.cycles);
-  if (sa.instructions != sb.instructions) {
-    return fail("instructions", sa.instructions, sb.instructions);
-  }
-  if (sa.load_count != sb.load_count) {
-    return fail("loads", sa.load_count, sb.load_count);
-  }
-  if (sa.store_count != sb.store_count) {
-    return fail("stores", sa.store_count, sb.store_count);
-  }
-  return ::testing::AssertionSuccess();
+/// "<config 0> vs <config i>", for cores built in kSimConfigs order.
+std::string versus(std::size_t i) {
+  return std::string(kSimConfigs[0].name) + " vs " + kSimConfigs[i].name;
 }
 
-void expect_same_memory(const sim::Core& a, const sim::Core& b,
-                        std::uint32_t buf, std::uint64_t seed) {
-  std::vector<std::uint8_t> ma(kBufBytes), mb(kBufBytes);
-  a.memory().read_block(buf, ma.data(), kBufBytes);
-  b.memory().read_block(buf, mb.data(), kBufBytes);
-  EXPECT_EQ(ma, mb) << sim::engine_name(a.engine()) << " vs "
-                    << sim::engine_name(b.engine()) << " seed=" << seed;
-}
-
-struct Stream {
-  asmb::Program prog;
-  std::uint32_t buf = 0;
-};
-
-Stream make_stream(const IsaConfig& cfg, std::uint64_t seed, int count) {
+/// A random stream over a zeroed scratch buffer, which is the program's
+/// whole data segment (so same_state compares everything it stores).
+asmb::Program make_stream(const IsaConfig& cfg, std::uint64_t seed,
+                          int count) {
   Assembler a;
-  Stream s;
-  s.buf = a.data_zero(kBufBytes);
-  a.la(kBaseReg, s.buf);
+  a.la(kBaseReg, a.data_zero(kBufBytes));
   StreamGen gen(cfg, seed);
   gen.emit_stream(a, count);
-  s.prog = a.finish();
-  return s;
+  return a.finish();
 }
 
-sim::Core make_core(const IsaConfig& cfg, const Stream& s, sim::Engine e,
-                    std::uint64_t seed) {
-  sim::Core core(cfg);
-  core.set_engine(e);
-  core.load_program(s.prog);
-  seed_state(core, seed);
-  return core;
-}
-
-/// All differential cores for one stream, one per engine (Reference first).
-std::vector<sim::Core> make_cores(const IsaConfig& cfg, const Stream& s,
+/// All differential cores for one stream, one per simulator configuration
+/// (kSimConfigs order), each seeded with the same random state.
+std::vector<sim::Core> make_cores(const IsaConfig& cfg,
+                                  const asmb::Program& prog,
                                   std::uint64_t seed) {
   std::vector<sim::Core> cores;
-  for (const auto e : kEngines) cores.push_back(make_core(cfg, s, e, seed));
+  for (const SimConfig& c : kSimConfigs) {
+    sim::Core core = make_core(c, cfg);
+    core.load_program(prog);
+    seed_state(core, seed);
+    cores.push_back(std::move(core));
+  }
   return cores;
 }
 
-/// Lockstep every engine in chunks of `chunk(rng)` instructions, comparing
+/// Lockstep every core in chunks of `chunk(rng)` instructions, comparing
 /// the full state at every chunk boundary.
 template <typename ChunkFn>
-void lockstep(const IsaConfig& cfg, const Stream& s, std::uint64_t seed,
-              ChunkFn chunk) {
-  std::vector<sim::Core> cores = make_cores(cfg, s, seed);
+void lockstep(const IsaConfig& cfg, const asmb::Program& prog,
+              std::uint64_t seed, ChunkFn chunk) {
+  std::vector<sim::Core> cores = make_cores(cfg, prog, seed);
   std::mt19937_64 cr(seed ^ 0xC0DEC0DEC0DEull);
   for (std::uint64_t retired = 0; retired < 1'000'000;) {
     const std::uint64_t k = chunk(cr);
     for (auto& c : cores) c.run(k);
     retired += k;
     for (std::size_t i = 1; i < cores.size(); ++i) {
-      ASSERT_TRUE(state_eq(cores[0], cores[i]))
-          << "seed=" << seed << " after " << retired << " budgeted steps";
+      ASSERT_TRUE(same_state(cores[0], cores[i], prog))
+          << versus(i) << " seed=" << seed << " after " << retired
+          << " budgeted steps";
     }
     if (cores[0].halted()) break;
   }
   ASSERT_TRUE(cores[0].halted()) << "stream did not halt, seed=" << seed;
-  for (std::size_t i = 1; i < cores.size(); ++i) {
-    expect_same_memory(cores[0], cores[i], s.buf, seed);
-  }
 }
 
-/// Run one random stream through all engines; returns executed instructions.
+/// Run one random stream on every configuration; returns executed
+/// instructions.
 std::uint64_t run_stream(const IsaConfig& cfg, std::uint64_t seed, int count) {
-  const Stream s = make_stream(cfg, seed, count);
+  const asmb::Program prog = make_stream(cfg, seed, count);
 
-  // Free-run: every engine at full speed (cold blocks + compiled traces).
-  std::vector<sim::Core> cores = make_cores(cfg, s, seed);
-  for (auto& c : cores) {
-    EXPECT_EQ(c.run(1'000'000), sim::Core::RunResult::Halted)
-        << sim::engine_name(c.engine()) << " seed=" << seed;
+  // Free-run: every core at full speed (cold blocks + compiled traces).
+  std::vector<sim::Core> cores = make_cores(cfg, prog, seed);
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    EXPECT_EQ(cores[i].run(1'000'000), sim::Core::RunResult::Halted)
+        << kSimConfigs[i].name << " seed=" << seed;
   }
   for (std::size_t i = 1; i < cores.size(); ++i) {
-    EXPECT_TRUE(state_eq(cores[0], cores[i])) << "seed=" << seed;
-    expect_same_memory(cores[0], cores[i], s.buf, seed);
+    EXPECT_TRUE(same_state(cores[0], cores[i], prog))
+        << versus(i) << " seed=" << seed;
   }
 
   // Per-instruction lockstep: state checked at every retired instruction.
-  lockstep(cfg, s, seed, [](std::mt19937_64&) -> std::uint64_t { return 1; });
+  lockstep(cfg, prog, seed,
+           [](std::mt19937_64&) -> std::uint64_t { return 1; });
   // Random-chunk lockstep: several instructions between observation points.
-  lockstep(cfg, s, seed,
+  lockstep(cfg, prog, seed,
            [](std::mt19937_64& r) -> std::uint64_t { return 1 + r() % 8; });
 
   return cores[0].stats().instructions;
@@ -386,24 +345,24 @@ TEST(AbEquivalence, FuzzPoolCoversDynamicVl) {
   }
 }
 
-/// Runs `prog` to a `Fault` on one core per engine, each through run(),
-/// plus a jit core driven by step(), which retires every op on the cold
-/// tier. The first core is Reference, the last the stepped jit core.
+/// Runs `prog` to a `Fault` on one core per simulator configuration, each
+/// through run(), plus a jit-grs core driven by step(), which retires every
+/// op on the cold tier. The cores come in kSimConfigs order, the stepped
+/// jit core last.
 template <typename Fault>
 std::vector<sim::Core> run_until_fault(const asmb::Program& prog) {
   std::vector<sim::Core> cores;
-  const auto load = [&](sim::Engine e) {
-    sim::Core c(isa::IsaConfig::full());
-    c.set_engine(e);
-    c.load_program(prog);
-    return c;
+  const auto load = [&](const SimConfig& c) {
+    sim::Core core = make_core(c);
+    core.load_program(prog);
+    return core;
   };
-  for (const auto e : kEngines) {
-    sim::Core c = load(e);
-    EXPECT_THROW(c.run(), Fault) << sim::engine_name(e);
-    cores.push_back(std::move(c));
+  for (const SimConfig& c : kSimConfigs) {
+    sim::Core core = load(c);
+    EXPECT_THROW(core.run(), Fault) << c.name;
+    cores.push_back(std::move(core));
   }
-  sim::Core stepped = load(sim::Engine::Jit);
+  sim::Core stepped = load(kJitGrs);
   EXPECT_THROW(
       for (int n = 0; n < 1000 && !stepped.halted(); ++n) stepped.step(),
       Fault);
@@ -411,41 +370,45 @@ std::vector<sim::Core> run_until_fault(const asmb::Program& prog) {
   return cores;
 }
 
-/// Every core retired to Reference's state, and the stepped jit core got
-/// there without compiling a trace.
-void expect_same_fault_state(const std::vector<sim::Core>& cores) {
+/// Every core retired to the first core's state, and the stepped jit core
+/// got there without compiling a trace.
+void expect_same_fault_state(std::vector<sim::Core>& cores,
+                             const asmb::Program& prog) {
   for (std::size_t i = 1; i < cores.size(); ++i) {
-    EXPECT_TRUE(state_eq(cores[0], cores[i]));
+    EXPECT_TRUE(same_state(cores[0], cores[i], prog))
+        << (i < std::size(kSimConfigs) ? versus(i) : "stepped jit-grs");
   }
   EXPECT_EQ(cores.back().jit_stats().translations, 0u);
 }
 
 // Falling through the last text instruction (no ebreak) must raise the same
-// fetch fault with the same fully-retired state under every engine — an
+// fetch fault with the same fully-retired state on every configuration — an
 // open trace must stop at the end of the text, not walk off the micro-ops.
 TEST(EngineFaults, FallthroughOffTextEndMatchesAllEngines) {
   Assembler a;
   a.addi(asmb::reg::t0, asmb::reg::zero, 1);
   a.addi(asmb::reg::t1, asmb::reg::zero, 2);
   a.addi(asmb::reg::t2, asmb::reg::zero, 3);
-  const auto cores = run_until_fault<sim::SimError>(a.finish());
+  const asmb::Program prog = a.finish();
+  auto cores = run_until_fault<sim::SimError>(prog);
   EXPECT_EQ(cores[0].stats().instructions, 3u);
-  expect_same_fault_state(cores);
+  expect_same_fault_state(cores, prog);
 }
 
 // A memory fault mid-block (addi + out-of-bounds lw) must leave the same
-// post-exception state under every engine: the addi retired (pc, cycles,
-// instret, register write), the load did not.
+// post-exception state on every configuration: the addi retired (pc,
+// cycles, instret, register write), the load did not.
 TEST(EngineFaults, MemoryFaultRetiresPrecedingOps) {
   Assembler a;
   a.li(asmb::reg::t0, 0x7ff00000);  // far outside the 8 MiB memory (lui)
   a.addi(asmb::reg::t1, asmb::reg::zero, 7);
   a.emit({.op = Op::LW, .rd = asmb::reg::t2, .rs1 = asmb::reg::t0});
   a.ebreak();
-  const auto cores = run_until_fault<std::out_of_range>(a.finish());
+  const asmb::Program prog = a.finish();
+  auto cores = run_until_fault<std::out_of_range>(prog);
   EXPECT_EQ(cores[0].x(asmb::reg::t1), 7u);  // the addi's write landed
   EXPECT_EQ(cores[0].stats().instructions, 2u);  // lui + addi
-  expect_same_fault_state(cores);
+  expect_same_fault_state(cores, prog);
 }
 
 }  // namespace

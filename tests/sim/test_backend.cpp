@@ -1,18 +1,15 @@
-// Backend selection plumbing: SFRV_BACKEND / SFRV_ENGINE environment
-// contracts (invalid values warn and fall back, never throw), name round
-// trips, Core::set_backend re-lowering, and the (engine x backend)
-// conformance matrix on an FP-heavy program -- every pair must retire to
-// bit-identical architectural state, fflags, and cycle counts.
+// Backend selection plumbing: engine and backend name round trips, the
+// default backend, Core::set_backend re-lowering, and the (engine x
+// backend) conformance matrix on an FP-heavy program -- every pair must
+// retire to bit-identical architectural state, fflags, and cycle counts.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "ir/opt.hpp"
 #include "sim/core.hpp"
 #include "sim_util.hpp"
 #include "softfloat/runtime.hpp"
 #include "test_util.hpp"
-#include "util/env.hpp"
 
 namespace sfrv::test {
 namespace {
@@ -29,57 +26,13 @@ TEST(BackendNames, RoundTripAndRejection) {
   EXPECT_THROW((void)fp::backend_from_name(""), std::runtime_error);
 }
 
-TEST(BackendNames, EnvContractWarnsAndFallsBack) {
-  // SFRV_BACKEND: unset/empty -> Grs; valid values parse; anything else
-  // falls back to Grs (with a stderr warning) instead of throwing -- the
-  // resolution runs inside static initialization where a throw would abort.
-  EXPECT_EQ(fp::backend_from_env(nullptr), MathBackend::Grs);
-  EXPECT_EQ(fp::backend_from_env(""), MathBackend::Grs);
-  EXPECT_EQ(fp::backend_from_env("grs"), MathBackend::Grs);
-  EXPECT_EQ(fp::backend_from_env("fast"), MathBackend::Fast);
-  EXPECT_EQ(fp::backend_from_env("FAST"), MathBackend::Grs);  // case-sensitive
-  EXPECT_EQ(fp::backend_from_env("bogus"), MathBackend::Grs);
-}
-
-TEST(EngineNames, EnvContractWarnsAndFallsBack) {
-  // SFRV_ENGINE: the same contract, falling back to Jit.
-  EXPECT_EQ(sim::engine_from_env(nullptr), Engine::Jit);
-  EXPECT_EQ(sim::engine_from_env(""), Engine::Jit);
-  EXPECT_EQ(sim::engine_from_env("reference"), Engine::Reference);
-  EXPECT_EQ(sim::engine_from_env("jit"), Engine::Jit);
-  EXPECT_EQ(sim::engine_from_env("bogus"), Engine::Jit);
-  EXPECT_EQ(sim::engine_from_env("fused"), Engine::Jit);       // removed
-  EXPECT_EQ(sim::engine_from_env("predecoded"), Engine::Jit);  // removed
-  EXPECT_EQ(sim::engine_from_env("JIT"), Engine::Jit);  // case-sensitive
+TEST(EngineNames, RoundTripAndRejection) {
+  for (const sim::EngineEntry& k : sim::kEngines) {
+    EXPECT_EQ(sim::engine_from_name(sim::engine_name(k.engine)), k.engine);
+  }
   EXPECT_EQ(sim::engine_names(), "reference|jit");
   EXPECT_EQ(sim::engine_name(static_cast<Engine>(0)), "unknown");
   EXPECT_THROW((void)sim::engine_from_name("predecoded"), std::runtime_error);
-}
-
-TEST(EnvParsers, SharedHelperContractAcrossAllThreeVariables) {
-  // SFRV_ENGINE / SFRV_BACKEND / SFRV_OPT all resolve through
-  // util::parse_env_enum: unset or empty selects the fallback, a valid name
-  // parses, anything else warns on stderr and falls back — never throws
-  // (resolution runs inside static initialization). One helper, one
-  // contract; an invalid value must behave identically for every variable.
-  for (const char* invalid :
-       {"bogus", " O1", "O1 ", "o1", "3", "--", "predecoded"}) {
-    EXPECT_EQ(sim::engine_from_env(invalid), Engine::Jit) << invalid;
-    EXPECT_EQ(fp::backend_from_env(invalid), MathBackend::Grs) << invalid;
-    EXPECT_EQ(ir::opt_name(ir::opt_from_env(invalid)), "O0") << invalid;
-  }
-  EXPECT_EQ(ir::opt_name(ir::opt_from_env(nullptr)), "O0");
-  EXPECT_EQ(ir::opt_name(ir::opt_from_env("")), "O0");
-  EXPECT_EQ(ir::opt_name(ir::opt_from_env("O2")), "O2");
-  // Direct helper check: fallback passes through untouched on bad input.
-  const int parsed = util::parse_env_enum(
-      "nope", 7, [](const char*) -> int { throw std::runtime_error("no"); },
-      "SFRV_TEST", "anything");
-  EXPECT_EQ(parsed, 7);
-  const int ok = util::parse_env_enum(
-      "13", 7, [](const char* v) { return std::atoi(v); }, "SFRV_TEST",
-      "a number");
-  EXPECT_EQ(ok, 13);
 }
 
 /// FP-heavy program touching every fast-path family: f8/f16 packed SIMD
@@ -195,10 +148,10 @@ TEST(BackendConformance, SetBackendAfterLoadRelowers) {
 }
 
 TEST(BackendConformance, DefaultBackendIsProcessWide) {
-  // Core picks up fp::default_backend() (SFRV_BACKEND) so CI can steer the
-  // whole suite; a fresh core and the resolved default must agree.
+  // Every fresh core in the process starts on the grs tables; no
+  // environment variable selects another backend.
   sim::Core core;
-  EXPECT_EQ(core.backend(), fp::default_backend());
+  EXPECT_EQ(core.backend(), MathBackend::Grs);
 }
 
 }  // namespace

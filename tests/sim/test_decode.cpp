@@ -16,8 +16,9 @@ using isa::Inst;
 using isa::IsaConfig;
 using isa::Op;
 
-DecodedOp dec(Inst i, IsaConfig cfg = IsaConfig::full()) {
-  return decode_op(i, 0, cfg, Timing{}, MemConfig{});
+DecodedOp dec(Inst i, IsaConfig cfg = IsaConfig::full(),
+              fp::MathBackend backend = fp::MathBackend::Grs) {
+  return decode_op(i, 0, cfg, Timing{}, MemConfig{}, backend);
 }
 
 TEST(Decode, VectorLanePlansFollowTableII) {
@@ -211,32 +212,37 @@ TEST(Decode, ProgramLoweringPreservesIndexing) {
 // is stop-class -- except setvl, which writes just vl and rd and decodes to
 // the straight-line Setvl token.
 TEST(Decode, EverySupportedOpBindsARealHandler) {
-  for (const IsaConfig cfg :
-       {IsaConfig::full(32), IsaConfig::full(64), IsaConfig::rv32imf()}) {
-    int supported = 0;
-    for (std::size_t k = 0; k < isa::kNumOps; ++k) {
-      const auto op = static_cast<Op>(k);
-      if (!cfg.supports(op)) continue;
-      ++supported;
-      const std::string name(isa::mnemonic(op));
-      const DecodedOp u = dec({.op = op}, cfg);
-      const bool csr = isa::op_class(op) == isa::Cls::Csr;
-      EXPECT_EQ(u.top == TOp::Exit, csr && op != Op::SETVL) << name;
-      if (op == Op::SETVL) {
-        EXPECT_EQ(u.top, TOp::Setvl);
+  // Under both backend tables: the fast one binds its own entry points.
+  for (const auto backend : {fp::MathBackend::Grs, fp::MathBackend::Fast}) {
+    for (const IsaConfig cfg :
+         {IsaConfig::full(32), IsaConfig::full(64), IsaConfig::rv32imf()}) {
+      int supported = 0;
+      for (std::size_t k = 0; k < isa::kNumOps; ++k) {
+        const auto op = static_cast<Op>(k);
+        if (!cfg.supports(op)) continue;
+        ++supported;
+        const std::string name = std::string(isa::mnemonic(op)) + " (" +
+                                 std::string(fp::backend_name(backend)) + ")";
+        const DecodedOp u = dec({.op = op}, cfg, backend);
+        const bool csr = isa::op_class(op) == isa::Cls::Csr;
+        EXPECT_EQ(u.top == TOp::Exit, csr && op != Op::SETVL) << name;
+        if (op == Op::SETVL) {
+          EXPECT_EQ(u.top, TOp::Setvl);
+        }
+        // Run the handler on a bare context (no memory: accesses throw
+        // std::out_of_range; CSR 0 is unimplemented).
+        ExecContext ctx;
+        try {
+          u.fn(ctx, u);
+        } catch (const SimError& e) {
+          EXPECT_EQ(std::string(e.what()).find("unhandled"),
+                    std::string::npos)
+              << name << ": " << e.what();
+        } catch (const std::out_of_range&) {
+        }
       }
-      // Run the handler on a bare context (no memory: accesses throw
-      // std::out_of_range; CSR 0 is unimplemented).
-      ExecContext ctx;
-      try {
-        u.fn(ctx, u);
-      } catch (const SimError& e) {
-        EXPECT_EQ(std::string(e.what()).find("unhandled"), std::string::npos)
-            << name << ": " << e.what();
-      } catch (const std::out_of_range&) {
-      }
+      EXPECT_GT(supported, 0) << cfg.flen;
     }
-    EXPECT_GT(supported, 0) << cfg.flen;
   }
 }
 

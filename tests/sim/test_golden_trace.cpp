@@ -3,21 +3,22 @@
 // and its architectural outcome — cycle and instruction counts, per-opcode
 // retirement counts, load/store totals, and the bit patterns of every
 // output array — is folded into a 64-bit digest. The digests are checked in
-// under tests/data/golden_digests.txt and verified under ALL simulator
-// engines, so any engine, decoder, lowering, or softfloat change that
-// perturbs a single bit of architectural state (or a single cycle of the
-// timing model) fails loudly instead of drifting silently.
+// under tests/data/golden_digests.txt and verified on every simulator
+// configuration (reference, jit-grs, jit-fast), so any engine, decoder,
+// lowering, or softfloat change that perturbs a single bit of architectural
+// state (or a single cycle of the timing model) fails loudly instead of
+// drifting silently.
 //
 // Regenerating after an *intentional* behavior change:
 //   ./build/tests/test_golden_trace --regen
-// (or SFRV_REGEN_GOLDEN=1 ./build/tests/test_golden_trace). Regeneration
-// computes the vectors with the reference interpreter (the oracle) and
-// rewrites the file in the source tree; re-run the test afterwards to
-// confirm all engines agree.
+// Regeneration computes the vectors with the reference interpreter (the
+// oracle) and rewrites the file in the source tree; re-run the test
+// afterwards to confirm every configuration agrees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -27,6 +28,7 @@
 
 #include "eval/campaign.hpp"
 #include "kernels/runner.hpp"
+#include "sim_util.hpp"
 
 namespace sfrv::test {
 namespace {
@@ -69,7 +71,7 @@ struct GoldenCell {
   const eval::EvalBenchmark* bench;
   kernels::TypeConfig tc;
   ir::CodegenMode mode;
-  ir::OptConfig opt;  // pinned explicitly so SFRV_OPT cannot perturb digests
+  ir::OptConfig opt;  // the level this cell is lowered at
 };
 
 std::vector<GoldenCell> golden_matrix() {
@@ -144,12 +146,13 @@ std::vector<GoldenCell> golden_matrix() {
   return cells;
 }
 
-/// Execute one cell under `engine` and digest its architectural outcome.
-std::string run_digest(const GoldenCell& cell, sim::Engine engine) {
+/// Execute one cell on configuration `c` and digest its architectural
+/// outcome.
+std::string run_digest(const GoldenCell& cell, const SimConfig& c) {
   const kernels::KernelSpec spec = cell.bench->bench.make(cell.tc);
-  const kernels::RunResult r = kernels::run_kernel(
-      spec, cell.mode, {}, isa::IsaConfig::full(), engine,
-      fp::default_backend(), cell.opt);
+  const kernels::RunResult r =
+      kernels::run_kernel(spec, cell.mode, {}, isa::IsaConfig::full(),
+                          c.engine, c.backend, cell.opt);
 
   Digest d;
   d.u64(r.stats.cycles);
@@ -187,10 +190,10 @@ std::map<std::string, std::string> load_golden() {
   return golden;
 }
 
-class GoldenTrace : public ::testing::TestWithParam<sim::Engine> {};
+class GoldenTrace : public ::testing::TestWithParam<SimConfig> {};
 
 TEST_P(GoldenTrace, MatchesCheckedInDigests) {
-  const sim::Engine engine = GetParam();
+  const SimConfig& config = GetParam();
   const auto golden = load_golden();
   ASSERT_FALSE(golden.empty())
       << "no golden vectors at " << kGoldenPath
@@ -203,18 +206,20 @@ TEST_P(GoldenTrace, MatchesCheckedInDigests) {
     const auto it = golden.find(cell.name);
     ASSERT_NE(it, golden.end())
         << cell.name << " missing from golden file — regenerate";
-    EXPECT_EQ(run_digest(cell, engine), it->second)
-        << cell.name << " diverged under the " << sim::engine_name(engine)
-        << " engine. If the behavior change is intentional, regenerate with "
+    EXPECT_EQ(run_digest(cell, config), it->second)
+        << cell.name << " diverged on " << config.name
+        << ". If the behavior change is intentional, regenerate with "
            "./build/tests/test_golden_trace --regen and re-run.";
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllEngines, GoldenTrace,
-                         ::testing::Values(sim::Engine::Reference,
-                                           sim::Engine::Jit),
+// Test names cannot hold '-': jit-grs runs as .../jit_grs.
+INSTANTIATE_TEST_SUITE_P(AllConfigs, GoldenTrace,
+                         ::testing::ValuesIn(kSimConfigs),
                          [](const auto& info) {
-                           return std::string(sim::engine_name(info.param));
+                           std::string name = info.param.name;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
                          });
 
 int regenerate() {
@@ -227,8 +232,7 @@ int regenerate() {
          "tests/sim/test_golden_trace.cpp).\n"
          "# Regenerate: ./build/tests/test_golden_trace --regen\n";
   for (const auto& cell : golden_matrix()) {
-    out << cell.name << ' ' << run_digest(cell, sim::Engine::Reference)
-        << '\n';
+    out << cell.name << ' ' << run_digest(cell, kReference) << '\n';
   }
   std::printf("wrote %s\n", kGoldenPath);
   return out ? 0 : 1;
@@ -241,7 +245,7 @@ int regenerate() {
 // the source tree instead of running the comparison.
 int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
-  bool regen = std::getenv("SFRV_REGEN_GOLDEN") != nullptr;
+  bool regen = false;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--regen") regen = true;
   }

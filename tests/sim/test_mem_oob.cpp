@@ -1,19 +1,22 @@
-// Differential out-of-bounds semantics: the reference interpreter, the
-// JIT's cold tier, and its cached-base-pointer trace path share one bounds
+// Differential out-of-bounds semantics: the reference interpreter, the JIT's
+// cold tier, and its cached-base-pointer trace path share one bounds
 // predicate (sim::mem_access_oob) and one exception (throw_mem_oob), so a
-// faulting access must throw the same type with the same fully-retired
-// state — and the same exception *message* — on every path. Covers the
-// edges that predicate folds together: the first byte, the last byte, the
-// 32-bit address-space wrap at UINT32_MAX, and a mid-vector fault where the
-// first element of a VL-governed packed access is in bounds and a later one
-// is not.
+// faulting access must throw the same type with the same fully-retired state
+// — and the same exception *message* — on every path: each simulator
+// configuration of kSimConfigs through run(), and the jit's cold tier
+// through step(). Covers the edges that predicate folds together: the first
+// byte, the last byte, the 32-bit address-space wrap at UINT32_MAX, and a
+// mid-vector fault where the first element of a VL-governed packed access is
+// in bounds and a later one is not.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "asmb/assembler.hpp"
 #include "sim/core.hpp"
 #include "sim/memory.hpp"
+#include "sim_util.hpp"
 
 namespace sfrv::test {
 namespace {
@@ -22,17 +25,24 @@ using asmb::Assembler;
 using isa::Op;
 namespace reg = asmb::reg;
 
-/// One execution path: an engine and how it is driven. run() compiles
-/// every jit block, so the fault happens inside a trace; step() retires
-/// every op on the jit's cold tier.
+/// One execution path: a simulator configuration and how it is driven.
+/// run() compiles every jit block, so the fault happens inside a trace;
+/// step() retires every op on the jit's cold tier.
 struct Path {
-  sim::Engine engine;
+  SimConfig config;
   bool step;
-  const char* name;
+  [[nodiscard]] std::string name() const {
+    return std::string(config.name) + (step ? " cold tier" : "");
+  }
 };
-constexpr Path kPaths[] = {{sim::Engine::Reference, false, "reference"},
-                           {sim::Engine::Jit, false, "jit trace"},
-                           {sim::Engine::Jit, true, "jit cold tier"}};
+
+/// Every configuration through run(), then jit-grs through step().
+std::vector<Path> paths() {
+  std::vector<Path> out;
+  for (const SimConfig& c : kSimConfigs) out.push_back({c, false});
+  out.push_back({kJitGrs, true});
+  return out;
+}
 
 constexpr std::uint32_t kMemSize = 8u << 20;  // MemConfig default
 
@@ -51,8 +61,7 @@ struct Outcome {
 Outcome run_one(const std::function<void(Assembler&)>& body, const Path& p) {
   Assembler a;
   body(a);
-  sim::Core core(isa::IsaConfig::full());
-  core.set_engine(p.engine);
+  sim::Core core = make_core(p.config);
   core.load_program(a.finish());
   Outcome o;
   try {
@@ -75,13 +84,14 @@ Outcome run_one(const std::function<void(Assembler&)>& body, const Path& p) {
   return o;
 }
 
-/// Run on every path and require identical outcomes; returns the
-/// reference outcome for the caller's own assertions.
+/// Run on every path and require identical outcomes; returns the first
+/// path's outcome for the caller's own assertions.
 Outcome run_differential(const std::function<void(Assembler&)>& body) {
-  const Outcome ref = run_one(body, kPaths[0]);
-  for (std::size_t i = 1; i < std::size(kPaths); ++i) {
-    const Outcome o = run_one(body, kPaths[i]);
-    const char* name = kPaths[i].name;
+  const std::vector<Path> all = paths();
+  const Outcome ref = run_one(body, all[0]);
+  for (std::size_t i = 1; i < all.size(); ++i) {
+    const Outcome o = run_one(body, all[i]);
+    const std::string name = all[i].name();
     EXPECT_EQ(o.threw, ref.threw) << name;
     EXPECT_EQ(o.message, ref.message) << name;
     EXPECT_EQ(o.instructions, ref.instructions) << name;
@@ -157,7 +167,7 @@ TEST(MemOob, MidVectorFaultLeavesLoadTargetUntouched) {
 TEST(MemOob, MidVectorStoreFaultWritesLowerElementsOnly) {
   // vfsh at size-2 under vl=2: element 0 lands on the final halfword,
   // element 1 faults. Element-ordered store semantics: the last byte of
-  // memory holds element 0's high byte on every engine.
+  // memory holds element 0's high byte on every path.
   const Outcome o = run_differential([](Assembler& a) {
     a.li(reg::t1, 4);
     a.setvl(reg::zero, reg::t1, 1, 0);  // vl = 2

@@ -15,6 +15,7 @@
 #include "kernels/nn.hpp"
 #include "kernels/runner.hpp"
 #include "sim/core.hpp"
+#include "sim_util.hpp"
 
 namespace sfrv::test {
 namespace {
@@ -23,16 +24,11 @@ using asmb::Assembler;
 using isa::Op;
 namespace reg = asmb::reg;
 
-constexpr sim::Engine kEngines[] = {sim::Engine::Reference, sim::Engine::Jit};
-
-sim::Core run_on(const asmb::Program& prog, sim::Engine e,
-                 fp::MathBackend b = fp::default_backend(), int flen = 32) {
-  sim::Core core(isa::IsaConfig::full(flen));
-  core.set_engine(e);
-  core.set_backend(b);
+sim::Core run_on(const asmb::Program& prog, const SimConfig& c,
+                 int flen = 32) {
+  sim::Core core = make_core(c, isa::IsaConfig::full(flen));
   core.load_program(prog);
-  EXPECT_EQ(core.run(1'000'000), sim::Core::RunResult::Halted)
-      << sim::engine_name(e);
+  EXPECT_EQ(core.run(1'000'000), sim::Core::RunResult::Halted) << c.name;
   return core;
 }
 
@@ -72,11 +68,11 @@ TEST(Setvl, GrantRules) {
     a.setvl(reg::t2, reg::t1, c.ew, c.cap);
     a.ebreak();
     const asmb::Program prog = a.finish();
-    for (const auto e : kEngines) {
-      sim::Core core = run_on(prog, e);
+    for (const SimConfig& config : kSimConfigs) {
+      sim::Core core = run_on(prog, config);
       EXPECT_EQ(core.x(reg::t2), c.want)
-          << "avl=" << c.avl << " ew=" << c.ew << " cap=" << c.cap
-          << " engine=" << sim::engine_name(e);
+          << "avl=" << c.avl << " ew=" << c.ew << " cap=" << c.cap << " on "
+          << config.name;
       EXPECT_EQ(core.context().vl, c.want);
     }
   }
@@ -100,14 +96,13 @@ TEST(Setvl, VlZeroMakesVecMemopsNoOps) {
   a.ebreak();
   const asmb::Program prog = a.finish();
 
-  for (const auto e : kEngines) {
-    sim::Core core = run_on(prog, e);
-    EXPECT_EQ(core.f_bits(1) & 0xffffffffull, 0x1234abcdull)
-        << sim::engine_name(e);
+  for (const SimConfig& c : kSimConfigs) {
+    sim::Core core = run_on(prog, c);
+    EXPECT_EQ(core.f_bits(1) & 0xffffffffull, 0x1234abcdull) << c.name;
     std::uint8_t tail[4] = {1, 2, 3, 4};
     core.memory().read_block(buf + 16, tail, sizeof tail);
     for (const std::uint8_t b : tail) {
-      EXPECT_EQ(b, 0) << sim::engine_name(e);
+      EXPECT_EQ(b, 0) << c.name;
     }
   }
 }
@@ -166,12 +161,11 @@ TEST(Setvl, JitTraceReplaysUnderEveryVl) {
   const std::uint32_t end = out + 8 * 48;
 
   for (const int flen : {32, 64}) {
-    const sim::Core ref =
-        run_on(prog, sim::Engine::Reference, fp::MathBackend::Grs, flen);
-    for (const auto b : {fp::MathBackend::Grs, fp::MathBackend::Fast}) {
-      const sim::Core jit = run_on(prog, sim::Engine::Jit, b, flen);
-      const std::string what = "flen=" + std::to_string(flen) +
-                               " backend=" + std::string(fp::backend_name(b));
+    const sim::Core ref = run_on(prog, kReference, flen);
+    for (const SimConfig& c : {kJitGrs, kJitFast}) {
+      const sim::Core jit = run_on(prog, c, flen);
+      const std::string what =
+          "flen=" + std::to_string(flen) + " " + c.name;
       for (unsigned r = 0; r < 32; ++r) {
         EXPECT_EQ(jit.f_bits(r), ref.f_bits(r)) << what << " f" << r;
         EXPECT_EQ(jit.x(r), ref.x(r)) << what << " x" << r;
@@ -231,12 +225,11 @@ TEST(Setvl, StripMinedLoopRunsCompiled) {
   const asmb::Program prog = a.finish();
   const std::uint32_t end = out + 16;
 
-  const sim::Core ref =
-      run_on(prog, sim::Engine::Reference, fp::MathBackend::Grs);
+  const sim::Core ref = run_on(prog, kReference);
   ASSERT_EQ(ref.x(reg::a1), static_cast<std::uint32_t>(kTrip));
-  for (const auto b : {fp::MathBackend::Grs, fp::MathBackend::Fast}) {
-    const sim::Core jit = run_on(prog, sim::Engine::Jit, b);
-    const std::string what = "backend=" + std::string(fp::backend_name(b));
+  for (const SimConfig& c : {kJitGrs, kJitFast}) {
+    const sim::Core jit = run_on(prog, c);
+    const std::string what = c.name;
     const sim::jit::JitStats& st = jit.jit_stats();
     EXPECT_EQ(st.interp_entries, 0u) << what;
     // The prologue through the guard, the loop and the halt: the three
@@ -307,10 +300,10 @@ TEST(StripMine, O2MatchesO0BitForBit) {
     for (const int cap : {1, 2, 4}) {
       const auto o0 = kernels::run_kernel(
           s.spec, s.mode, {}, isa::IsaConfig::full(), sim::Engine::Jit,
-          fp::default_backend(), with_vl(ir::OptConfig::O0(), cap));
+          fp::MathBackend::Grs, with_vl(ir::OptConfig::O0(), cap));
       const auto o2 = kernels::run_kernel(
           s.spec, s.mode, {}, isa::IsaConfig::full(), sim::Engine::Jit,
-          fp::default_backend(), with_vl(ir::OptConfig::O2(), cap));
+          fp::MathBackend::Grs, with_vl(ir::OptConfig::O2(), cap));
       const std::string what =
           std::string(s.what) + " cap=" + std::to_string(cap);
       expect_bit_identical(o0, o2, s.spec.output_arrays, what);
@@ -328,11 +321,11 @@ TEST(StripMine, ElementwiseKernelBitIdenticalAcrossVls) {
       kernels::TypeConfig::uniform(ir::ScalarType::F16), 6, 6, 3);
   const auto base = kernels::run_kernel(
       spec, ir::CodegenMode::ManualVec, {}, isa::IsaConfig::full(),
-      sim::Engine::Jit, fp::default_backend(), ir::OptConfig::O0());
+      sim::Engine::Jit, fp::MathBackend::Grs, ir::OptConfig::O0());
   for (const int cap : {1, 2, 4}) {
     const auto strip = kernels::run_kernel(
         spec, ir::CodegenMode::ManualVec, {}, isa::IsaConfig::full(),
-        sim::Engine::Jit, fp::default_backend(),
+        sim::Engine::Jit, fp::MathBackend::Grs,
         with_vl(ir::OptConfig::O0(), cap));
     expect_bit_identical(base, strip, spec.output_arrays,
                          "conv2d cap=" + std::to_string(cap));
@@ -341,20 +334,19 @@ TEST(StripMine, ElementwiseKernelBitIdenticalAcrossVls) {
 
 TEST(StripMine, EnginesAgreeOnStripMinedKernels) {
   // Per-VL-point conformance: the same strip-mined cell must be bit- and
-  // cycle-identical across every engine (the golden matrix pins this
-  // against checked-in digests; this is the direct comparison).
+  // cycle-identical on every simulator configuration (the golden matrix
+  // pins this against checked-in digests; this is the direct comparison).
   const kernels::KernelSpec spec = kernels::make_fully_connected(
       {ir::ScalarType::F8, ir::ScalarType::F16}, 6, 10);
   std::vector<kernels::RunResult> runs;
-  for (const auto e : kEngines) {
+  for (const SimConfig& c : kSimConfigs) {
     runs.push_back(kernels::run_kernel(
-        spec, ir::CodegenMode::ManualVecExs, {}, isa::IsaConfig::full(), e,
-        fp::default_backend(), with_vl(ir::OptConfig::O0(), 2)));
+        spec, ir::CodegenMode::ManualVecExs, {}, isa::IsaConfig::full(),
+        c.engine, c.backend, with_vl(ir::OptConfig::O0(), 2)));
   }
   for (std::size_t i = 1; i < runs.size(); ++i) {
     expect_bit_identical(runs[0], runs[i], spec.output_arrays,
-                         std::string("engine ") +
-                             std::string(sim::engine_name(kEngines[i])));
+                         kSimConfigs[i].name);
     EXPECT_EQ(runs[0].stats.cycles, runs[i].stats.cycles);
     EXPECT_EQ(runs[0].stats.instructions, runs[i].stats.instructions);
   }

@@ -13,6 +13,7 @@
 // runs, and across cold/warm cell-store passes — including separate
 // processes sharing one --cache-dir — so it can be checked in
 // (BENCH_eval.json) and diffed.
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <climits>
@@ -23,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eval/campaign.hpp"
@@ -55,12 +57,12 @@ int usage(const char* argv0) {
       "  --mem         memory level: l1=1, l2=10, l3=100 cycles load latency\n"
       "                (default: l1)\n"
       "  --engine      simulator engine; results are engine-independent, only\n"
-      "                wall-clock changes (default: $SFRV_ENGINE or jit)\n"
+      "                wall-clock changes (default: jit)\n"
       "  --backend     softfloat math backend; bit- and fflags-identical, only\n"
-      "                wall-clock changes (default: $SFRV_BACKEND or grs)\n"
+      "                wall-clock changes (default: grs)\n"
       "  --opt         post-lowering optimization level; outputs and QoR are\n"
       "                bit-identical, cycle metrics improve\n"
-      "                (default: $SFRV_OPT or O0)\n"
+      "                (default: O0)\n"
       "  --verify      enable per-pass pipeline verification (equivalent to\n"
       "                SFRV_VERIFY=1): statically check every lowered kernel\n"
       "                and compiled trace, and abort with a pass-attributed\n"
@@ -142,7 +144,9 @@ bool parse_int(const char* s, int& out) {
 
 /// Split the comma-separated value of `flag` into `out`. An empty list or an
 /// empty item ("", ",", "a,,b", "a,") is a usage error, never a request for
-/// the default: prints a diagnostic naming the flag and returns false.
+/// the default, and so is a repeated item ("a,a"), which would run or print
+/// the same column twice: prints a diagnostic naming the flag and returns
+/// false.
 bool split_csv(const char* flag, const std::string& arg,
                std::vector<std::string>& out) {
   out.clear();
@@ -155,7 +159,13 @@ bool split_csv(const char* flag, const std::string& arg,
                    arg.c_str());
       return false;
     }
-    out.push_back(arg.substr(start, end - start));
+    std::string item = arg.substr(start, end - start);
+    if (std::find(out.begin(), out.end(), item) != out.end()) {
+      std::fprintf(stderr, "%s: repeated item '%s' in list '%s'\n", flag,
+                   item.c_str(), arg.c_str());
+      return false;
+    }
+    out.push_back(std::move(item));
     if (comma == std::string::npos) return true;
     start = comma + 1;
   }
@@ -280,6 +290,12 @@ int main(int argc, char** argv) {
       if (!parse_int(tok.c_str(), vl) || vl < 0 || vl > 63) {
         std::fprintf(stderr, "invalid VL point: %s (expected 0..63)\n",
                      tok.c_str());
+        return 2;
+      }
+      // Distinct spellings of one point ("2,02") are repeats too.
+      if (std::find(spec.vls.begin(), spec.vls.end(), vl) != spec.vls.end()) {
+        std::fprintf(stderr, "--vls: repeated item '%s' in list '%s'\n",
+                     tok.c_str(), vls->c_str());
         return 2;
       }
       spec.vls.push_back(vl);
