@@ -1,19 +1,21 @@
 // Simulator dispatch bench: instruction throughput (MIPS) of both engines
 // -- the reference interpreter and the jit trace-compilation engine -- on
-// four loop shapes: integer-only ALU, scalar binary32 FP, packed-SIMD
-// f8/f16, and a realistic vectorized kernel inner loop. The jit rows also
-// record the translation-time share of wall clock and the trace-cache hit
-// rate. The jit is additionally measured under both math backends (grs =
-// guard/round/sticky softfloat, fast = exhaustive f8 LUTs + host-double
-// f16/f32 path); the backend column is the speedup of fast over grs on the
-// jit. Writes BENCH_dispatch.json (path overridable via argv[1]) so the
-// speedups from the jit and the math backend land in the bench trajectory.
+// five loop shapes: integer-only ALU, scalar binary32 FP, packed-SIMD
+// f8/f16, and a realistic vectorized kernel inner loop over non-zero and
+// over all-zero data. The jit rows also record the translation-time share
+// of wall clock and the trace-cache hit rate. The jit is additionally
+// measured under both math backends (grs = guard/round/sticky softfloat,
+// fast = exhaustive f8 LUTs + host-double f16/f32 path); the backend column
+// is the speedup of fast over grs on the jit. Writes BENCH_dispatch.json
+// (path overridable via argv[1]) so the speedups from the jit and the math
+// backend land in the bench trajectory.
 // The second section measures *simulated cycles* of glue-bound lowered
 // kernels at each post-lowering optimization level (ir/opt.hpp O0/O1/O2):
 // unrolling + pointer strength reduction + dead-glue elimination attack the
 // scalar address-generation and loop-control glue this file's wall-clock
 // rows showed dominating the paper-sized kernels. The "kernel_opt" JSON
 // array records the per-level cycle counts and the O2/O0 reduction.
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -87,10 +89,15 @@ Workload scalar_fp_loop() {
 /// (gemm/svm manual-vec: loads, one packed mac, store, address bumps,
 /// back-edge) — the packed-SIMD loop the end-to-end campaign executes. The
 /// packed-ALU loop below is the math-bound extreme; this one carries the
-/// realistic glue-to-math ratio the jit targets.
-Workload packed_simd_kernel_loop() {
+/// realistic glue-to-math ratio the jit targets. Its buffer holds the
+/// binary16 pairs {1.5, -1.0} and {0.5, 2.0}, so every mac has normal
+/// operands; with `zero_data` the buffer is all zeros and every mac takes
+/// the fast backend's zero-operand delegation to the grs path instead.
+Workload packed_simd_kernel_loop(bool zero_data) {
   Assembler a;
-  const std::uint32_t buf = a.data_zero(64);
+  std::array<std::uint16_t, 32> halves{};
+  if (!zero_data) halves = {0x3e00, 0xbc00, 0, 0, 0x3800, 0x4000};
+  const std::uint32_t buf = a.data_bytes(halves.data(), sizeof halves);
   a.la(reg::s0, buf);
   a.li(reg::t0, kIters);
   const auto loop = a.here();
@@ -103,7 +110,8 @@ Workload packed_simd_kernel_loop() {
   a.addi(reg::t0, reg::t0, -1);
   a.bne(reg::t0, reg::zero, loop);
   a.ebreak();
-  return {"packed_simd_kernel", a.finish()};
+  return {zero_data ? "packed_simd_kernel_zero" : "packed_simd_kernel",
+          a.finish()};
 }
 
 Workload packed_simd_loop() {
@@ -243,9 +251,9 @@ Measurement measure(const Workload& w, Core::Engine engine,
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_dispatch.json";
-  const std::vector<Workload> workloads = {int_alu_loop(), scalar_fp_loop(),
-                                           packed_simd_loop(),
-                                           packed_simd_kernel_loop()};
+  const std::vector<Workload> workloads = {
+      int_alu_loop(), scalar_fp_loop(), packed_simd_loop(),
+      packed_simd_kernel_loop(false), packed_simd_kernel_loop(true)};
 
   std::printf("%-22s %9s %9s %9s %9s %9s %7s %7s\n", "workload", "ref MIPS",
               "jit MIPS", "jit-fast", "jit/ref", "fast/grs", "xlate%",

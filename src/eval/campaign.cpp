@@ -4,6 +4,7 @@
 #include <array>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
 
@@ -226,112 +227,47 @@ std::vector<CellSpec> expand_matrix(const CampaignSpec& spec) {
 
 namespace {
 
-/// Immutable planned kernel instance shared through the process-wide plan
-/// cache: the built KernelSpec, one lowering of it, and the content digest.
-struct PlannedKernel {
-  std::shared_ptr<const KernelSpec> spec;
-  std::shared_ptr<const ir::LoweredKernel> lowered;
-  std::uint64_t digest = 0;
-};
-
-/// Process-wide plan cache. Sound because it only caches benchmarks of the
-/// two static eval_suite() vectors, whose make() functions are deterministic
-/// and fixture-backed — so (scale, benchmark name, TypeConfig, mode, opt)
-/// fully determines the kernel and its lowering. This is what makes a warm
-/// rerun in the same process planning-free: repeated specs re-use both the
-/// kernel build (golden reference included) and the lowering.
-class PlanCache {
- public:
-  PlannedKernel get(SuiteScale scale, const EvalBenchmark& bench,
-                    const kernels::TypeConfig& tc, ir::CodegenMode mode,
-                    const ir::OptConfig& opt) {
-    const Key key{scale == SuiteScale::Full,
-                  bench.bench.name,
-                  static_cast<int>(tc.data),
-                  static_cast<int>(tc.acc),
-                  static_cast<int>(mode),
-                  opt.unroll_factor,
-                  opt.ptr_strength_reduction,
-                  opt.dead_glue_elim,
-                  opt.vl_cap};
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      const auto it = map_.find(key);
-      if (it != map_.end()) return it->second;
+/// The planner proper. It runs once per call and keeps nothing afterwards:
+/// each (benchmark, TypeConfig) kernel is built once, since its inputs and
+/// golden reference do not depend on mode or VL. Then every cell is lowered
+/// under the campaign opt, with the cell's VL point as `vl_cap` (each point
+/// is a distinct lowering of the same kernel), and given its content address.
+std::vector<PlannedCell> plan_cells(const CampaignSpec& spec,
+                                    const std::vector<CellSpec>& cells) {
+  std::map<std::tuple<const EvalBenchmark*, ir::ScalarType, ir::ScalarType>,
+           std::shared_ptr<const KernelSpec>>
+      built;
+  std::vector<PlannedCell> planned;
+  planned.reserve(cells.size());
+  for (const CellSpec& cell : cells) {
+    const TypeConfig& tc = cell.type_config.tc;
+    auto& kernel = built[{cell.benchmark, tc.data, tc.acc}];
+    if (!kernel) {
+      kernel =
+          std::make_shared<const KernelSpec>(cell.benchmark->bench.make(tc));
     }
-    // Build outside the lock: planning two different cells concurrently must
-    // not serialize, and a duplicate build is idempotent (first insert wins).
-    PlannedKernel p;
-    auto spec_ptr = spec_for(scale, bench, tc);
-    p.spec = spec_ptr;
+    PlannedCell p;
+    p.cell = cell;
+    p.spec = kernel;
+    p.opt = spec.opt;
+    p.opt.vl_cap = cell.vl;
     p.lowered = std::make_shared<const ir::LoweredKernel>(
-        ir::lower(spec_ptr->kernel, mode, spec_ptr->init, opt));
-    p.digest = kernels::lowered_digest(*p.spec, *p.lowered);
-    const std::lock_guard<std::mutex> lock(mu_);
-    return map_.emplace(key, std::move(p)).first->second;
+        ir::lower(kernel->kernel, cell.mode, kernel->init, p.opt));
+    p.key.kernel_digest = kernels::lowered_digest(*kernel, *p.lowered);
+    p.key.data = tc.data;
+    p.key.acc = tc.acc;
+    p.key.mode = cell.mode;
+    p.key.vl = cell.vl;
+    p.key.engine = spec.engine;
+    p.key.backend = spec.backend;
+    p.key.opt = p.opt;
+    p.key.mem_load_latency = spec.mem.load_latency;
+    p.key.mem_store_latency = spec.mem.store_latency;
+    p.key.mem_level = static_cast<int>(spec.mem.level);
+    p.key.mem_size = spec.mem.size;
+    planned.push_back(std::move(p));
   }
-
- private:
-  using Key = std::tuple<bool, std::string, int, int, int, int, bool, bool, int>;
-
-  /// Kernel builds are shared across modes/VL points of the same
-  /// (benchmark, TypeConfig) — the spec (inputs, golden) is mode-independent.
-  std::shared_ptr<const KernelSpec> spec_for(SuiteScale scale,
-                                             const EvalBenchmark& bench,
-                                             const kernels::TypeConfig& tc) {
-    const SpecKey key{scale == SuiteScale::Full, bench.bench.name,
-                      static_cast<int>(tc.data), static_cast<int>(tc.acc)};
-    {
-      const std::lock_guard<std::mutex> lock(spec_mu_);
-      const auto it = specs_.find(key);
-      if (it != specs_.end()) return it->second;
-    }
-    auto built = std::make_shared<const KernelSpec>(bench.bench.make(tc));
-    const std::lock_guard<std::mutex> lock(spec_mu_);
-    return specs_.emplace(key, std::move(built)).first->second;
-  }
-
-  using SpecKey = std::tuple<bool, std::string, int, int>;
-  std::mutex mu_;
-  std::map<Key, PlannedKernel> map_;
-  std::mutex spec_mu_;
-  std::map<SpecKey, std::shared_ptr<const KernelSpec>> specs_;
-};
-
-PlanCache& plan_cache() {
-  static PlanCache cache;
-  return cache;
-}
-
-/// Assemble one PlannedCell: memoized build+lower, then the content address.
-PlannedCell plan_one(SuiteScale scale, const CellSpec& cell,
-                     const sim::MemConfig& mem, sim::Engine engine,
-                     fp::MathBackend backend, const ir::OptConfig& opt) {
-  // The cell's VL-sweep point overrides the campaign-level vl_cap: each
-  // point is a distinct lowering of the same kernel.
-  ir::OptConfig cell_opt = opt;
-  cell_opt.vl_cap = cell.vl;
-  const PlannedKernel pk = plan_cache().get(scale, *cell.benchmark,
-                                            cell.type_config.tc, cell.mode,
-                                            cell_opt);
-  PlannedCell p;
-  p.cell = cell;
-  p.spec = pk.spec;
-  p.lowered = pk.lowered;
-  p.opt = cell_opt;
-  p.key.kernel_digest = pk.digest;
-  p.key.data = cell.type_config.tc.data;
-  p.key.acc = cell.type_config.tc.acc;
-  p.key.mode = cell.mode;
-  p.key.vl = cell.vl;
-  p.key.engine = engine;
-  p.key.backend = backend;
-  p.key.opt = cell_opt;
-  p.key.mem_load_latency = mem.load_latency;
-  p.key.mem_store_latency = mem.store_latency;
-  p.key.mem_level = static_cast<int>(mem.level);
-  p.key.mem_size = mem.size;
-  return p;
+  return planned;
 }
 
 /// Presentation fields are spec-derived, not measurement-derived: they are
@@ -348,12 +284,11 @@ void stamp_presentation(CellResult& c, const CellSpec& cell) {
 
 /// The execute layer: simulate a planned cell and measure everything the
 /// report wants. This is exactly the work a store hit skips.
-CellResult run_planned_cell(const PlannedCell& p, const sim::MemConfig& mem,
-                            sim::Engine engine, fp::MathBackend backend) {
-  const KernelSpec& spec = *p.spec;
-  const RunResult r = kernels::run_lowered(spec, *p.lowered, mem,
-                                           isa::IsaConfig::full(), engine,
-                                           backend);
+CellResult run_planned_cell(const PlannedCell& p, const CampaignSpec& spec) {
+  const KernelSpec& kernel = *p.spec;
+  const RunResult r = kernels::run_lowered(kernel, *p.lowered, spec.mem,
+                                           isa::IsaConfig::full(), spec.engine,
+                                           spec.backend);
 
   CellResult c;
   stamp_presentation(c, p.cell);
@@ -373,209 +308,137 @@ CellResult run_planned_cell(const PlannedCell& p, const sim::MemConfig& mem,
         std::string(isa::cls_name(static_cast<isa::Cls>(ci))), by_cls[ci]);
   }
 
-  c.energy = energy::EnergyModel{}.breakdown(r.stats, mem);
-  c.sqnr_db = kernels::sqnr_db(golden_concat(spec),
-                               r.concat_outputs(spec.output_arrays));
+  c.energy = energy::EnergyModel{}.breakdown(r.stats, spec.mem);
+  c.sqnr_db = kernels::sqnr_db(golden_concat(kernel),
+                               r.concat_outputs(kernel.output_arrays));
   if (p.cell.benchmark->accuracy) {
-    c.accuracy = p.cell.benchmark->accuracy(spec, r);
+    c.accuracy = p.cell.benchmark->accuracy(kernel, r);
   }
   return c;
 }
 
-}  // namespace
-
-std::vector<PlannedCell> plan_campaign(const CampaignSpec& spec) {
-  const auto cells = expand_matrix(spec);
-  std::vector<PlannedCell> planned;
-  planned.reserve(cells.size());
-  for (const auto& cell : cells) {
-    planned.push_back(plan_one(spec.scale, cell, spec.mem, spec.engine,
-                               spec.backend, spec.opt));
-  }
-  return planned;
-}
-
-CellResult run_cell(const CellSpec& cell, const sim::MemConfig& mem,
-                    sim::Engine engine, fp::MathBackend backend,
-                    const ir::OptConfig& opt) {
-  // Ad-hoc entry point (unit tests, one-off cells): builds and lowers
-  // directly, bypassing the plan cache — its memo key assumes suite-resident
-  // benchmarks, which this caller does not guarantee.
-  ir::OptConfig cell_opt = opt;
-  cell_opt.vl_cap = cell.vl;
-  PlannedCell p;
-  p.cell = cell;
-  p.spec = std::make_shared<const KernelSpec>(
-      cell.benchmark->bench.make(cell.type_config.tc));
-  p.lowered = std::make_shared<const ir::LoweredKernel>(
-      ir::lower(p.spec->kernel, cell.mode, p.spec->init, cell_opt));
-  p.opt = cell_opt;
-  return run_planned_cell(p, mem, engine, backend);
-}
-
-EvalReport run_campaign(const CampaignSpec& spec, int jobs, CellStore* store,
-                        const CellCallback& on_cell) {
-  const auto planned = plan_campaign(spec);
-  const std::size_t total = planned.size();
-
-  std::vector<CellResult> results(total);
-  CacheTelemetry tally;
-  std::mutex cb_mu;
-  auto emit = [&](std::size_t i, const CellResult& c, bool cached) {
-    if (!on_cell) return;
-    // Serialized: workers land cells concurrently, but callers see a clean
-    // stream and need no locking of their own.
-    const std::lock_guard<std::mutex> lock(cb_mu);
-    on_cell(i, total, c, cached);
+/// Serve or simulate every planned cell on one run_sharded pass of `jobs`
+/// workers. This is the one place that looks up, inserts and tallies store
+/// cells. With a store, every cell is looked up first (serially, so hits
+/// land before any simulation starts), only the misses reach the workers,
+/// and each computed cell is inserted. `covered` more requests — tuner grid
+/// points that a cell of this pass already serves — count as the hits their
+/// own lookups would be. Without a store every cell is simulated and nothing
+/// is tallied. `landed` (optional) sees each cell as it lands: its index,
+/// the result, and whether the store served it; calls are serialized.
+std::vector<CellResult> serve_or_simulate(
+    const CampaignSpec& spec, const std::vector<PlannedCell>& planned,
+    std::size_t covered, int jobs, CellStore* store, CacheTelemetry* tally,
+    const std::function<void(std::size_t, const CellResult&, bool)>& landed) {
+  std::vector<CellResult> results(planned.size());
+  std::mutex landed_mu;
+  auto land = [&](std::size_t i, const CellResult& c, bool served) {
+    if (!landed) return;
+    const std::lock_guard<std::mutex> lock(landed_mu);
+    landed(i, c, served);
   };
 
-  // Store layer: partition into hits and misses up front (lookups are O(1)
-  // and serial), so hits stream before any simulation starts and only the
-  // misses ever reach the executor.
   std::vector<std::size_t> misses;
-  if (store != nullptr) {
-    for (std::size_t i = 0; i < total; ++i) {
-      if (auto hit = store->lookup(planned[i].key)) {
-        stamp_presentation(*hit, planned[i].cell);
-        results[i] = std::move(*hit);
-        ++tally.hits;
-        emit(i, results[i], true);
-      } else {
-        misses.push_back(i);
-      }
+  for (std::size_t i = 0; i < planned.size(); ++i) {
+    std::optional<CellResult> hit;
+    if (store != nullptr) hit = store->lookup(planned[i].key);
+    if (hit) {
+      stamp_presentation(*hit, planned[i].cell);
+      results[i] = std::move(*hit);
+      land(i, results[i], true);
+    } else {
+      misses.push_back(i);
     }
-    tally.misses = misses.size();
-  } else {
-    misses.resize(total);
-    for (std::size_t i = 0; i < total; ++i) misses[i] = i;
+  }
+  if (store != nullptr && tally != nullptr) {
+    tally->hits += planned.size() - misses.size() + covered;
+    tally->misses += misses.size();
   }
 
-  // Executor layer: cache-miss cells on the worker threads.
   run_sharded(misses.size(), std::max(1, jobs), [&](std::size_t mi) {
     const std::size_t i = misses[mi];
-    CellResult c = run_planned_cell(planned[i], spec.mem, spec.engine,
-                                    spec.backend);
+    CellResult c = run_planned_cell(planned[i], spec);
     if (store != nullptr) store->insert(planned[i].key, c);
-    emit(i, c, false);
+    land(i, c, false);
     results[i] = std::move(c);
   });
-
-  EvalReport report;
-  report.suite = spec.name;
-  report.engine = std::string(sim::engine_name(spec.engine));
-  report.backend = std::string(fp::backend_name(spec.backend));
-  report.opt = std::string(ir::opt_name(spec.opt));
-  report.mem_load_latency = spec.mem.load_latency;
-  report.mem_store_latency = spec.mem.store_latency;
-  for (const auto& p : planned) {
-    if (report.benchmarks.empty() ||
-        report.benchmarks.back() != p.cell.benchmark->bench.name) {
-      report.benchmarks.push_back(p.cell.benchmark->bench.name);
-    }
-  }
-  for (const auto& tc : spec.type_configs) {
-    report.type_configs.push_back(tc.name);
-  }
-  for (const auto m : spec.modes) {
-    report.modes.emplace_back(ir::mode_name(m));
-  }
-  report.vls = spec.vls;
-  report.cells = std::move(results);
-  if (spec.runs_tuner()) {
-    report.has_tuner = true;
-    report.tuner = run_tuner_study(spec.scale, spec.mem, spec.engine,
-                                   spec.backend, spec.opt, store, &tally);
-  }
-  // Telemetry is always populated in memory; `has_cache` (serialization)
-  // stays opt-in so default reports keep their byte-determinism.
-  report.cache = tally;
-  return report;
+  return results;
 }
 
-TunerStudy run_tuner_study(SuiteScale scale, const sim::MemConfig& mem,
-                           sim::Engine engine, fp::MathBackend backend,
-                           const ir::OptConfig& opt, CellStore* store,
-                           CacheTelemetry* tally) {
-  const auto& suite = eval_suite(scale);
-  const auto it = std::find_if(
+// ---- tuner study (Fig. 6) ---------------------------------------------------
+
+/// The slot domain: narrowest first, posits after their equally-wide IEEE
+/// formats.
+constexpr std::array<ir::ScalarType, 6> kTunerDomain = {
+    ir::ScalarType::F8,  ir::ScalarType::P8,  ir::ScalarType::F16Alt,
+    ir::ScalarType::F16, ir::ScalarType::P16, ir::ScalarType::F32};
+
+/// The grid points the study simulates: every {data, acc} pair of the SVM
+/// that the promotion lattice orders, in the order the tuner visits them.
+/// A point vectorizes whenever its data type packs (the paper's tuned
+/// deployment; float data has no lanes at FLEN=32 and runs the scalar
+/// pipeline) and runs at the spec's `vl_cap`. Unordered pairs — the two
+/// 16-bit IEEE formats against each other, or posit/IEEE mixes outside
+/// float — have no defined source-level typing and are not grid points.
+std::vector<CellSpec> tuner_grid(const CampaignSpec& spec) {
+  const auto& suite = eval_suite(spec.scale);
+  const auto svm = std::find_if(
       suite.begin(), suite.end(),
       [](const EvalBenchmark& b) { return b.bench.name == "svm"; });
-  if (it == suite.end() || !it->accuracy) {
+  if (svm == suite.end() || !svm->accuracy) {
     throw std::runtime_error("tuner study requires the svm benchmark");
   }
-  const EvalBenchmark& svm = *it;
-
-  using ir::ScalarType;
-  // Narrowest first, posits after their equally-wide IEEE formats.
-  const std::vector<ScalarType> domain = {ScalarType::F8,  ScalarType::P8,
-                                          ScalarType::F16Alt, ScalarType::F16,
-                                          ScalarType::P16, ScalarType::F32};
-
-  // Each configuration is simulated once; the tuner's qor/cost callbacks
-  // both read the memoized outcome.
-  struct Outcome {
-    double qor = 0;
-    double cost = 0;
-  };
-  std::map<std::pair<int, int>, Outcome> memo;
-  auto evaluate = [&](const tuner::TypeVector& types) -> Outcome {
-    // Slot pairs the promotion lattice cannot order — the two 16-bit IEEE
-    // formats against each other, or posit/IEEE mixes outside float — have
-    // no defined source-level typing: record them as skipped (qor below any
-    // threshold, zero cost) instead of simulating.
-    if (!ir::comparable(types[0], types[1])) return {-1.0, 0.0};
-    const auto key = std::make_pair(static_cast<int>(types[0]),
-                                    static_cast<int>(types[1]));
-    const auto found = memo.find(key);
-    if (found != memo.end()) return found->second;
-    const TypeConfig tc{types[0], types[1]};
-    // Vectorize whenever the data type packs (the paper's tuned deployment);
-    // float data has no lanes at FLEN=32 and runs the scalar pipeline.
-    const auto mode = ir::lanes32(tc.data) >= 2 ? ir::CodegenMode::ManualVec
-                                                : ir::CodegenMode::Scalar;
-    // Each grid point is a content-addressed cell like any campaign cell:
-    // points that coincide with matrix cells (e.g. the "mixed" SVM) are
-    // served from the store instead of re-simulated, and what the tuner
-    // computes becomes servable to later campaigns.
-    CellSpec cell;
-    cell.benchmark = &svm;
-    cell.type_config = {std::string(ir::type_name(tc.data)) + "/" +
-                            std::string(ir::type_name(tc.acc)),
-                        tc};
-    cell.mode = mode;
-    cell.vl = opt.vl_cap;  // plan_one re-applies it; keep key.vl == opt.vl_cap
-    const PlannedCell p = plan_one(scale, cell, mem, engine, backend, opt);
-    CellResult c;
-    if (store != nullptr) {
-      if (auto hit = store->lookup(p.key)) {
-        c = std::move(*hit);
-        if (tally != nullptr) ++tally->hits;
-      } else {
-        c = run_planned_cell(p, mem, engine, backend);
-        store->insert(p.key, c);
-        if (tally != nullptr) ++tally->misses;
-      }
-    } else {
-      c = run_planned_cell(p, mem, engine, backend);
+  std::vector<CellSpec> grid;
+  for (const ir::ScalarType acc : kTunerDomain) {
+    for (const ir::ScalarType data : kTunerDomain) {
+      if (!ir::comparable(data, acc)) continue;
+      CellSpec cell;
+      cell.benchmark = &*svm;
+      cell.type_config = {std::string(ir::type_name(data)) + "/" +
+                              std::string(ir::type_name(acc)),
+                          {data, acc}};
+      cell.mode = ir::lanes32(data) >= 2 ? ir::CodegenMode::ManualVec
+                                         : ir::CodegenMode::Scalar;
+      cell.vl = spec.opt.vl_cap;
+      grid.push_back(std::move(cell));
     }
-    const Outcome out{c.accuracy, static_cast<double>(c.cycles)};
-    memo.emplace(key, out);
-    return out;
-  };
+  }
+  return grid;
+}
 
+/// Tune the SVM's {data, acc} slots from the grid's outcomes (`outcome[i]`
+/// is the cell of `grid[i]`): QoR = simulated classification accuracy, cost
+/// = simulated cycles, under the strict constraint of matching the float
+/// configuration's accuracy. Exhaustive over the 6x6 grid, because the case
+/// study wants the *cheapest* feasible assignment, and greedy promotion
+/// legitimately stops at the first feasible one it reaches — which can be
+/// a scalar-fallback combination slower than the float baseline. Pairs off
+/// the grid are recorded as skipped trials (qor below any threshold, zero
+/// cost).
+TunerStudy tune(const std::vector<CellSpec>& grid,
+                const std::vector<CellResult>& outcome) {
+  auto find = [&](const tuner::TypeVector& t) -> const CellResult* {
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const TypeConfig& tc = grid[i].type_config.tc;
+      if (tc.data == t[0] && tc.acc == t[1]) return &outcome[i];
+    }
+    return nullptr;
+  };
+  const std::vector<ir::ScalarType> domain(kTunerDomain.begin(),
+                                           kTunerDomain.end());
   tuner::Problem problem;
   problem.slot_names = {"data", "acc"};
   problem.slot_domains = {domain, domain};
-  problem.qor = [&](const tuner::TypeVector& t) { return evaluate(t).qor; };
-  problem.cost = [&](const tuner::TypeVector& t) { return evaluate(t).cost; };
+  problem.qor = [&](const tuner::TypeVector& t) {
+    const CellResult* c = find(t);
+    return c != nullptr ? c->accuracy : -1.0;
+  };
+  problem.cost = [&](const tuner::TypeVector& t) {
+    const CellResult* c = find(t);
+    return c != nullptr ? static_cast<double>(c->cycles) : 0.0;
+  };
   problem.qor_threshold =
-      evaluate({ScalarType::F32, ScalarType::F32}).qor;  // strict: float QoR
-
-  // Exhaustive over the 6x6 grid (lattice-ordered pairs simulated and
-  // memoized, unordered pairs recorded as skipped): the case study wants the
-  // *cheapest* feasible assignment, and greedy promotion legitimately stops
-  // at the first feasible one it reaches — which can be a scalar-fallback
-  // combination slower than the float baseline.
+      problem.qor({ir::ScalarType::F32, ir::ScalarType::F32});
   const tuner::Result result = tuner::tune_exhaustive(problem);
 
   TunerStudy study;
@@ -596,6 +459,112 @@ TunerStudy run_tuner_study(SuiteScale scale, const sim::MemConfig& mem,
   study.explored.reserve(result.explored.size());
   for (const auto& e : result.explored) study.explored.push_back(to_trial(e));
   return study;
+}
+
+}  // namespace
+
+std::vector<PlannedCell> plan_campaign(const CampaignSpec& spec) {
+  return plan_cells(spec, expand_matrix(spec));
+}
+
+CellResult run_cell(const CellSpec& cell, const sim::MemConfig& mem,
+                    sim::Engine engine, fp::MathBackend backend,
+                    const ir::OptConfig& opt) {
+  CampaignSpec spec;
+  spec.mem = mem;
+  spec.engine = engine;
+  spec.backend = backend;
+  spec.opt = opt;
+  return run_planned_cell(plan_cells(spec, {cell}).front(), spec);
+}
+
+EvalReport run_campaign(const CampaignSpec& spec, int jobs, CellStore* store,
+                        const CellCallback& on_cell) {
+  std::vector<CellSpec> cells = expand_matrix(spec);
+  const std::size_t total = cells.size();
+
+  // The tuner grid rides the matrix pass. A grid point that a matrix cell
+  // already covers (same benchmark, types, mode and VL, hence the same
+  // content) reads that cell; every other point is one more cell.
+  std::vector<CellSpec> grid;
+  std::vector<std::size_t> grid_at;  // grid point -> index into `cells`
+  if (spec.runs_tuner()) {
+    grid = tuner_grid(spec);
+    for (const CellSpec& g : grid) {
+      const auto matrix_end =
+          cells.begin() + static_cast<std::ptrdiff_t>(total);
+      const auto it =
+          std::find_if(cells.begin(), matrix_end, [&](const CellSpec& c) {
+            return c.benchmark == g.benchmark &&
+                   c.type_config.tc.data == g.type_config.tc.data &&
+                   c.type_config.tc.acc == g.type_config.tc.acc &&
+                   c.mode == g.mode && c.vl == g.vl;
+          });
+      if (it != matrix_end) {
+        grid_at.push_back(static_cast<std::size_t>(it - cells.begin()));
+      } else {
+        grid_at.push_back(cells.size());
+        cells.push_back(g);
+      }
+    }
+  }
+
+  const std::size_t covered = grid.size() - (cells.size() - total);
+  CacheTelemetry tally;
+  std::vector<CellResult> results = serve_or_simulate(
+      spec, plan_cells(spec, cells), covered, jobs, store, &tally,
+      [&](std::size_t i, const CellResult& c, bool served) {
+        if (on_cell && i < total) on_cell(i, total, c, served);
+      });
+
+  EvalReport report;
+  report.suite = spec.name;
+  report.engine = std::string(sim::engine_name(spec.engine));
+  report.backend = std::string(fp::backend_name(spec.backend));
+  report.opt = std::string(ir::opt_name(spec.opt));
+  report.mem_load_latency = spec.mem.load_latency;
+  report.mem_store_latency = spec.mem.store_latency;
+  for (std::size_t i = 0; i < total; ++i) {
+    const std::string& name = cells[i].benchmark->bench.name;
+    if (report.benchmarks.empty() || report.benchmarks.back() != name) {
+      report.benchmarks.push_back(name);
+    }
+  }
+  for (const auto& tc : spec.type_configs) {
+    report.type_configs.push_back(tc.name);
+  }
+  for (const auto m : spec.modes) {
+    report.modes.emplace_back(ir::mode_name(m));
+  }
+  report.vls = spec.vls;
+  if (spec.runs_tuner()) {
+    std::vector<CellResult> outcome;
+    outcome.reserve(grid_at.size());
+    for (const std::size_t i : grid_at) outcome.push_back(results[i]);
+    report.has_tuner = true;
+    report.tuner = tune(grid, outcome);
+  }
+  results.resize(total);
+  report.cells = std::move(results);
+  // Telemetry is always populated in memory; `has_cache` (serialization)
+  // stays opt-in so default reports keep their byte-determinism.
+  report.cache = tally;
+  return report;
+}
+
+TunerStudy run_tuner_study(SuiteScale scale, const sim::MemConfig& mem,
+                           sim::Engine engine, fp::MathBackend backend,
+                           const ir::OptConfig& opt, CellStore* store,
+                           CacheTelemetry* tally) {
+  CampaignSpec spec;
+  spec.scale = scale;
+  spec.mem = mem;
+  spec.engine = engine;
+  spec.backend = backend;
+  spec.opt = opt;
+  const std::vector<CellSpec> grid = tuner_grid(spec);
+  return tune(grid, serve_or_simulate(spec, plan_cells(spec, grid), 0, 1,
+                                      store, tally, nullptr));
 }
 
 }  // namespace sfrv::eval

@@ -3,13 +3,18 @@
 //  * planner   — expand_matrix / plan_campaign turn a CampaignSpec into
 //                planned cells: the built kernel, its lowered program, and a
 //                content-addressed CellKey (kernel digest × TypeConfig ×
-//                mode × engine × backend × opt × vl × mem × schema).
+//                mode × engine × backend × opt × vl × mem × schema). The
+//                planner is per call: nothing it builds outlives the run.
 //  * store     — run_campaign consults an optional CellStore before
 //                simulating; hits are served in O(1) and only misses reach
 //                the executor (eval/cellstore.hpp).
 //  * executor  — cache-miss cells run on worker threads that share one
 //                atomic next-index cursor (eval/executor.hpp), streaming
-//                each completed cell through an optional callback.
+//                each completed matrix cell through an optional callback.
+//
+// The Fig. 6 tuner study rides the same pass: its grid points are planned
+// with the matrix, a point that a matrix cell covers reads that cell, and
+// every cell is served or simulated once.
 //
 // Determinism contract: a campaign's report is a pure function of its spec.
 // Cells are executed in any order (each one builds its own kernel, Core and
@@ -117,11 +122,9 @@ struct CellSpec {
 /// A planner output cell: the matrix coordinates plus everything needed to
 /// either serve it from the store or simulate it — the built kernel, its
 /// lowered program, the effective optimizer config (campaign opt with the
-/// cell's vl_cap applied), and the content address. Kernel and lowering are
-/// shared_ptrs into a process-wide plan cache (keyed by suite scale,
-/// benchmark name, TypeConfig, mode and opt), so a repeated spec in the same
-/// process (a --cache-bench warm pass) plans without re-building or
-/// re-lowering anything.
+/// cell's vl_cap applied), and the content address. The kernel is shared by
+/// the cells of one planning call that have the same benchmark and
+/// TypeConfig; every cell has its own lowering.
 struct PlannedCell {
   CellSpec cell;
   std::shared_ptr<const kernels::KernelSpec> spec;
@@ -132,10 +135,12 @@ struct PlannedCell {
 
 /// The planner: expand the matrix and build/lower/digest every cell (no
 /// simulation). Cheap relative to execution — this is the part a warm run
-/// still pays.
+/// still pays, every run and every process anew.
 [[nodiscard]] std::vector<PlannedCell> plan_campaign(const CampaignSpec& spec);
 
-/// Execute one cell: lower, simulate, and measure.
+/// Execute one cell on its own, without a store: plan it as the campaign
+/// does, simulate, and measure. Its result serializes like the campaign's
+/// cell at the same coordinates, under any engine and backend.
 [[nodiscard]] CellResult run_cell(
     const CellSpec& cell, const sim::MemConfig& mem,
     sim::Engine engine = sim::Engine::Jit,
@@ -143,33 +148,39 @@ struct PlannedCell {
     const ir::OptConfig& opt = ir::OptConfig::O0());
 
 /// Completed-cell stream: invoked (serialized, from worker threads) as each
-/// cell lands, in arbitrary completion order — store hits first, then
+/// matrix cell lands, in arbitrary completion order — store hits first, then
 /// misses as the executor retires them. `index` is the matrix-expansion
-/// position; `cached` tells hits from computed cells.
+/// position and `total` the matrix size; `cached` tells hits from computed
+/// cells. Tuner grid points are not streamed.
 using CellCallback = std::function<void(
     std::size_t index, std::size_t total, const CellResult& cell, bool cached)>;
 
-/// Run the whole campaign with `jobs` worker threads (clamped to >= 1).
-/// With a `store`, cells present in it are served instead of simulated and
-/// computed cells are inserted; `report.cache.{hits,misses}` record the
-/// lookup outcome (serialization of that block stays opt-in via
-/// `report.has_cache`). `on_cell` streams partial results.
+/// Run the whole campaign with `jobs` worker threads (clamped to >= 1): the
+/// matrix plus, when `spec.runs_tuner()`, the tuner grid points no matrix
+/// cell covers, in one executor pass. With a `store`, cells present in it
+/// are served instead of simulated and computed cells are inserted;
+/// `report.cache.{hits,misses}` record the lookup outcome, where a grid
+/// point read from its matrix cell counts as a hit (serialization of that
+/// block stays opt-in via `report.has_cache`). Without a store both stay 0.
+/// `on_cell` streams partial results.
 [[nodiscard]] EvalReport run_campaign(const CampaignSpec& spec, int jobs = 1,
                                       CellStore* store = nullptr,
                                       const CellCallback& on_cell = nullptr);
 
-/// The Fig. 6 case study: precision tuning of the SVM slots ({data, acc}
-/// over all six scalar types, narrowest first) with QoR = simulated
-/// classification accuracy and cost = simulated cycles, under the strict
-/// constraint of matching the float configuration's accuracy. Exhaustive
-/// over the 36-config grid: lattice-ordered pairs are simulated once each
-/// (memoized), unordered pairs are recorded as skipped trials.
+/// The Fig. 6 case study on its own: precision tuning of the SVM slots
+/// ({data, acc} over all six scalar types, narrowest first) with QoR =
+/// simulated classification accuracy and cost = simulated cycles, under the
+/// strict constraint of matching the float configuration's accuracy.
+/// Exhaustive over the 36-config grid: the 22 lattice-ordered pairs are
+/// planned and served or simulated once each, one at a time, exactly as
+/// run_campaign treats them; unordered pairs are recorded as skipped trials.
+/// The study equals the `tuner` block of a campaign over the same scale,
+/// memory, engine, backend and opt.
 ///
-/// With a `store` the tuner is a store-aware client: every simulated pair is
-/// a content-addressed cell, so grid points that coincide with campaign
-/// matrix cells (e.g. the "mixed" f16/f32 ManualVec SVM) are served instead
-/// of re-simulated, and vice versa. `tally` (optional) accumulates the
-/// lookup hits/misses into a campaign's cache telemetry.
+/// With a `store` every grid point is a content-addressed cell, so points
+/// that a campaign already put there (e.g. the "mixed" f16/f32 ManualVec
+/// SVM) are served instead of re-simulated, and vice versa. `tally`
+/// (optional) accumulates the lookup hits/misses.
 [[nodiscard]] TunerStudy run_tuner_study(
     SuiteScale scale, const sim::MemConfig& mem,
     sim::Engine engine = sim::Engine::Jit,

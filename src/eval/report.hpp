@@ -104,11 +104,14 @@ struct TunerStudy {
   std::vector<TunerTrial> explored;  ///< in evaluation order
 };
 
-/// Cell-store reuse telemetry for one campaign run. `hits`/`misses` count
-/// store lookups (matrix cells and tuner trials); the wall times compare a
-/// cold (store-populating) pass against a warm (fully cached) rerun when
-/// both were measured. Host-dependent and run-order-dependent, so the block
-/// is serialized only when wall-clock measurement was requested.
+/// Cell-store reuse telemetry for one campaign run. With a store,
+/// `hits`/`misses` count one request per matrix cell and per tuner grid
+/// point (the 22 lattice-ordered pairs); a grid point that a matrix cell
+/// serves is a hit with no lookup of its own. Without a store both stay 0. The wall times compare a
+/// cold (store-populating) pass against a warm (fully cached) rerun, both
+/// planning from scratch, when both were measured. Host-dependent and
+/// run-order-dependent, so the block is serialized only when wall-clock
+/// measurement was requested.
 struct CacheTelemetry {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;

@@ -2,9 +2,10 @@
 // a result is a function of must change the address), cross-process address
 // stability (a pinned constant), memory and disk round trips, the
 // never-serve-questionable-entries contract (truncation, corruption, key
-// mismatch, schema drift), and the end-to-end cache-correctness contract —
-// a warm campaign rerun serializes byte-identically with a 100% hit rate,
-// including when two stores race to fill one shared directory.
+// mismatch, schema drift), the end-to-end cache-correctness contract — a
+// warm campaign rerun serializes byte-identically with a 100% hit rate,
+// including when two stores race to fill one shared directory — and the
+// tuner grid sharing the campaign's one serve-or-simulate pass.
 #include "eval/cellstore.hpp"
 
 #include <gtest/gtest.h>
@@ -338,14 +339,36 @@ TEST(CellStore, WarmCampaignIsByteIdenticalWithFullHitRate) {
 
 TEST(CellStore, TunerAndCampaignShareContentCells) {
   // The smoke campaign's SVM matrix cells coincide with tuner grid points
-  // (display names differ, content matches): a campaign that runs both must
-  // see nonzero store hits even on a cold pass.
+  // (display names differ, content matches). One pass serves or simulates
+  // each distinct cell once: of the 22 grid points, the 7 that matrix cells
+  // cover are read from those cells (hits, since a store is given), and the
+  // other 15 are simulated with the 28 matrix cells.
   CampaignSpec spec = CampaignSpec::smoke();
   spec.benchmarks = {"svm"};
   CellStore store;
   const EvalReport report = run_campaign(spec, 2, &store);
   ASSERT_TRUE(report.has_tuner);
-  EXPECT_GT(report.cache.hits, 0u);
+  EXPECT_EQ(report.cache.hits, 7u);
+  EXPECT_EQ(report.cache.misses, 43u);
+
+  // The study on its own over the same store simulates nothing and
+  // serializes exactly like the campaign's tuner block.
+  CacheTelemetry tally;
+  EvalReport study;
+  study.has_tuner = true;
+  study.tuner = run_tuner_study(SuiteScale::Smoke, spec.mem, spec.engine,
+                                spec.backend, spec.opt, &store, &tally);
+  EXPECT_EQ(tally.hits, 22u);
+  EXPECT_EQ(tally.misses, 0u);
+  EXPECT_EQ(to_json(study).at("tuner").dump(2),
+            to_json(report).at("tuner").dump(2));
+
+  // Without a store nothing is tallied, and the report is the same.
+  const EvalReport storeless = run_campaign(spec, 2);
+  EXPECT_EQ(storeless.cache.hits, 0u);
+  EXPECT_EQ(storeless.cache.misses, 0u);
+  EXPECT_EQ(to_json(storeless).dump(2), to_json(report).dump(2));
+
   // And the shared cells must not leak tuner display names into the matrix.
   for (const auto& c : report.cells) {
     EXPECT_EQ(c.benchmark, "svm");

@@ -1,10 +1,13 @@
 // Eval-layer tests: JSON model, matrix expansion, deterministic parallel
 // aggregation (byte-identical reports at -j1 and -jN), report round-trip,
-// and the tuner case study. Campaign-level tests run the Smoke suite so the
-// whole file stays in ctest-friendly time.
+// single cells against their campaign cells, and the tuner case study.
+// Campaign-level tests run the Smoke suite so the whole file stays in
+// ctest-friendly time.
 #include "eval/campaign.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "eval/json.hpp"
 #include "eval/report.hpp"
@@ -235,6 +238,55 @@ TEST(Campaign, CellMetricsAreConsistent) {
   ASSERT_NE(f16, nullptr);
   EXPECT_LT(f16->cycles, base->cycles);
   EXPECT_LT(f16->energy.total(), base->energy.total());
+}
+
+TEST(Campaign, RunCellMatchesCampaignCell) {
+  // run_cell plans a single cell the way the campaign does; on the
+  // reference engine it must reproduce the campaign's cell byte for byte.
+  using ir::CodegenMode;
+  using ir::ScalarType;
+  CampaignSpec spec = CampaignSpec::smoke();
+  spec.benchmarks = {"svm", "gemm", "atax"};
+  spec.type_configs = {
+      {"mixed", {ScalarType::F16, ScalarType::F32}},
+      {"float8", kernels::TypeConfig::uniform(ScalarType::F8)},
+      {"posit16", kernels::TypeConfig::uniform(ScalarType::P16)},
+  };
+  spec.modes = {CodegenMode::Scalar, CodegenMode::AutoVec,
+                CodegenMode::ManualVec};
+  spec.vls = {0, 2};
+  spec.tuner_study = false;
+  const std::vector<CellSpec> cells = expand_matrix(spec);
+  const EvalReport report = run_campaign(spec, 2);
+  ASSERT_EQ(report.cells.size(), cells.size());
+
+  struct Probe {
+    const char* benchmark;
+    const char* type_config;
+    CodegenMode mode;
+    int vl;
+  };
+  const Probe probes[] = {
+      {"svm", "mixed", CodegenMode::ManualVec, 0},
+      {"gemm", "float8", CodegenMode::AutoVec, 2},
+      {"atax", "posit16", CodegenMode::Scalar, 0},
+  };
+  for (const Probe& probe : probes) {
+    SCOPED_TRACE(std::string(probe.benchmark) + "/" + probe.type_config);
+    const auto it =
+        std::find_if(cells.begin(), cells.end(), [&](const CellSpec& c) {
+          return c.benchmark->bench.name == probe.benchmark &&
+                 c.type_config.name == probe.type_config &&
+                 c.mode == probe.mode && c.vl == probe.vl;
+        });
+    ASSERT_NE(it, cells.end());
+    const CellResult oracle = run_cell(*it, spec.mem, sim::Engine::Reference,
+                                       fp::MathBackend::Grs, spec.opt);
+    EXPECT_EQ(cell_to_json(oracle).dump(),
+              cell_to_json(report.cells[static_cast<std::size_t>(
+                               it - cells.begin())])
+                  .dump());
+  }
 }
 
 TEST(Campaign, MarkdownRendersAllSections) {
