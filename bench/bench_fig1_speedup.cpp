@@ -27,10 +27,10 @@ void run_figure1() {
   std::vector<double> avg_auto[3], avg_man[3], avg_ideal[3];
   for (const auto& b : kernels::benchmark_suite()) {
     std::printf("%-8s", b.name.c_str());
+    const auto base =
+        run(b, TypeConfig::uniform(ir::ScalarType::F32), ir::CodegenMode::Scalar);
     int ti = 0;
     for (const auto t : types) {
-      const auto base =
-          run(b, TypeConfig::uniform(ir::ScalarType::F32), ir::CodegenMode::Scalar);
       const auto autov = run(b, TypeConfig::uniform(t), ir::CodegenMode::AutoVec);
       const auto man =
           run(b, TypeConfig::uniform(t), ir::CodegenMode::ManualVec);

@@ -1,12 +1,11 @@
-// Shared helpers for the table/figure reproduction benches.
+// Shared helpers for the figure reproduction benches.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "energy/model.hpp"
-#include "kernels/qor.hpp"
 #include "kernels/suite.hpp"
 
 namespace sfrv::bench {
@@ -33,17 +32,10 @@ inline double geomean(const std::vector<double>& v) {
   return std::exp(logsum / static_cast<double>(v.size()));
 }
 
-/// Run a benchmark at a type/mode/memory configuration.
-inline RunResult run(const Benchmark& b, TypeConfig tc, ir::CodegenMode mode,
-                     sim::MemConfig mem = {}) {
+/// Run a benchmark at a type configuration and codegen mode.
+inline RunResult run(const Benchmark& b, TypeConfig tc, ir::CodegenMode mode) {
   const KernelSpec spec = b.make(tc);
-  return kernels::run_kernel(spec, mode, mem);
-}
-
-inline std::vector<double> golden_concat(const KernelSpec& spec) {
-  std::vector<double> all;
-  for (const auto& g : spec.golden) all.insert(all.end(), g.begin(), g.end());
-  return all;
+  return kernels::run_kernel(spec, mode);
 }
 
 }  // namespace sfrv::bench

@@ -311,7 +311,9 @@ TEST(TunerStudy, EvaluatesGridAndFindsFeasible) {
   EXPECT_GE(study.best.qor, study.qor_threshold);
   // Best is the cheapest feasible configuration evaluated.
   for (const auto& t : study.explored) {
-    if (t.feasible) EXPECT_LE(study.best.cost, t.cost);
+    if (t.feasible) {
+      EXPECT_LE(study.best.cost, t.cost);
+    }
   }
   // Slot pairs the promotion lattice cannot order are recorded as skipped
   // trials — infeasible, qor = -1, cost = 0 — not simulated.
