@@ -92,7 +92,7 @@ Workload scalar_fp_loop() {
 /// realistic glue-to-math ratio the jit targets. Its buffer holds the
 /// binary16 pairs {1.5, -1.0} and {0.5, 2.0}, so every mac has normal
 /// operands; with `zero_data` the buffer is all zeros and every mac takes
-/// the fast backend's zero-operand delegation to the grs path instead.
+/// the zero-operand rules instead.
 Workload packed_simd_kernel_loop(bool zero_data) {
   Assembler a;
   std::array<std::uint16_t, 32> halves{};

@@ -2,7 +2,7 @@
 // kernel, three code generators. Prints the inner loop each backend emits
 // and the measured cycle counts.
 //
-// Build & run:  ./build/examples/vectorization_demo
+// Build & run:  ./build/example_vectorization_demo
 #include <cstdio>
 
 #include "isa/disasm.hpp"
@@ -71,7 +71,7 @@ int main() {
               "  float16 *a, *b;  float sum = 0;\n"
               "  for (i = 0; i < 64; i++) sum += a[i] * b[i];\n");
   const auto spec = make_dotp(64);
-  show("scalar (fmacex.s.h, Xfaux)", spec, ir::CodegenMode::Scalar);
+  show("scalar (2x fcvt.s.h + fmadd.s)", spec, ir::CodegenMode::Scalar);
   show("auto-vectorized (vfmul.h + unpack + fcvt.s.h + fadd.s, Fig. 5 left)",
        spec, ir::CodegenMode::AutoVec);
   show("manually vectorized (vfdotpex.s.h, Fig. 5 right)", spec,

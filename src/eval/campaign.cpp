@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include "eval/executor.hpp"
 #include "kernels/qor.hpp"
@@ -317,15 +319,27 @@ CellResult run_planned_cell(const PlannedCell& p, const CampaignSpec& spec) {
   return c;
 }
 
+/// Whether two cells whose digests match lower to the same program: the
+/// text and data images and the golden reference the digest hashes.
+bool same_program(const PlannedCell& a, const PlannedCell& b) {
+  return a.lowered->program.text_words == b.lowered->program.text_words &&
+         a.lowered->program.data == b.lowered->program.data &&
+         a.spec->golden == b.spec->golden;
+}
+
 /// Serve or simulate every planned cell on one run_sharded pass of `jobs`
 /// workers. This is the one place that looks up, inserts and tallies store
 /// cells. With a store, every cell is looked up first (serially, so hits
 /// land before any simulation starts), only the misses reach the workers,
 /// and each computed cell is inserted. `covered` more requests — tuner grid
 /// points that a cell of this pass already serves — count as the hits their
-/// own lookups would be. Without a store every cell is simulated and nothing
-/// is tallied. `landed` (optional) sees each cell as it lands: its index,
-/// the result, and whether the store served it; calls are serialized.
+/// own lookups would be. Without a store every cell is a miss and nothing
+/// but `simulated` is tallied. Misses with the same benchmark and digest
+/// (their keys may still differ in mode, VL or types) are simulated once:
+/// the other cells of the group get copies of that result, each under its
+/// own presentation and its own store key. `landed` (optional) sees each
+/// cell as it lands: its index, the result, and whether the store served
+/// it; calls are serialized.
 std::vector<CellResult> serve_or_simulate(
     const CampaignSpec& spec, const std::vector<PlannedCell>& planned,
     std::size_t covered, int jobs, CellStore* store, CacheTelemetry* tally,
@@ -350,17 +364,40 @@ std::vector<CellResult> serve_or_simulate(
       misses.push_back(i);
     }
   }
-  if (store != nullptr && tally != nullptr) {
-    tally->hits += planned.size() - misses.size() + covered;
-    tally->misses += misses.size();
+  // Each group lists planned indices, the one cell it simulates first. A
+  // digest collision that same_program catches gets a group of its own.
+  std::vector<std::vector<std::size_t>> groups;
+  std::map<std::pair<const EvalBenchmark*, std::uint64_t>, std::size_t>
+      first_group;
+  for (const std::size_t i : misses) {
+    const auto [it, fresh] = first_group.try_emplace(
+        {planned[i].cell.benchmark, planned[i].key.kernel_digest},
+        groups.size());
+    if (!fresh && same_program(planned[groups[it->second].front()],
+                               planned[i])) {
+      groups[it->second].push_back(i);
+    } else {
+      groups.push_back({i});
+    }
+  }
+  if (tally != nullptr) {
+    if (store != nullptr) {
+      tally->hits += planned.size() - misses.size() + covered;
+      tally->misses += misses.size();
+    }
+    tally->simulated += groups.size();
   }
 
-  run_sharded(misses.size(), std::max(1, jobs), [&](std::size_t mi) {
-    const std::size_t i = misses[mi];
-    CellResult c = run_planned_cell(planned[i], spec);
-    if (store != nullptr) store->insert(planned[i].key, c);
-    land(i, c, false);
-    results[i] = std::move(c);
+  run_sharded(groups.size(), std::max(1, jobs), [&](std::size_t g) {
+    const CellResult simulated =
+        run_planned_cell(planned[groups[g].front()], spec);
+    for (const std::size_t i : groups[g]) {
+      CellResult c = simulated;
+      stamp_presentation(c, planned[i].cell);
+      if (store != nullptr) store->insert(planned[i].key, c);
+      land(i, c, false);
+      results[i] = std::move(c);
+    }
   });
   return results;
 }

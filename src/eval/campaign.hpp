@@ -11,10 +11,13 @@
 //  * executor  — cache-miss cells run on worker threads that share one
 //                atomic next-index cursor (eval/executor.hpp), streaming
 //                each completed matrix cell through an optional callback.
+//                Misses whose lowered programs are byte-identical (same
+//                benchmark, text, data and golden reference) are simulated
+//                once per pass; the others get copies of that result.
 //
 // The Fig. 6 tuner study rides the same pass: its grid points are planned
 // with the matrix, a point that a matrix cell covers reads that cell, and
-// every cell is served or simulated once.
+// every cell is served, simulated or copied once.
 //
 // Determinism contract: a campaign's report is a pure function of its spec.
 // Cells are executed in any order (each one builds its own kernel, Core and
@@ -162,6 +165,9 @@ using CellCallback = std::function<void(
 /// `report.cache.{hits,misses}` record the lookup outcome, where a grid
 /// point read from its matrix cell counts as a hit (serialization of that
 /// block stays opt-in via `report.has_cache`). Without a store both stay 0.
+/// Misses that lower to the same program are simulated once; every one of
+/// them is still computed (`cached` false), inserted under its own key and
+/// streamed once, and `report.cache.simulated` counts the simulations.
 /// `on_cell` streams partial results.
 [[nodiscard]] EvalReport run_campaign(const CampaignSpec& spec, int jobs = 1,
                                       CellStore* store = nullptr,
@@ -172,15 +178,15 @@ using CellCallback = std::function<void(
 /// simulated classification accuracy and cost = simulated cycles, under the
 /// strict constraint of matching the float configuration's accuracy.
 /// Exhaustive over the 36-config grid: the 22 lattice-ordered pairs are
-/// planned and served or simulated once each, one at a time, exactly as
-/// run_campaign treats them; unordered pairs are recorded as skipped trials.
-/// The study equals the `tuner` block of a campaign over the same scale,
-/// memory, engine, backend and opt.
+/// planned and served or simulated, one at a time, exactly as run_campaign
+/// treats them; unordered pairs are recorded as skipped trials. The study
+/// equals the `tuner` block of a campaign over the same scale, memory,
+/// engine, backend and opt.
 ///
 /// With a `store` every grid point is a content-addressed cell, so points
 /// that a campaign already put there (e.g. the "mixed" f16/f32 ManualVec
 /// SVM) are served instead of re-simulated, and vice versa. `tally`
-/// (optional) accumulates the lookup hits/misses.
+/// (optional) accumulates the lookup hits/misses and the simulations.
 [[nodiscard]] TunerStudy run_tuner_study(
     SuiteScale scale, const sim::MemConfig& mem,
     sim::Engine engine = sim::Engine::Jit,

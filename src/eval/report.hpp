@@ -107,14 +107,19 @@ struct TunerStudy {
 /// Cell-store reuse telemetry for one campaign run. With a store,
 /// `hits`/`misses` count one request per matrix cell and per tuner grid
 /// point (the 22 lattice-ordered pairs); a grid point that a matrix cell
-/// serves is a hit with no lookup of its own. Without a store both stay 0. The wall times compare a
-/// cold (store-populating) pass against a warm (fully cached) rerun, both
-/// planning from scratch, when both were measured. Host-dependent and
-/// run-order-dependent, so the block is serialized only when wall-clock
-/// measurement was requested.
+/// serves is a hit with no lookup of its own. Without a store both stay 0.
+/// The wall times compare a cold (store-populating) pass against a warm
+/// (fully cached) rerun, both planning from scratch, when both were
+/// measured. Host-dependent and run-order-dependent, so the block is
+/// serialized only when wall-clock measurement was requested.
 struct CacheTelemetry {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  /// Simulations the run made: one per distinct (benchmark, program) among
+  /// the misses (every cell is a miss without a store), so misses minus
+  /// this is the cells that received a copy of an identical program's
+  /// result. In memory only: never serialized.
+  std::uint64_t simulated = 0;
   double cold_ms = -1;  ///< cold-pass campaign wall time; -1 = not measured
   double warm_ms = -1;  ///< warm-rerun campaign wall time; -1 = not measured
 };

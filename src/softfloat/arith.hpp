@@ -250,6 +250,17 @@ template <class F>
   return round_pack<F>(false, k, s, rm, fl);
 }
 
+/// fma(a, b, c) when a or b is zero and all three are finite: the addend,
+/// or, when it is a zero too, the common sign of product and addend; if the
+/// signs differ, -0 under RDN and +0 otherwise. Exact, so no flags.
+template <class F>
+[[nodiscard]] constexpr Float<F> fma_zero_product(Float<F> a, Float<F> b,
+                                                  Float<F> c, RoundingMode rm) {
+  if (!c.is_zero()) return c;
+  const bool ps = a.sign() != b.sign();
+  return Float<F>::zero(ps == c.sign() ? ps : rm == RoundingMode::RDN);
+}
+
 /// Fused multiply-add: a * b + c with a single rounding.
 /// Per the RISC-V spec, (0 * inf) + c raises NV even when c is a quiet NaN.
 template <class F>
@@ -273,13 +284,7 @@ template <class F>
     return Float<F>::inf(ps);
   }
   if (c.is_inf()) return c;
-  if (a.is_zero() || b.is_zero()) {
-    if (c.is_zero()) {
-      if (ps == c.sign()) return Float<F>::zero(ps);
-      return Float<F>::zero(rm == RoundingMode::RDN);
-    }
-    return c;
-  }
+  if (a.is_zero() || b.is_zero()) return fma_zero_product(a, b, c, rm);
 
   constexpr int M = F::man_bits;
   constexpr int K = 2 * M + 8;  // anchor bit for the wide accumulator

@@ -24,8 +24,9 @@
 //        exactly representable (Figueroa), so the second rounding and the
 //        NX decision are unchanged. Subnormal-range quotients fall back to
 //        Grs rather than stretching the argument.
-//    Specials (NaN/inf/zero operands), FMA (no exclusion zone), f64 (the
-//    host width), and every unproven case delegate to the Grs entries.
+//    Specials (NaN/inf/zero operands, apart from the fma's finite zeros,
+//    which are exact), FMA beyond its exactness guard, f64 (the host
+//    width), and every unproven case delegate to the Grs entries.
 //    The host FP environment must be in its default round-to-nearest mode;
 //    the simulator never changes it.
 #include <algorithm>
@@ -463,16 +464,32 @@ std::uint64_t fast_sqrt(std::uint64_t a, RoundingMode rm, Flags& fl) {
   return from_double<F>(std::sqrt(widen<F>(a)), rm, fl).bits;
 }
 
+/// fast_fma's operands that are NaN, infinite or zero. Finite zeros are
+/// exact: a zero product takes the Grs rule (fma_zero_product), and a zero
+/// addend leaves the exact double product, rounded once. NaN and infinity
+/// delegate to the Grs fma. Out of line, so that fast_fma stays small
+/// enough to inline into the packed mac loop.
+template <class F>
+[[gnu::noinline]] std::uint64_t fast_fma_special(Float<F> a, Float<F> b,
+                                                 Float<F> c, RoundingMode rm,
+                                                 Flags& fl) {
+  if (!a.is_finite() || !b.is_finite() || !c.is_finite()) {
+    return fma(a, b, c, rm, fl).bits;
+  }
+  if (a.is_zero() || b.is_zero()) return fma_zero_product(a, b, c, rm).bits;
+  return from_double<F>(widen<F>(a.bits) * widen<F>(b.bits), rm, fl).bits;
+}
+
 /// Fused multiply-add, fast when the double intermediate is provably EXACT.
 /// The product of two p-bit values needs 2p <= 48 significant bits, so
 /// da * db is always exact; the sum (a*b) + c is exact whenever the combined
 /// bit span -- from the lower of the two scale exponents to the higher of
 /// the two top bits, plus one carry bit -- fits in 53. Under the guard there
 /// is no intermediate rounding at all, so narrowing the exact value is the
-/// single rounding and carries the exact flags. Specials, zeros and
-/// wide-span operands delegate to the Grs fma. (For binary8 the guard is
-/// provably always satisfied; for binary32 it admits the accumulation case
-/// |a*b| ~ |c| that dominates the kernels.)
+/// single rounding and carries the exact flags. Specials and zeros go to
+/// fast_fma_special; wide-span operands delegate to the Grs fma. (For
+/// binary8 the guard is provably always satisfied; for binary32 it admits
+/// the accumulation case |a*b| ~ |c| that dominates the kernels.)
 template <class F>
 std::uint64_t fast_fma(std::uint64_t a, std::uint64_t b, std::uint64_t c,
                        RoundingMode rm, Flags& fl) {
@@ -481,7 +498,7 @@ std::uint64_t fast_fma(std::uint64_t a, std::uint64_t b, std::uint64_t c,
   const auto fc = as<F>(c);
   if (!fa.is_finite() || !fb.is_finite() || !fc.is_finite() || fa.is_zero() ||
       fb.is_zero() || fc.is_zero()) {
-    return fma(fa, fb, fc, rm, fl).bits;
+    return fast_fma_special<F>(fa, fb, fc, rm, fl);
   }
   constexpr int P = F::man_bits + 1;
   // Scale exponents share the offset 2 * (bias + man_bits): s1 for the

@@ -387,59 +387,78 @@ TEST(Backend, F64AndUnprovenEntriesShareTheGrsImplementation) {
 
 // ---- guarded-exact fma / mac / dotp ----------------------------------------
 
+/// One scalar fma entry, both backends, bits + flags must agree.
+void check_fma(fp::RtTernFn g, fp::RtTernFn f, std::uint64_t a,
+               std::uint64_t b, std::uint64_t c, RoundingMode rm) {
+  Flags fg, ff;
+  ASSERT_EQ(g(a, b, c, rm, fg), f(a, b, c, rm, ff))
+      << "fma a=0x" << std::hex << a << " b=0x" << b << " c=0x" << c
+      << " rm=" << fp::rounding_mode_name(rm);
+  ASSERT_EQ(fg.bits, ff.bits)
+      << "fma flags a=0x" << std::hex << a << " b=0x" << b << " c=0x" << c
+      << " rm=" << fp::rounding_mode_name(rm);
+}
+
 template <class F>
 void check_fma_format(FpFormat tag, int fuzz_triples) {
-  const RtOps& g = grs(tag);
-  const RtOps& f = fast(tag);
+  const auto g = grs(tag).fma;
+  const auto f = fast(tag).fma;
   const auto vals = boundary_values<F>();
+  const std::uint64_t zeros[] = {Float<F>::zero(false).bits,
+                                 Float<F>::zero(true).bits};
   for (const RoundingMode rm : kAllRoundingModes) {
     // Boundary triples: all pairs from the set, with c sweeping a stride so
-    // the product/addend span crosses the exactness guard both ways.
+    // the product/addend span crosses the exactness guard both ways, and
+    // with c = +-0 (the exact product, rounded once).
     for (std::size_t i = 0; i < vals.size(); ++i) {
       for (std::size_t j = 0; j < vals.size(); ++j) {
         const std::uint64_t c = vals[(i * 7 + j * 13 + 5) % vals.size()];
-        Flags fg, ff;
-        ASSERT_EQ(g.fma(vals[i], vals[j], c, rm, fg),
-                  f.fma(vals[i], vals[j], c, rm, ff))
-            << "fma a=0x" << std::hex << vals[i] << " b=0x" << vals[j]
-            << " c=0x" << c << " rm=" << fp::rounding_mode_name(rm);
-        ASSERT_EQ(fg.bits, ff.bits)
-            << "fma flags a=0x" << std::hex << vals[i] << " b=0x" << vals[j]
-            << " c=0x" << c << " rm=" << fp::rounding_mode_name(rm);
+        check_fma(g, f, vals[i], vals[j], c, rm);
+        for (const std::uint64_t z : zeros) {
+          check_fma(g, f, vals[i], vals[j], z, rm);
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+    // Zero products: a = +-0 against every boundary b and c (the addend
+    // unchanged, or the signed-zero rule when c is a zero too).
+    for (const std::uint64_t z : zeros) {
+      for (const std::uint64_t b : vals) {
+        for (const std::uint64_t c : vals) {
+          check_fma(g, f, z, b, c, rm);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
       }
     }
     for (int i = 0; i < fuzz_triples; ++i) {
       const std::uint64_t a = random_bits<F>().bits;
       const std::uint64_t b = random_bits<F>().bits;
       const std::uint64_t c = random_bits<F>().bits;
-      Flags fg, ff;
-      ASSERT_EQ(g.fma(a, b, c, rm, fg), f.fma(a, b, c, rm, ff))
-          << "fma a=0x" << std::hex << a << " b=0x" << b << " c=0x" << c
-          << " rm=" << fp::rounding_mode_name(rm);
-      ASSERT_EQ(fg.bits, ff.bits)
-          << "fma flags a=0x" << std::hex << a << " b=0x" << b << " c=0x" << c
-          << " rm=" << fp::rounding_mode_name(rm);
+      check_fma(g, f, a, b, c, rm);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
 
 TEST(HostFastVsGrs, FmaBinary8Exhaustive) {
   // binary8's span always fits, so the fast fma never delegates on finite
-  // non-zero operands: check the whole operand cube at a fixed addend grid.
-  const RtOps& g = grs(FpFormat::F8);
-  const RtOps& f = fast(FpFormat::F8);
+  // non-zero operands: check the whole operand cube at a fixed addend grid,
+  // every addend when a or b is +-0 (the zero-product rules), and both zero
+  // addends for every pair (the exact product, rounded once).
+  const auto g = grs(FpFormat::F8).fma;
+  const auto f = fast(FpFormat::F8).fma;
+  const auto is_zero = [](unsigned x) { return (x & 0x7f) == 0; };
   for (const RoundingMode rm : kAllRoundingModes) {
     for (unsigned a = 0; a < 256; ++a) {
       for (unsigned b = 0; b < 256; ++b) {
-        for (unsigned c = (a + b) % 8; c < 256; c += 8) {
-          Flags fg, ff;
-          ASSERT_EQ(g.fma(a, b, c, rm, fg), f.fma(a, b, c, rm, ff))
-              << "fma a=0x" << std::hex << a << " b=0x" << b << " c=0x" << c
-              << " rm=" << fp::rounding_mode_name(rm);
-          ASSERT_EQ(fg.bits, ff.bits)
-              << "fma flags a=0x" << std::hex << a << " b=0x" << b << " c=0x"
-              << c << " rm=" << fp::rounding_mode_name(rm);
+        const unsigned step = is_zero(a) || is_zero(b) ? 1 : 8;
+        for (unsigned c = (a + b) % step; c < 256; c += step) {
+          check_fma(g, f, a, b, c, rm);
+          if (::testing::Test::HasFatalFailure()) return;
         }
+        check_fma(g, f, a, b, 0x00, rm);
+        check_fma(g, f, a, b, 0x80, rm);
+        if (::testing::Test::HasFatalFailure()) return;
       }
     }
   }

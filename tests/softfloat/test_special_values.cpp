@@ -96,6 +96,16 @@ TYPED_TEST(SpecialValues, SignedZeroRules) {
   const auto one = Float<F>::one();
   EXPECT_FALSE(fp::sub(one, one, RoundingMode::RNE, fl).sign());
   EXPECT_TRUE(fp::sub(one, one, RoundingMode::RDN, fl).sign());
+  // A zero product leaves the addend; with a zero addend the signs follow
+  // the add rule, exactly and with no flags.
+  const auto minus_one = Float<F>::one(true);
+  fl.clear();
+  EXPECT_EQ(fp::fma(nz, one, one, RoundingMode::RNE, fl).bits, one.bits);
+  EXPECT_FALSE(fp::fma(pz, one, nz, RoundingMode::RNE, fl).sign());
+  EXPECT_TRUE(fp::fma(pz, one, nz, RoundingMode::RDN, fl).sign());
+  EXPECT_FALSE(fp::fma(pz, minus_one, pz, RoundingMode::RUP, fl).sign());
+  EXPECT_TRUE(fp::fma(pz, minus_one, nz, RoundingMode::RUP, fl).sign());
+  EXPECT_EQ(fl.bits, 0u);
   // sqrt(-0) = -0 with no flags.
   fl.clear();
   const auto r = fp::sqrt(nz, RoundingMode::RNE, fl);

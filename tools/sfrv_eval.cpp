@@ -377,8 +377,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       report.has_cache = true;
-      report.cache.hits = warm.cache.hits;  // warm pass: every lookup hits
-      report.cache.misses = warm.cache.misses;
+      report.cache = warm.cache;  // warm pass: every lookup hits
       report.cache.cold_ms = cold_ms;
       report.cache.warm_ms = warm_ms;
       std::printf("cache bench: cold %.1f ms, warm %.1f ms (%.1fx)\n", cold_ms,
@@ -396,8 +395,10 @@ int main(int argc, char** argv) {
                    md_path.c_str());
       return 1;
     }
-    std::printf("wrote %s (%zu cells) and %s\n", json_path.c_str(),
-                report.cells.size(), md_path.c_str());
+    std::printf("wrote %s (%zu cells, %llu simulated) and %s\n",
+                json_path.c_str(), report.cells.size(),
+                static_cast<unsigned long long>(report.cache.simulated),
+                md_path.c_str());
     if (report.has_tuner && report.tuner.found) {
       std::printf("tuned assignment: data=%s acc=%s (accuracy %.1f%%)\n",
                   std::string(ir::type_name(report.tuner.best.data)).c_str(),
