@@ -5,8 +5,8 @@
 // over all-zero data. The jit rows also record the translation-time share
 // of wall clock and the trace-cache hit rate. The jit is additionally
 // measured under both math backends (grs = guard/round/sticky softfloat,
-// fast = exhaustive f8 LUTs + host-double f16/f32 path); the backend column
-// is the speedup of fast over grs on the jit. Writes BENCH_dispatch.json
+// fast = exact host-double intermediates for f8 through f32, rounded once);
+// the backend column is the speedup of fast over grs on the jit. Writes BENCH_dispatch.json
 // (path overridable via argv[1]) so the speedups from the jit and the math
 // backend land in the bench trajectory.
 // The second section measures *simulated cycles* of glue-bound lowered

@@ -79,16 +79,6 @@ Json trial_to_json(const TunerTrial& t) {
                          {"feasible", Json(t.feasible)}});
 }
 
-TunerTrial trial_from_json(const Json& j) {
-  TunerTrial t;
-  t.data = scalar_type_from_name(j.at("data").as_string());
-  t.acc = scalar_type_from_name(j.at("acc").as_string());
-  t.qor = j.at("qor").as_double();
-  t.cost = j.at("cost").as_double();
-  t.feasible = j.at("feasible").as_bool();
-  return t;
-}
-
 Json strings_to_json(const std::vector<std::string>& v) {
   JsonArray arr;
   arr.reserve(v.size());
@@ -96,25 +86,11 @@ Json strings_to_json(const std::vector<std::string>& v) {
   return Json(std::move(arr));
 }
 
-std::vector<std::string> strings_from_json(const Json& j) {
-  std::vector<std::string> v;
-  v.reserve(j.array().size());
-  for (const auto& s : j.array()) v.push_back(s.as_string());
-  return v;
-}
-
 Json ints_to_json(const std::vector<int>& v) {
   JsonArray arr;
   arr.reserve(v.size());
   for (const int x : v) arr.emplace_back(x);
   return Json(std::move(arr));
-}
-
-std::vector<int> ints_from_json(const Json& j) {
-  std::vector<int> v;
-  v.reserve(j.array().size());
-  for (const auto& x : j.array()) v.push_back(static_cast<int>(x.as_int()));
-  return v;
 }
 
 }  // namespace
@@ -203,50 +179,6 @@ Json to_json(const EvalReport& report) {
                         {"explored", Json(std::move(explored))}}));
   }
   return Json(std::move(obj));
-}
-
-EvalReport report_from_json(const Json& doc) {
-  const auto& schema = doc.at("schema").as_string();
-  if (schema != kReportSchema) {
-    throw std::runtime_error("unsupported report schema: " + schema);
-  }
-  EvalReport r;
-  r.suite = doc.at("suite").as_string();
-  r.engine = doc.at("engine").as_string();
-  r.backend = doc.at("backend").as_string();
-  r.opt = doc.at("opt").as_string();
-  const Json& mem = doc.at("mem");
-  r.mem_load_latency = static_cast<int>(mem.at("load_latency").as_int());
-  r.mem_store_latency = static_cast<int>(mem.at("store_latency").as_int());
-  r.benchmarks = strings_from_json(doc.at("benchmarks"));
-  r.type_configs = strings_from_json(doc.at("type_configs"));
-  r.modes = strings_from_json(doc.at("modes"));
-  r.vls = ints_from_json(doc.at("vls"));
-  for (const auto& c : doc.at("cells").array()) {
-    r.cells.push_back(cell_from_json(c));
-  }
-  if (const Json* wall = doc.find("wall_ms")) {
-    r.wall_ms = wall->as_double();
-  }
-  if (const Json* cache = doc.find("cache")) {
-    r.has_cache = true;
-    r.cache.hits = cache->at("hits").as_uint();
-    r.cache.misses = cache->at("misses").as_uint();
-    if (const Json* v = cache->find("cold_ms")) r.cache.cold_ms = v->as_double();
-    if (const Json* v = cache->find("warm_ms")) r.cache.warm_ms = v->as_double();
-  }
-  if (const Json* tuner = doc.find("tuner")) {
-    r.has_tuner = true;
-    r.tuner.benchmark = tuner->at("benchmark").as_string();
-    r.tuner.objective = tuner->at("objective").as_string();
-    r.tuner.qor_threshold = tuner->at("qor_threshold").as_double();
-    r.tuner.found = tuner->at("found").as_bool();
-    r.tuner.best = trial_from_json(tuner->at("best"));
-    for (const auto& t : tuner->at("explored").array()) {
-      r.tuner.explored.push_back(trial_from_json(t));
-    }
-  }
-  return r;
 }
 
 }  // namespace sfrv::eval

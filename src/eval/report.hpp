@@ -168,7 +168,6 @@ struct EvalReport {
 };
 
 [[nodiscard]] Json to_json(const EvalReport& report);
-[[nodiscard]] EvalReport report_from_json(const Json& doc);
 
 /// Single-cell codec, exposed for the cell store's on-disk entries.
 /// Round-trips exactly: dumping a parsed cell reproduces the original bytes

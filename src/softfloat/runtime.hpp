@@ -31,12 +31,12 @@ namespace sfrv::fp {
 ///    from first principles with a single rounding. Always available; the
 ///    per-call rt_*(FpFormat, ...) wrappers and the reference interpreter
 ///    use it unconditionally (they are the frozen oracle).
-///  * Fast -- bit- and fflags-identical accelerated entries:
-///    exhaustive precomputed LUTs for the 8-bit format (generated once from
-///    the Grs path, so correct by construction) and a host-double fast path
-///    for f16/f16alt/f32 add/sub/mul/div/sqrt where the single-rounding
-///    argument holds (see docs/formats.md), falling back to Grs for FMA and
-///    any case whose result or flags cannot be proven identical.
+///  * Fast -- bit- and fflags-identical accelerated entries: f8/f16/f16alt/
+///    f32 add/sub/mul/fma (and the packed mac/dotp/exsdotp) compute an exact
+///    host-double intermediate and round it once (see docs/formats.md),
+///    falling back to Grs for any case whose result or flags cannot be
+///    proven identical. Every other entry -- div/sqrt, f64, the posits --
+///    is the Grs entry itself.
 ///
 /// The contract -- enforced by exhaustive 8-bit equivalence tests,
 /// randomized f16/f32 differential fuzzing, and the golden digest matrix --

@@ -36,8 +36,8 @@ TEST(EngineNames, RoundTripAndRejection) {
 }
 
 /// FP-heavy program touching every fast-path family: f8/f16 packed SIMD
-/// (LUT + host-double lanes), scalar f32 arithmetic including div/sqrt,
-/// converts through f8, compares, and int converts.
+/// (host-double lanes), scalar f32 arithmetic including div/sqrt (Grs under
+/// both backends), converts through f8, compares, and int converts.
 void fp_workout(asmb::Assembler& a) {
   using isa::Op;
   namespace reg = asmb::reg;
@@ -68,7 +68,7 @@ void fp_workout(asmb::Assembler& a) {
   a.fp_rrr(Op::FDIV_S, 15, 14, 2);
   a.fp_rrr(Op::FSQRT_S, 16, 14, 0);
   a.fp_r4(Op::FMADD_S, 17, 13, 14, 15);
-  // Conversions through the 8-bit LUT space and int converts.
+  // Conversions through f8 and int converts.
   a.fp_rrr(Op::FCVT_B_S, 18, 13, 0);
   a.fp_rrr(Op::FCVT_H_B, 19, 18, 0);
   a.fp_rrr(Op::FCVT_S_H, 20, 19, 0);

@@ -1,15 +1,18 @@
 // MathBackend::Fast vs MathBackend::Grs differential suite.
 //
 // The backend contract is bit- AND fflags-identity for every table entry.
-// binary8 is checked exhaustively: every operand pair for every binary-op
-// table under every rounding mode, every unary/compare/convert table entry,
-// and the packed-lane entries over full lane sweeps. The host-FP formats
-// (f16 / f16alt / f32) are checked with an exhaustive unary sweep where the
-// space allows, a full cross product of a boundary-value set (exponent
-// edges, subnormals, specials -- the values the single-rounding argument has
-// to survive), and deterministic random fuzzing on top.
+// binary8 and posit8 are checked exhaustively: every operand pair for every
+// binary-op entry under every rounding mode, every unary/compare/convert
+// entry, and the packed-lane entries over full lane sweeps. The wider
+// host-FP formats (f16 / f16alt / f32) are checked with an exhaustive unary
+// sweep where the space allows, a full cross product of a boundary-value set
+// (exponent edges, subnormals, specials -- the values the single-rounding
+// argument has to survive), and deterministic random fuzzing on top. Which
+// entries each backend binds is pinned by pointer identity (Backend.*).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
 #include <vector>
 
 #include "softfloat/softfloat.hpp"
@@ -38,7 +41,7 @@ void check_bin(fp::RtBinFn g, fp::RtBinFn f, std::uint64_t a, std::uint64_t b,
                               << fp::rounding_mode_name(rm);
 }
 
-// ---- binary8: exhaustive over every table ----------------------------------
+// ---- binary8: exhaustive over every entry ----------------------------------
 
 struct NamedBin {
   const char* name;
@@ -198,8 +201,8 @@ INSTANTIATE_TEST_SUITE_P(AllModes, F8LutVsGrs,
 // ---- host-FP formats: boundary cross product + fuzz ------------------------
 
 /// Values the host fast path has to survive: specials, zeros, subnormal
-/// extremes, exponent-range edges (the f32/f16alt add exactness guard and
-/// the div subnormal guard), powers of two, and odd-mantissa neighbours.
+/// extremes, exponent-range edges (the f32/f16alt add exactness guard),
+/// powers of two, and odd-mantissa neighbours.
 template <class F>
 std::vector<std::uint64_t> boundary_values() {
   using T = Float<F>;
@@ -298,8 +301,8 @@ TEST(HostFastVsGrs, Binary32) {
 }
 
 TEST(HostFastVsGrs, Binary32SubnormalDivision) {
-  // Directed pressure on the division subnormal-guard boundary: quotients
-  // landing in and just above the subnormal range of the target format.
+  // Quotients landing in and just above the subnormal range of the target
+  // format, where a host-double quotient would be rounded twice.
   for (const RoundingMode rm : kAllRoundingModes) {
     for (int i = 0; i < 60'000; ++i) {
       // Small numerator, large denominator: quotient near/below min normal.
@@ -370,19 +373,114 @@ TEST(HostFastVsGrs, PackedLaneEntriesMatch) {
   }
 }
 
+// ---- pointer identity over whole rows ---------------------------------------
+
+/// One entry of a fast row beside the same entry of the Grs row.
+struct EntryPair {
+  std::string_view name;
+  bool same;  ///< the fast entry IS the Grs entry
+};
+
+// Every field is listed below: a new field fails these asserts until it is.
+static_assert(sizeof(RtOps) == 19 * sizeof(fp::RtBinFn));
+static_assert(sizeof(RtVecOps) == 18 * sizeof(fp::RtVecBinFn));
+
+std::vector<EntryPair> entry_pairs(const RtOps& f, const RtOps& g) {
+  return {{"add", f.add == g.add},
+          {"sub", f.sub == g.sub},
+          {"mul", f.mul == g.mul},
+          {"div", f.div == g.div},
+          {"min", f.min == g.min},
+          {"max", f.max == g.max},
+          {"sgnj", f.sgnj == g.sgnj},
+          {"sgnjn", f.sgnjn == g.sgnjn},
+          {"sgnjx", f.sgnjx == g.sgnjx},
+          {"fma", f.fma == g.fma},
+          {"sqrt", f.sqrt == g.sqrt},
+          {"feq", f.feq == g.feq},
+          {"flt", f.flt == g.flt},
+          {"fle", f.fle == g.fle},
+          {"classify", f.classify == g.classify},
+          {"to_int32", f.to_int32 == g.to_int32},
+          {"to_uint32", f.to_uint32 == g.to_uint32},
+          {"from_int32", f.from_int32 == g.from_int32},
+          {"from_uint32", f.from_uint32 == g.from_uint32}};
+}
+
+std::vector<EntryPair> entry_pairs(const RtVecOps& f, const RtVecOps& g) {
+  return {{"add", f.add == g.add},
+          {"sub", f.sub == g.sub},
+          {"mul", f.mul == g.mul},
+          {"div", f.div == g.div},
+          {"min", f.min == g.min},
+          {"max", f.max == g.max},
+          {"sgnj", f.sgnj == g.sgnj},
+          {"sgnjn", f.sgnjn == g.sgnjn},
+          {"sgnjx", f.sgnjx == g.sgnjx},
+          {"mac", f.mac == g.mac},
+          {"sqrt", f.sqrt == g.sqrt},
+          {"to_int", f.to_int == g.to_int},
+          {"from_int", f.from_int == g.from_int},
+          {"feq", f.feq == g.feq},
+          {"flt", f.flt == g.flt},
+          {"fle", f.fle == g.fle},
+          {"dotp", f.dotp == g.dotp},
+          {"exsdotp", f.exsdotp == g.exsdotp}};
+}
+
+/// The entries named in `rebound` must be the fast backend's own; every
+/// other entry of the row must be the Grs entry itself.
+void expect_rebound_exactly(FpFormat tag, const char* row,
+                            const std::vector<EntryPair>& entries,
+                            const std::vector<std::string_view>& rebound) {
+  for (const EntryPair& e : entries) {
+    if (std::find(rebound.begin(), rebound.end(), e.name) != rebound.end()) {
+      EXPECT_FALSE(e.same) << fp::format_name(tag) << " " << row << " "
+                           << e.name << " is not rebound";
+    } else {
+      EXPECT_TRUE(e.same) << fp::format_name(tag) << " " << row << " "
+                          << e.name << " is not the Grs entry";
+    }
+  }
+}
+
+const RtVecOps& vgrs(FpFormat f) { return fp::rt_vec_ops(f, MathBackend::Grs); }
+const RtVecOps& vfast(FpFormat f) {
+  return fp::rt_vec_ops(f, MathBackend::Fast);
+}
+
 TEST(Backend, F64AndUnprovenEntriesShareTheGrsImplementation) {
-  // binary64 is the host width: the fast table must be the Grs table. The
-  // unproven scalar entries (sign injection, from_int*) keep the Grs
-  // pointers too.
-  EXPECT_EQ(fast(FpFormat::F64).add, grs(FpFormat::F64).add);
-  EXPECT_EQ(fast(FpFormat::F64).fma, grs(FpFormat::F64).fma);
-  EXPECT_EQ(fast(FpFormat::F16).sgnj, grs(FpFormat::F16).sgnj);
-  EXPECT_EQ(fast(FpFormat::F8).from_int32, grs(FpFormat::F8).from_int32);
-  // And the accelerated entries really are rebound.
-  EXPECT_NE(fast(FpFormat::F8).add, grs(FpFormat::F8).add);
-  EXPECT_NE(fast(FpFormat::F16).add, grs(FpFormat::F16).add);
-  EXPECT_NE(fast(FpFormat::F16).fma, grs(FpFormat::F16).fma);
-  EXPECT_NE(fast(FpFormat::F32).div, grs(FpFormat::F32).div);
+  // The fast backend rebinds add/sub/mul/fma of the four host-double
+  // formats and the packed add/sub/mul/mac/dotp/exsdotp of the three packed
+  // ones. Every other IEEE entry -- div and sqrt of every format, binary8's
+  // min/max/compares/classify/int converts, all of binary64 -- is the Grs
+  // entry itself.
+  const std::vector<std::string_view> scalar = {"add", "sub", "mul", "fma"};
+  const std::vector<std::string_view> packed = {"add", "sub",  "mul",
+                                                "mac", "dotp", "exsdotp"};
+  for (const FpFormat tag : {FpFormat::F8, FpFormat::F16, FpFormat::F16Alt,
+                             FpFormat::F32, FpFormat::F64}) {
+    const bool host = tag != FpFormat::F64;
+    const bool simd = host && tag != FpFormat::F32;
+    expect_rebound_exactly(tag, "scalar", entry_pairs(fast(tag), grs(tag)),
+                           host ? scalar : std::vector<std::string_view>{});
+    expect_rebound_exactly(tag, "packed", entry_pairs(vfast(tag), vgrs(tag)),
+                           simd ? packed : std::vector<std::string_view>{});
+  }
+  // Converters: only the two exact 16-bit -> binary32 casts are rebound, so
+  // every binary8 pair is the Grs converter.
+  for (int to = 0; to < fp::kNumFormats; ++to) {
+    for (int from = 0; from < fp::kNumFormats; ++from) {
+      const auto t = static_cast<FpFormat>(to);
+      const auto s = static_cast<FpFormat>(from);
+      const bool rebound = t == FpFormat::F32 &&
+                           (s == FpFormat::F16 || s == FpFormat::F16Alt);
+      EXPECT_EQ(fp::rt_convert_fn(t, s, MathBackend::Fast) ==
+                    fp::rt_convert_fn(t, s, MathBackend::Grs),
+                !rebound)
+          << fp::format_name(s) << "->" << fp::format_name(t);
+    }
+  }
 }
 
 // ---- guarded-exact fma / mac / dotp ----------------------------------------
@@ -540,7 +638,7 @@ TEST(HostFastVsGrs, VecMacAndDotpMatch) {
   }
 }
 
-// ---- posit8: exhaustive LUT vs integer-exact core --------------------------
+// ---- posit8: exhaustive, both backend names --------------------------------
 
 TEST(Posit8LutVsGrs, EveryBinaryTableEntryEveryMode) {
   // Posit arithmetic ignores the rounding mode, but the table contract is
@@ -625,7 +723,7 @@ TEST(Posit8LutVsGrs, PackedLaneEntries) {
 
 TEST(Posit8LutVsGrs, NeverRaisesFlags) {
   // Posit arithmetic is flag-free by construction; both backends must honor
-  // that for every table entry the LUTs accelerate.
+  // that for every binary entry.
   for (unsigned a = 0; a < 256; ++a) {
     for (unsigned b = 0; b < 256; ++b) {
       for (const auto& op : kF8BinOps) {
@@ -639,18 +737,14 @@ TEST(Posit8LutVsGrs, NeverRaisesFlags) {
 }
 
 TEST(Backend, Posit16AndUnprovenPositEntriesShareTheGrsImplementation) {
-  // posit16's fast table is the Grs table entry-for-entry (a 2^32 LUT is not
-  // worth baking), and posit8's non-LUT entries keep their Grs pointers.
-  EXPECT_EQ(fast(FpFormat::P16).add, grs(FpFormat::P16).add);
-  EXPECT_EQ(fast(FpFormat::P16).fma, grs(FpFormat::P16).fma);
-  EXPECT_EQ(fast(FpFormat::P16).sqrt, grs(FpFormat::P16).sqrt);
-  EXPECT_EQ(fast(FpFormat::P16).to_int32, grs(FpFormat::P16).to_int32);
-  EXPECT_EQ(fast(FpFormat::P8).fma, grs(FpFormat::P8).fma);
-  EXPECT_EQ(fast(FpFormat::P8).sgnj, grs(FpFormat::P8).sgnj);
-  EXPECT_EQ(fast(FpFormat::P8).from_int32, grs(FpFormat::P8).from_int32);
-  // And the LUT entries really are rebound.
-  EXPECT_NE(fast(FpFormat::P8).add, grs(FpFormat::P8).add);
-  EXPECT_NE(fast(FpFormat::P8).sqrt, grs(FpFormat::P8).sqrt);
+  // Both posit formats run the integer-exact core under either backend
+  // name: every scalar and packed entry is the Grs entry itself.
+  for (const FpFormat tag : {FpFormat::P8, FpFormat::P16}) {
+    expect_rebound_exactly(tag, "scalar", entry_pairs(fast(tag), grs(tag)),
+                           {});
+    expect_rebound_exactly(tag, "packed", entry_pairs(vfast(tag), vgrs(tag)),
+                           {});
+  }
 }
 
 TEST(Posit8LutVsGrs, ConvertTables) {

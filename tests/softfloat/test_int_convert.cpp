@@ -278,8 +278,9 @@ TEST(IntConvertAudit, Binary16AltAllValuesAllModes) {
 }
 
 TEST(IntConvertAudit, FastBackendTablesAgree) {
-  // The LUT-backed f8 entries must reproduce the audited semantics exactly
-  // (the backend suite checks fast==grs; this pins fast==oracle directly).
+  // The fast backend's f8 entries must reproduce the audited semantics
+  // exactly (the backend suite checks fast==grs; this pins fast==oracle
+  // directly).
   const fp::RtOps& f = fp::rt_ops(FpFormat::F8, fp::MathBackend::Fast);
   for (const RoundingMode rm : kAllRoundingModes) {
     for (unsigned a = 0; a < 256; ++a) {
