@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -229,33 +230,52 @@ std::vector<CellSpec> expand_matrix(const CampaignSpec& spec) {
 
 namespace {
 
+/// What one planning call keeps per (benchmark, TypeConfig) kernel: its
+/// inputs and golden reference do not depend on mode or VL, so every cell of
+/// the kernel lowers from the same encoded images and resumes the same
+/// digest state.
+struct KernelPlan {
+  explicit KernelPlan(std::shared_ptr<const KernelSpec> built)
+      : spec(std::move(built)),
+        images(ir::encode_init(spec->kernel, spec->init)),
+        digest(*spec) {}
+
+  std::shared_ptr<const KernelSpec> spec;
+  ir::ArrayImages images;
+  kernels::KernelDigest digest;
+};
+
 /// The planner proper. It runs once per call and keeps nothing afterwards:
-/// each (benchmark, TypeConfig) kernel is built once, since its inputs and
-/// golden reference do not depend on mode or VL. Then every cell is lowered
-/// under the campaign opt, with the cell's VL point as `vl_cap` (each point
-/// is a distinct lowering of the same kernel), and given its content address.
+/// each (benchmark, TypeConfig) kernel is built, encoded and
+/// reference-hashed once. Then every cell is lowered from those images under
+/// the campaign opt, with the cell's VL point as `vl_cap` (each point is a
+/// distinct lowering of the same kernel), and given its content address.
 std::vector<PlannedCell> plan_cells(const CampaignSpec& spec,
                                     const std::vector<CellSpec>& cells) {
   std::map<std::tuple<const EvalBenchmark*, ir::ScalarType, ir::ScalarType>,
-           std::shared_ptr<const KernelSpec>>
-      built;
+           KernelPlan>
+      kernels;
   std::vector<PlannedCell> planned;
   planned.reserve(cells.size());
   for (const CellSpec& cell : cells) {
     const TypeConfig& tc = cell.type_config.tc;
-    auto& kernel = built[{cell.benchmark, tc.data, tc.acc}];
-    if (!kernel) {
-      kernel =
-          std::make_shared<const KernelSpec>(cell.benchmark->bench.make(tc));
+    const std::tuple key{cell.benchmark, tc.data, tc.acc};
+    auto it = kernels.find(key);
+    if (it == kernels.end()) {
+      it = kernels
+               .try_emplace(key, std::make_shared<const KernelSpec>(
+                                     cell.benchmark->bench.make(tc)))
+               .first;
     }
+    KernelPlan& kernel = it->second;
     PlannedCell p;
     p.cell = cell;
-    p.spec = kernel;
+    p.spec = kernel.spec;
     p.opt = spec.opt;
     p.opt.vl_cap = cell.vl;
-    p.lowered = std::make_shared<const ir::LoweredKernel>(
-        ir::lower(kernel->kernel, cell.mode, kernel->init, p.opt));
-    p.key.kernel_digest = kernels::lowered_digest(*kernel, *p.lowered);
+    p.lowered = std::make_shared<const ir::LoweredKernel>(ir::lower_encoded(
+        kernel.spec->kernel, cell.mode, kernel.images, p.opt));
+    p.key.kernel_digest = kernel.digest(*p.lowered);
     p.key.data = tc.data;
     p.key.acc = tc.acc;
     p.key.mode = cell.mode;
@@ -331,18 +351,16 @@ bool same_program(const PlannedCell& a, const PlannedCell& b) {
 /// workers. This is the one place that looks up, inserts and tallies store
 /// cells. With a store, every cell is looked up first (serially, so hits
 /// land before any simulation starts), only the misses reach the workers,
-/// and each computed cell is inserted. `covered` more requests — tuner grid
-/// points that a cell of this pass already serves — count as the hits their
-/// own lookups would be. Without a store every cell is a miss and nothing
-/// but `simulated` is tallied. Misses with the same benchmark and digest
-/// (their keys may still differ in mode, VL or types) are simulated once:
-/// the other cells of the group get copies of that result, each under its
-/// own presentation and its own store key. `landed` (optional) sees each
-/// cell as it lands: its index, the result, and whether the store served
-/// it; calls are serialized.
+/// and each computed cell is inserted. Without a store every cell is a miss
+/// and nothing but `simulated` is tallied. Misses with the same benchmark
+/// and digest (their keys may still differ in mode, VL or types, or be the
+/// same key requested twice) are simulated once: the other cells of the
+/// group get copies of that result, each under its own presentation and its
+/// own store key. `landed` (optional) sees each cell as it lands: its index,
+/// the result, and whether the store served it; calls are serialized.
 std::vector<CellResult> serve_or_simulate(
     const CampaignSpec& spec, const std::vector<PlannedCell>& planned,
-    std::size_t covered, int jobs, CellStore* store, CacheTelemetry* tally,
+    int jobs, CellStore* store, CacheTelemetry* tally,
     const std::function<void(std::size_t, const CellResult&, bool)>& landed) {
   std::vector<CellResult> results(planned.size());
   std::mutex landed_mu;
@@ -382,7 +400,7 @@ std::vector<CellResult> serve_or_simulate(
   }
   if (tally != nullptr) {
     if (store != nullptr) {
-      tally->hits += planned.size() - misses.size() + covered;
+      tally->hits += planned.size() - misses.size();
       tally->misses += misses.size();
     }
     tally->simulated += groups.size();
@@ -453,7 +471,7 @@ std::vector<CellSpec> tuner_grid(const CampaignSpec& spec) {
 /// the grid are recorded as skipped trials (qor below any threshold, zero
 /// cost).
 TunerStudy tune(const std::vector<CellSpec>& grid,
-                const std::vector<CellResult>& outcome) {
+                std::span<const CellResult> outcome) {
   auto find = [&](const tuner::TypeVector& t) -> const CellResult* {
     for (std::size_t i = 0; i < grid.size(); ++i) {
       const TypeConfig& tc = grid[i].type_config.tc;
@@ -520,36 +538,18 @@ EvalReport run_campaign(const CampaignSpec& spec, int jobs, CellStore* store,
   std::vector<CellSpec> cells = expand_matrix(spec);
   const std::size_t total = cells.size();
 
-  // The tuner grid rides the matrix pass. A grid point that a matrix cell
-  // already covers (same benchmark, types, mode and VL, hence the same
-  // content) reads that cell; every other point is one more cell.
+  // The tuner grid rides the matrix pass: its points are appended to the
+  // matrix, and one that a matrix cell covers (same benchmark, types, mode
+  // and VL) lowers to the same program, so the pass simulates it once.
   std::vector<CellSpec> grid;
-  std::vector<std::size_t> grid_at;  // grid point -> index into `cells`
   if (spec.runs_tuner()) {
     grid = tuner_grid(spec);
-    for (const CellSpec& g : grid) {
-      const auto matrix_end =
-          cells.begin() + static_cast<std::ptrdiff_t>(total);
-      const auto it =
-          std::find_if(cells.begin(), matrix_end, [&](const CellSpec& c) {
-            return c.benchmark == g.benchmark &&
-                   c.type_config.tc.data == g.type_config.tc.data &&
-                   c.type_config.tc.acc == g.type_config.tc.acc &&
-                   c.mode == g.mode && c.vl == g.vl;
-          });
-      if (it != matrix_end) {
-        grid_at.push_back(static_cast<std::size_t>(it - cells.begin()));
-      } else {
-        grid_at.push_back(cells.size());
-        cells.push_back(g);
-      }
-    }
+    cells.insert(cells.end(), grid.begin(), grid.end());
   }
 
-  const std::size_t covered = grid.size() - (cells.size() - total);
   CacheTelemetry tally;
   std::vector<CellResult> results = serve_or_simulate(
-      spec, plan_cells(spec, cells), covered, jobs, store, &tally,
+      spec, plan_cells(spec, cells), jobs, store, &tally,
       [&](std::size_t i, const CellResult& c, bool served) {
         if (on_cell && i < total) on_cell(i, total, c, served);
       });
@@ -575,11 +575,8 @@ EvalReport run_campaign(const CampaignSpec& spec, int jobs, CellStore* store,
   }
   report.vls = spec.vls;
   if (spec.runs_tuner()) {
-    std::vector<CellResult> outcome;
-    outcome.reserve(grid_at.size());
-    for (const std::size_t i : grid_at) outcome.push_back(results[i]);
     report.has_tuner = true;
-    report.tuner = tune(grid, outcome);
+    report.tuner = tune(grid, std::span(results).subspan(total));
   }
   results.resize(total);
   report.cells = std::move(results);
@@ -600,8 +597,8 @@ TunerStudy run_tuner_study(SuiteScale scale, const sim::MemConfig& mem,
   spec.backend = backend;
   spec.opt = opt;
   const std::vector<CellSpec> grid = tuner_grid(spec);
-  return tune(grid, serve_or_simulate(spec, plan_cells(spec, grid), 0, 1,
-                                      store, tally, nullptr));
+  return tune(grid, serve_or_simulate(spec, plan_cells(spec, grid), 1, store,
+                                      tally, nullptr));
 }
 
 }  // namespace sfrv::eval

@@ -3,8 +3,11 @@
 //  * planner   — expand_matrix / plan_campaign turn a CampaignSpec into
 //                planned cells: the built kernel, its lowered program, and a
 //                content-addressed CellKey (kernel digest × TypeConfig ×
-//                mode × engine × backend × opt × vl × mem × schema). The
-//                planner is per call: nothing it builds outlives the run.
+//                mode × engine × backend × opt × vl × mem × schema). Each
+//                (benchmark, TypeConfig) kernel is built, its inputs
+//                encoded and its reference hashed once per call; every cell
+//                lowers against those. The planner is per call: nothing it
+//                builds outlives the run.
 //  * store     — run_campaign consults an optional CellStore before
 //                simulating; hits are served in O(1) and only misses reach
 //                the executor (eval/cellstore.hpp).
@@ -16,8 +19,9 @@
 //                once per pass; the others get copies of that result.
 //
 // The Fig. 6 tuner study rides the same pass: its grid points are planned
-// with the matrix, a point that a matrix cell covers reads that cell, and
-// every cell is served, simulated or copied once.
+// with the matrix as extra cells, and every cell is served, simulated or
+// copied once. A point that a matrix cell covers lowers to that cell's
+// program, so the grouping above simulates it with that cell.
 //
 // Determinism contract: a campaign's report is a pure function of its spec.
 // Cells are executed in any order (each one builds its own kernel, Core and
@@ -159,13 +163,13 @@ using CellCallback = std::function<void(
     std::size_t index, std::size_t total, const CellResult& cell, bool cached)>;
 
 /// Run the whole campaign with `jobs` worker threads (clamped to >= 1): the
-/// matrix plus, when `spec.runs_tuner()`, the tuner grid points no matrix
-/// cell covers, in one executor pass. With a `store`, cells present in it
-/// are served instead of simulated and computed cells are inserted;
-/// `report.cache.{hits,misses}` record the lookup outcome, where a grid
-/// point read from its matrix cell counts as a hit (serialization of that
-/// block stays opt-in via `report.has_cache`). Without a store both stay 0.
-/// Misses that lower to the same program are simulated once; every one of
+/// matrix plus, when `spec.runs_tuner()`, every tuner grid point, in one
+/// executor pass. With a `store`, cells present in it are served instead of
+/// simulated and computed cells are inserted; `report.cache.{hits,misses}`
+/// record one lookup per matrix cell and per grid point (serialization of
+/// that block stays opt-in via `report.has_cache`). Without a store both
+/// stay 0. Misses that lower to the same program — a grid point and the
+/// matrix cell that covers it among them — are simulated once; every one of
 /// them is still computed (`cached` false), inserted under its own key and
 /// streamed once, and `report.cache.simulated` counts the simulations.
 /// `on_cell` streams partial results.

@@ -2,11 +2,12 @@
 // (under a cache directory) the one way runs and processes share cells.
 //
 // A campaign cell is addressed by everything its result is a function of:
-// the lowered-kernel content digest (text image + quantized inputs + golden
-// reference, kernels::lowered_digest), the type configuration, the code
-// generator, the execution engine, the math backend, the optimizer
-// configuration, the VL point, the memory timing, and the report schema
-// version. Display names (benchmark / type-config labels) are deliberately
+// the lowered-kernel content digest (kernels::lowered_digest: the data
+// segment with the quantized inputs and the golden reference, which the
+// planner hashes once per (benchmark, TypeConfig) kernel, then the cell's
+// own text image), the type configuration, the code generator, the
+// execution engine, the math backend, the optimizer configuration, the VL
+// point, the memory timing, and the report schema version. Display names (benchmark / type-config labels) are deliberately
 // *not* part of the address — they are presentation, patched from the
 // requesting spec on every hit — so the tuner's 36-pair grid and the
 // campaign matrix share cells whenever their content coincides.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -103,26 +102,13 @@ class Lowerer {
                   reg::fs4, reg::fs5, reg::fs6, reg::fs7, reg::fs8, reg::fs9,
                   reg::fs10, reg::fs11}) {}
 
-  LoweredKernel run(const std::vector<std::vector<double>>& init) {
-    // --- data segment: arrays (quantized) and FP constants ---
+  LoweredKernel run(const ArrayImages& images) {
+    // --- data segment: arrays (encoded images) and FP constants ---
     if (k_.arrays.size() > 12) throw std::runtime_error(">12 arrays");
     for (std::size_t ai = 0; ai < k_.arrays.size(); ++ai) {
       const auto& arr = k_.arrays[ai];
-      const int esize = width_bytes(arr.type);
-      std::vector<std::uint8_t> bytes(
-          static_cast<std::size_t>(arr.elems()) * esize, 0);
-      if (ai < init.size() && !init[ai].empty()) {
-        assert(static_cast<int>(init[ai].size()) == arr.elems());
-        fp::Flags fl;
-        for (int e = 0; e < arr.elems(); ++e) {
-          const std::uint64_t bits = fp::rt_from_double(
-              fp_format(arr.type), init[ai][static_cast<std::size_t>(e)],
-              fp::RoundingMode::RNE, fl);
-          std::memcpy(&bytes[static_cast<std::size_t>(e) * esize], &bits,
-                      static_cast<std::size_t>(esize));
-        }
-      }
-      const auto addr = asm_.data_bytes(bytes.data(), bytes.size(), 4);
+      const auto addr =
+          asm_.data_bytes(images[ai].data(), images[ai].size(), 4);
       asm_.set_symbol(arr.name, addr);
       array_addr_[arr.name] = addr;
     }
@@ -1640,20 +1626,25 @@ class Lowerer {
 
 namespace {
 
+std::size_t image_bytes(const ArrayDecl& arr) {
+  return static_cast<std::size_t>(arr.elems()) *
+         static_cast<std::size_t>(width_bytes(arr.type));
+}
+
 /// Attribute a pre-DGE verifier failure to the emission stage that
 /// introduced it: re-lower at reduced configurations (no unroll, no
 /// strength reduction — both are fused into emission, so they are not
 /// separately observable on the green path) and name the first stage whose
 /// addition makes the diagnostics appear. Runs only on the error path.
-[[noreturn]] void attribute_and_throw(
-    const Kernel& kernel, CodegenMode mode,
-    const std::vector<std::vector<double>>& array_init, const OptConfig& opt,
-    std::vector<verify::Diag> diags) {
+[[noreturn]] void attribute_and_throw(const Kernel& kernel, CodegenMode mode,
+                                      const ArrayImages& images,
+                                      const OptConfig& opt,
+                                      std::vector<verify::Diag> diags) {
   const Verifier v;
   const auto clean_under = [&](const OptConfig& reduced) {
     try {
       Lowerer lw(kernel, mode, reduced);
-      return v.check(lw.run(array_init)).empty();
+      return v.check(lw.run(images)).empty();
     } catch (const std::exception&) {
       return false;  // cannot re-lower: no attribution possible
     }
@@ -1675,16 +1666,53 @@ namespace {
 
 }  // namespace
 
-LoweredKernel lower(const Kernel& kernel, CodegenMode mode,
-                    const std::vector<std::vector<double>>& array_init,
-                    const OptConfig& opt) {
+ArrayImages encode_init(const Kernel& kernel,
+                        const std::vector<std::vector<double>>& array_init) {
+  ArrayImages images(kernel.arrays.size());
+  for (std::size_t ai = 0; ai < kernel.arrays.size(); ++ai) {
+    const auto& arr = kernel.arrays[ai];
+    const auto elems = static_cast<std::size_t>(arr.elems());
+    const auto esize = static_cast<std::size_t>(width_bytes(arr.type));
+    std::vector<std::uint8_t>& bytes = images[ai];
+    bytes.assign(image_bytes(arr), 0);
+    if (ai >= array_init.size() || array_init[ai].empty()) continue;
+    const std::vector<double>& init = array_init[ai];
+    if (init.size() != elems) {
+      throw std::invalid_argument(
+          "kernel " + kernel.name + ": init for array " + arr.name + " has " +
+          std::to_string(init.size()) + " values, the array has " +
+          std::to_string(elems) + " elements");
+    }
+    const fp::FpFormat format = fp_format(arr.type);
+    fp::Flags fl;
+    for (std::size_t e = 0; e < elems; ++e) {
+      const std::uint64_t bits =
+          fp::rt_from_double(format, init[e], fp::RoundingMode::RNE, fl);
+      for (std::size_t b = 0; b < esize; ++b) {
+        bytes[e * esize + b] = static_cast<std::uint8_t>(bits >> (8 * b));
+      }
+    }
+  }
+  return images;
+}
+
+LoweredKernel lower_encoded(const Kernel& kernel, CodegenMode mode,
+                            const ArrayImages& images, const OptConfig& opt) {
   validate(opt);
+  bool sized = images.size() == kernel.arrays.size();
+  for (std::size_t ai = 0; sized && ai < images.size(); ++ai) {
+    sized = images[ai].size() == image_bytes(kernel.arrays[ai]);
+  }
+  if (!sized) {
+    throw std::invalid_argument("kernel " + kernel.name +
+                                ": array images do not match its arrays");
+  }
   Lowerer lw(kernel, mode, opt);
-  LoweredKernel out = lw.run(array_init);
+  LoweredKernel out = lw.run(images);
   if (verify::enabled()) {
     auto diags = Verifier().check(out);
     if (!diags.empty()) {
-      attribute_and_throw(kernel, mode, array_init, opt, std::move(diags));
+      attribute_and_throw(kernel, mode, images, opt, std::move(diags));
     }
   }
   if (opt.dead_glue_elim) {
@@ -1693,6 +1721,12 @@ LoweredKernel lower(const Kernel& kernel, CodegenMode mode,
     if (verify::enabled()) verify_or_throw(out, "dead-glue-elim");
   }
   return out;
+}
+
+LoweredKernel lower(const Kernel& kernel, CodegenMode mode,
+                    const std::vector<std::vector<double>>& array_init,
+                    const OptConfig& opt) {
+  return lower_encoded(kernel, mode, encode_init(kernel, array_init), opt);
 }
 
 }  // namespace sfrv::ir

@@ -73,12 +73,32 @@ struct LoweredKernel {
   std::vector<int> mem_array;
 };
 
-/// Lower `kernel` with the given mode. `array_init` provides initial contents
-/// per array id (values are quantized to the array element type); missing or
-/// empty entries are zero-initialized. `opt` selects the post-lowering loop
-/// optimizer pipeline (ir/opt.hpp); every level produces bit-identical
-/// outputs and fflags, only the glue instruction count and cycle totals
-/// change. Defaults to O0, as every caller does.
+/// The initial data-segment bytes of a kernel's arrays, one image per array
+/// id: `elems() * width_bytes(type)` bytes, little-endian elements.
+using ArrayImages = std::vector<std::vector<std::uint8_t>>;
+
+/// Quantize `array_init` (per array id) to each array's element type,
+/// round-to-nearest-even, into the images lowering places in the data
+/// segment. Missing or empty entries give zero images. Throws
+/// std::invalid_argument naming the kernel and the array when a non-empty
+/// entry does not hold exactly one value per element, before reading any.
+[[nodiscard]] ArrayImages encode_init(
+    const Kernel& kernel, const std::vector<std::vector<double>>& array_init);
+
+/// Lower `kernel` with the given mode over encoded array images. Every
+/// lowering of a kernel (each mode, VL point and opt level) shares its
+/// images, so a caller that lowers one kernel many times encodes it once.
+/// `opt` selects the post-lowering loop optimizer pipeline (ir/opt.hpp);
+/// every level produces bit-identical outputs and fflags, only the glue
+/// instruction count and cycle totals change. Throws std::invalid_argument
+/// unless `images` holds one image of its array's size per array.
+[[nodiscard]] LoweredKernel lower_encoded(const Kernel& kernel,
+                                          CodegenMode mode,
+                                          const ArrayImages& images,
+                                          const OptConfig& opt = {});
+
+/// `lower_encoded(kernel, mode, encode_init(kernel, array_init), opt)`.
+/// Defaults to O0, as every caller does.
 [[nodiscard]] LoweredKernel lower(
     const Kernel& kernel, CodegenMode mode,
     const std::vector<std::vector<double>>& array_init,

@@ -2,12 +2,15 @@
 // typed outputs back as doubles, and expose the statistics the benches need.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "ir/lower.hpp"
 #include "sim/core.hpp"
+#include "util/fnv.hpp"
 
 namespace sfrv::kernels {
 
@@ -62,13 +65,35 @@ struct RunResult {
     fp::MathBackend backend = fp::MathBackend::Grs);
 
 /// Content digest of a lowered kernel instance: a process-stable FNV-1a hash
-/// over the encoded text image, the initialized data segment (which embeds
-/// the quantized inputs), the memory layout bases, and the QoR reference
+/// over the memory layout bases, the initialized data segment (which embeds
+/// the quantized inputs), the encoded text image, and the QoR reference
 /// (output-array names and golden values). Any change to the kernel source,
 /// its inputs, the code generator, or the optimizer that alters the program
 /// or its reference changes the digest — this is what makes the eval cell
-/// store content-addressed rather than name-addressed.
+/// store content-addressed rather than name-addressed. The bytes are hashed
+/// in two parts: first what every lowering of the kernel shares (data base,
+/// data segment, output-array names, golden values), then the lowering's own
+/// text base and text words, so KernelDigest can hash the first part once.
 [[nodiscard]] std::uint64_t lowered_digest(const KernelSpec& spec,
                                            const ir::LoweredKernel& lowered);
+
+/// lowered_digest over many lowerings of one kernel. The first call hashes
+/// the shared part and keeps its FNV state with the data segment it hashed;
+/// a later lowering whose data base and data segment are byte-equal resumes
+/// from that state and hashes only its text, and any other lowering is
+/// hashed in full. Every call returns exactly lowered_digest(spec, lowered).
+/// `spec` must outlive the KernelDigest.
+class KernelDigest {
+ public:
+  explicit KernelDigest(const KernelSpec& spec) : spec_(&spec) {}
+
+  [[nodiscard]] std::uint64_t operator()(const ir::LoweredKernel& lowered);
+
+ private:
+  const KernelSpec* spec_;
+  std::optional<std::vector<std::uint8_t>> data_;  ///< the segment hashed
+  std::uint32_t data_base_ = 0;
+  util::Fnv1a shared_;  ///< the state after the shared part
+};
 
 }  // namespace sfrv::kernels

@@ -20,6 +20,7 @@
 
 #include "eval/campaign.hpp"
 #include "eval/report.hpp"
+#include "kernels/polybench.hpp"
 #include "kernels/runner.hpp"
 
 namespace sfrv::eval {
@@ -182,6 +183,46 @@ TEST(CellKey, KernelTextFeedsTheDigest) {
   EXPECT_EQ(planned[1].key.address(), again[1].key.address());
 }
 
+TEST(CellKey, PlannedDigestIsTheLoweredDigest) {
+  // The planner hashes each kernel's shared part once and resumes from it
+  // per cell; a caller that digests a lowering on its own (e2ebench's
+  // replay looks cells up this way) must get the same address.
+  CampaignSpec swept = CampaignSpec::smoke();
+  swept.vls = {0, 2, 4};
+  swept.opt = ir::OptConfig::O2();
+  for (const CampaignSpec& spec :
+       {CampaignSpec::smoke(), CampaignSpec::nn(SuiteScale::Smoke), swept}) {
+    for (const PlannedCell& p : plan_campaign(spec)) {
+      EXPECT_EQ(p.key.kernel_digest,
+                kernels::lowered_digest(*p.spec, *p.lowered))
+          << spec.name << " " << p.cell.benchmark->bench.name << "/"
+          << p.cell.type_config.name << "/" << ir::mode_name(p.cell.mode)
+          << "/" << p.cell.vl;
+    }
+  }
+}
+
+TEST(CellKey, KernelDigestRehashesAnotherDataSegment) {
+  // A lowering whose data segment is not the one the shared state hashed
+  // is hashed in full, not resumed.
+  const auto tc = kernels::TypeConfig::uniform(ir::ScalarType::F16);
+  const kernels::KernelSpec spec = kernels::make_gemm(tc, 4, 4, 4);
+  kernels::KernelSpec other = kernels::make_gemm(tc, 4, 4, 4);
+  other.init[0][0] += 1.0;
+  const auto lowered = ir::lower(spec.kernel, ir::CodegenMode::ManualVec,
+                                 spec.init);
+  const auto moved = ir::lower(other.kernel, ir::CodegenMode::ManualVec,
+                               other.init);
+  ASSERT_NE(lowered.program.data, moved.program.data);
+  kernels::KernelDigest digest(spec);
+  EXPECT_EQ(digest(lowered), kernels::lowered_digest(spec, lowered));
+  EXPECT_EQ(digest(moved), kernels::lowered_digest(spec, moved));
+  EXPECT_NE(digest(moved), digest(lowered));
+  const auto scalar =
+      ir::lower(spec.kernel, ir::CodegenMode::Scalar, spec.init);
+  EXPECT_EQ(digest(scalar), kernels::lowered_digest(spec, scalar));
+}
+
 TEST(CellStore, MemoryRoundTrip) {
   CellStore store;
   const CellKey key = synthetic_key();
@@ -340,16 +381,17 @@ TEST(CellStore, WarmCampaignIsByteIdenticalWithFullHitRate) {
 TEST(CellStore, TunerAndCampaignShareContentCells) {
   // The smoke campaign's SVM matrix cells coincide with tuner grid points
   // (display names differ, content matches). One pass serves or simulates
-  // each distinct cell once: of the 22 grid points, the 7 that matrix cells
-  // cover are read from those cells (hits, since a store is given), and the
-  // other 15 are simulated with the 28 matrix cells.
+  // each distinct cell once: all 28 matrix cells and 22 grid points miss a
+  // cold store, and the 7 grid points that matrix cells cover lower to their
+  // cells' programs, so they are simulated with them, not again.
   CampaignSpec spec = CampaignSpec::smoke();
   spec.benchmarks = {"svm"};
   CellStore store;
   const EvalReport report = run_campaign(spec, 2, &store);
   ASSERT_TRUE(report.has_tuner);
-  EXPECT_EQ(report.cache.hits, 7u);
-  EXPECT_EQ(report.cache.misses, 43u);
+  EXPECT_EQ(report.cache.hits, 0u);
+  EXPECT_EQ(report.cache.misses, 50u);
+  EXPECT_EQ(report.cache.simulated, 35u);
 
   // The study on its own over the same store simulates nothing and
   // serializes exactly like the campaign's tuner block.
