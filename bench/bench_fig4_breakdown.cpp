@@ -93,8 +93,8 @@ void run_figure4() {
   const auto& f = kernels::svm_fixture();
   const TypeConfig mixed{ir::ScalarType::F16, ir::ScalarType::F32};
   const auto spec_float =
-      kernels::make_svm(TypeConfig::uniform(ir::ScalarType::F32), f.model, f.test);
-  const auto spec_mixed = kernels::make_svm(mixed, f.model, f.test);
+      kernels::make_svm(TypeConfig::uniform(ir::ScalarType::F32), f);
+  const auto spec_mixed = kernels::make_svm(mixed, f);
 
   const auto orig = kernels::run_kernel(spec_float, ir::CodegenMode::Scalar);
   const auto autov = kernels::run_kernel(spec_mixed, ir::CodegenMode::AutoVec);

@@ -15,14 +15,15 @@
 // Each sample keeps the interrupted pc and the return addresses backtrace()
 // finds. Afterwards every address is resolved to its function through the
 // executable's own ELF symbol table. A sample counts toward a layer when any
-// of its frames lies in one of the layer's functions, so the shares are
-// inclusive: a nested row is part of its parent row, and rows at one level
-// need not sum to 100%. The softfloat and executor rows count the innermost
-// frame only. A second table ranks the functions that are a sample's
-// innermost frame in this executable; where the sample stopped in libc,
-// that is libc's caller. Run from an optimized build without assertions for figures
-// that describe the optimized program; the build's own flags are the ones
-// measured.
+// of its frames lies in one of the layer's functions, matched on the
+// qualified name (past the return type that the demangler puts first for a
+// function template), so the shares are inclusive: a nested row is part of
+// its parent row, and rows at one level need not sum to 100%. The softfloat
+// and executor rows count the innermost frame only. A second table ranks the
+// functions that are a sample's innermost frame in this executable; where
+// the sample stopped in libc, that is libc's caller. Run from an optimized
+// build without assertions for figures that describe the optimized program;
+// the build's own flags are the ones measured.
 #include <dlfcn.h>
 #include <elf.h>
 #include <execinfo.h>
@@ -129,6 +130,10 @@ struct Symbol {
   std::uintptr_t begin = 0;
   std::uintptr_t end = 0;
   std::string name;  ///< demangled
+  /// Where the qualified name starts in `name`: past the return type that
+  /// the demangler puts first for a function template ("unsigned long
+  /// sfrv::fp::posit_detail::round_pack<...>(...)"), else 0.
+  std::size_t qualified = 0;
 };
 
 std::string demangle(const char* mangled) {
@@ -136,6 +141,29 @@ std::string demangle(const char* mangled) {
   std::unique_ptr<char, void (*)(void*)> out(
       abi::__cxa_demangle(mangled, nullptr, nullptr, &status), std::free);
   return status == 0 && out ? std::string(out.get()) : std::string(mangled);
+}
+
+/// The offset just past the last space that lies outside any template
+/// argument list and before the parameter list: the start of the qualified
+/// name when a return type precedes it, else 0.
+std::size_t qualified_start(std::string_view name) {
+  constexpr std::string_view kAnon = "(anonymous namespace)";
+  std::size_t start = 0;
+  int depth = 0;
+  for (std::size_t i = 0; i < name.size(); ++i) {
+    if (name.substr(i).starts_with(kAnon)) {
+      i += kAnon.size() - 1;
+    } else if (name[i] == '<') {
+      ++depth;
+    } else if (name[i] == '>') {
+      --depth;
+    } else if (depth == 0 && name[i] == ' ') {
+      start = i + 1;
+    } else if (depth == 0 && name[i] == '(') {
+      break;
+    }
+  }
+  return start;
 }
 
 int main_object_bias(dl_phdr_info* info, std::size_t, void* data) {
@@ -180,9 +208,11 @@ std::vector<Symbol> function_symbols() {
           strtab.sh_offset + sym.st_name >= image.size()) {
         continue;
       }
-      const char* name = image.data() + strtab.sh_offset + sym.st_name;
+      std::string name =
+          demangle(image.data() + strtab.sh_offset + sym.st_name);
+      const std::size_t qualified = qualified_start(name);
       syms.push_back({bias + sym.st_value, bias + sym.st_value + sym.st_size,
-                      demangle(name)});
+                      std::move(name), qualified});
     }
   }
   std::sort(syms.begin(), syms.end(),
@@ -212,9 +242,10 @@ struct Layer {
   bool leaf_only = false;
 };
 
-/// Quantizing an array's inputs: the encode step, or (where lowering
-/// quantizes for itself) a conversion under a lowering frame.
-constexpr std::string_view kEncode = "sfrv::ir::encode_init";
+/// Quantizing an array's inputs: the encode step (ir::encode_init and
+/// ir::encode_array), or (where lowering quantizes for itself) a conversion
+/// under a lowering frame.
+constexpr std::string_view kEncode = "sfrv::ir::encode_";
 constexpr std::string_view kConvert = "sfrv::fp::rt_from_double";
 constexpr std::string_view kLower = "sfrv::ir::lower";
 
@@ -228,6 +259,7 @@ const std::vector<Layer>& layers() {
       {"digest", 1,
        {"sfrv::kernels::lowered_digest", "sfrv::kernels::KernelDigest::"}},
       {"store lookup", 0, {"sfrv::eval::CellStore::lookup"}},
+      {"entry read and parse", 1, {"sfrv::eval::CellStore::load_from_disk"}},
       {"simulation (run_lowered)", 0, {"sfrv::kernels::run_lowered"}},
       {"softfloat (innermost frame)", 1, {"sfrv::fp::"}, true},
       {"jit executor (innermost frame)", 1, {"sfrv::sim::jit::"}, true},
@@ -238,8 +270,11 @@ const std::vector<Layer>& layers() {
   return rows;
 }
 
-bool starts_with_any(const std::string& name,
+/// Whether the symbol's qualified name starts with one of `prefixes`.
+bool starts_with_any(const Symbol& sym,
                      const std::vector<std::string_view>& prefixes) {
+  const std::string_view name =
+      std::string_view(sym.name).substr(sym.qualified);
   return std::any_of(prefixes.begin(), prefixes.end(),
                      [&](std::string_view p) { return name.starts_with(p); });
 }
@@ -294,7 +329,7 @@ void report(const std::vector<Symbol>& syms, std::size_t n,
     if (!stack.empty()) ++innermost[stack.front()];
     const auto in = [&](const std::vector<std::string_view>& prefixes) {
       return std::any_of(stack.begin(), stack.end(), [&](const Symbol* sym) {
-        return starts_with_any(sym->name, prefixes);
+        return starts_with_any(*sym, prefixes);
       });
     };
     for (std::size_t r = 0; r < rows.size(); ++r) {
@@ -302,7 +337,7 @@ void report(const std::vector<Symbol>& syms, std::size_t n,
       if (rows[r].entries.empty()) {  // quantization
         hit = in({kEncode}) || (in({kConvert}) && in({kLower}));
       } else if (rows[r].leaf_only) {
-        hit = leaf != nullptr && starts_with_any(leaf->name, rows[r].entries) &&
+        hit = leaf != nullptr && starts_with_any(*leaf, rows[r].entries) &&
               in({"sfrv::kernels::run_lowered"});
       } else {
         hit = in(rows[r].entries);

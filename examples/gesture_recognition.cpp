@@ -18,9 +18,8 @@ int main() {
               fx.model.classes, fx.model.features, fx.train.samples,
               fx.test.samples);
 
-  const auto golden = kernels::svm_scores_golden(fx.model, fx.test);
   std::printf("reference (double) accuracy: %.1f%%\n\n",
-              100 * kernels::classification_accuracy(golden, fx.test.labels));
+              100 * kernels::classification_accuracy(fx.golden, fx.test.labels));
 
   struct Scheme {
     const char* name;
@@ -48,7 +47,7 @@ int main() {
   std::printf("%-20s %10s %9s %9s %10s\n", "scheme", "cycles", "speedup",
               "energy", "accuracy");
   for (const auto& s : schemes) {
-    const auto spec = kernels::make_svm(s.tc, fx.model, fx.test);
+    const auto spec = kernels::make_svm(s.tc, fx);
     const auto r = kernels::run_kernel(spec, s.mode, mem);
     const double cyc = static_cast<double>(r.cycles());
     const double e = em.total_pj(r.stats, mem);

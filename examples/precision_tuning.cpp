@@ -31,7 +31,7 @@ Measured measure(const tuner::TypeVector& t) {
   const auto key = std::make_pair(static_cast<int>(t[0]), static_cast<int>(t[1]));
   if (const auto it = cache.find(key); it != cache.end()) return it->second;
   const auto& f = kernels::svm_fixture();
-  const auto spec = kernels::make_svm({t[0], t[1]}, f.model, f.test);
+  const auto spec = kernels::make_svm({t[0], t[1]}, f);
   const auto r = kernels::run_kernel(spec, ir::CodegenMode::ManualVec);
   const auto rows = kernels::reshape_scores(r.outputs.at("scores"),
                                             f.test.samples, f.model.classes);

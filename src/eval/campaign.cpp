@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -39,18 +41,12 @@ std::function<double(const KernelSpec&, const RunResult&)> svm_accuracy_hook(
 /// Reduced-size SVM for the smoke suite: same inference code path as the
 /// paper fixture, but a small synthetic problem (6 gestures, 32 features)
 /// that trains and runs in milliseconds.
-struct SmokeSvm {
-  kernels::SvmModel model;
-  kernels::SvmDataset test;
-};
-
-const SmokeSvm& smoke_svm() {
-  static const SmokeSvm fixture = [] {
-    SmokeSvm s;
+const kernels::SvmFixture& smoke_svm() {
+  static const kernels::SvmFixture fixture = [] {
     auto data = kernels::make_gesture_data(6, 32, 12, 5, 1.2, 7);
-    s.model = kernels::train_svm(data.train, 6);
-    s.test = std::move(data.test);
-    return s;
+    kernels::SvmModel model = kernels::train_svm(data.train, 6);
+    return kernels::SvmFixture(std::move(data.train), std::move(model),
+                               std::move(data.test));
   }();
   return fixture;
 }
@@ -73,8 +69,7 @@ std::vector<EvalBenchmark> make_smoke_suite() {
   std::vector<EvalBenchmark> out;
   out.push_back({Benchmark{"svm",
                            [](TypeConfig tc) {
-                             const auto& f = smoke_svm();
-                             return kernels::make_svm(tc, f.model, f.test);
+                             return kernels::make_svm(tc, smoke_svm());
                            }},
                  svm_accuracy_hook(smoke_svm().model, smoke_svm().test)});
   out.push_back({Benchmark{"gemm",
@@ -230,15 +225,61 @@ std::vector<CellSpec> expand_matrix(const CampaignSpec& spec) {
 
 namespace {
 
+/// The array images of one planning call, shared by content: arrays with
+/// the same element type and byte-equal init values get one image, encoded
+/// on first request and copied into every kernel that asks for it, whatever
+/// benchmark or TypeConfig the kernel has. Entries point at init values of
+/// kernels the call keeps alive, and go when the call returns.
+class ImagePool {
+ public:
+  ir::ArrayImages images(const KernelSpec& spec) {
+    const ir::Kernel& kernel = spec.kernel;
+    ir::ArrayImages out(kernel.arrays.size());
+    for (std::size_t ai = 0; ai < kernel.arrays.size(); ++ai) {
+      if (ai >= spec.init.size()) {
+        out[ai] = ir::encode_array(kernel, ai, {});
+        continue;
+      }
+      const std::vector<double>& init = spec.init[ai];
+      const ir::ArrayDecl& arr = kernel.arrays[ai];
+      const auto elems = static_cast<std::size_t>(arr.elems());
+      if (init.empty() || init.size() != elems) {
+        // A zero image, or the diagnostic for an init of the wrong length.
+        out[ai] = ir::encode_array(kernel, ai, init);
+        continue;
+      }
+      std::vector<Entry>& same_shape = entries_[{arr.type, elems}];
+      auto it = std::find_if(
+          same_shape.begin(), same_shape.end(), [&](const Entry& e) {
+            return std::memcmp(e.init->data(), init.data(),
+                               elems * sizeof(double)) == 0;
+          });
+      if (it == same_shape.end()) {
+        same_shape.push_back({&init, ir::encode_array(kernel, ai, init)});
+        it = std::prev(same_shape.end());
+      }
+      out[ai] = it->image;
+    }
+    return out;
+  }
+
+ private:
+  struct Entry {
+    const std::vector<double>* init;
+    std::vector<std::uint8_t> image;
+  };
+  /// Keyed by element type and count; entries are told apart by content.
+  std::map<std::pair<ir::ScalarType, std::size_t>, std::vector<Entry>>
+      entries_;
+};
+
 /// What one planning call keeps per (benchmark, TypeConfig) kernel: its
 /// inputs and golden reference do not depend on mode or VL, so every cell of
 /// the kernel lowers from the same encoded images and resumes the same
 /// digest state.
 struct KernelPlan {
-  explicit KernelPlan(std::shared_ptr<const KernelSpec> built)
-      : spec(std::move(built)),
-        images(ir::encode_init(spec->kernel, spec->init)),
-        digest(*spec) {}
+  KernelPlan(std::shared_ptr<const KernelSpec> built, ImagePool& pool)
+      : spec(std::move(built)), images(pool.images(*spec)), digest(*spec) {}
 
   std::shared_ptr<const KernelSpec> spec;
   ir::ArrayImages images;
@@ -246,15 +287,17 @@ struct KernelPlan {
 };
 
 /// The planner proper. It runs once per call and keeps nothing afterwards:
-/// each (benchmark, TypeConfig) kernel is built, encoded and
-/// reference-hashed once. Then every cell is lowered from those images under
-/// the campaign opt, with the cell's VL point as `vl_cap` (each point is a
-/// distinct lowering of the same kernel), and given its content address.
+/// each (benchmark, TypeConfig) kernel is built and reference-hashed once,
+/// and each distinct array image is encoded once (ImagePool). Then every
+/// cell is lowered from its kernel's images under the campaign opt, with the
+/// cell's VL point as `vl_cap` (each point is a distinct lowering of the
+/// same kernel), and given its content address.
 std::vector<PlannedCell> plan_cells(const CampaignSpec& spec,
                                     const std::vector<CellSpec>& cells) {
   std::map<std::tuple<const EvalBenchmark*, ir::ScalarType, ir::ScalarType>,
            KernelPlan>
       kernels;
+  ImagePool pool;
   std::vector<PlannedCell> planned;
   planned.reserve(cells.size());
   for (const CellSpec& cell : cells) {
@@ -263,8 +306,10 @@ std::vector<PlannedCell> plan_cells(const CampaignSpec& spec,
     auto it = kernels.find(key);
     if (it == kernels.end()) {
       it = kernels
-               .try_emplace(key, std::make_shared<const KernelSpec>(
-                                     cell.benchmark->bench.make(tc)))
+               .try_emplace(key,
+                            std::make_shared<const KernelSpec>(
+                                cell.benchmark->bench.make(tc)),
+                            pool)
                .first;
     }
     KernelPlan& kernel = it->second;

@@ -4,10 +4,12 @@
 //                planned cells: the built kernel, its lowered program, and a
 //                content-addressed CellKey (kernel digest × TypeConfig ×
 //                mode × engine × backend × opt × vl × mem × schema). Each
-//                (benchmark, TypeConfig) kernel is built, its inputs
-//                encoded and its reference hashed once per call; every cell
-//                lowers against those. The planner is per call: nothing it
-//                builds outlives the run.
+//                (benchmark, TypeConfig) kernel is built and its reference
+//                hashed once per call, and each distinct (element type,
+//                init values) array image is encoded once per call and
+//                shared by every kernel that has it; every cell lowers
+//                against those. The planner is per call: nothing it builds
+//                outlives the run.
 //  * store     — run_campaign consults an optional CellStore before
 //                simulating; hits are served in O(1) and only misses reach
 //                the executor (eval/cellstore.hpp).

@@ -25,6 +25,7 @@
 #include <optional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "eval/report.hpp"
@@ -65,6 +66,11 @@ struct CellKey {
   /// passes over `canonical()`). Stable across processes and machines; used
   /// as the in-memory map key and the on-disk file stem.
   [[nodiscard]] std::string address() const;
+
+  /// The address of a canonical text: address() is
+  /// address_of(canonical()), so a caller that needs both builds the text
+  /// once.
+  [[nodiscard]] static std::string address_of(std::string_view canonical);
 };
 
 /// Thread-safe memoization map from CellKey address to CellResult, with
@@ -100,9 +106,11 @@ class CellStore {
 
  private:
   [[nodiscard]] std::string entry_path(const std::string& address) const;
-  /// Disk read + validation; assumes mu_ is held.
+  /// Disk read + validation against the key's schema and canonical text;
+  /// assumes mu_ is held.
   [[nodiscard]] std::optional<CellResult> load_from_disk(
-      const CellKey& key, const std::string& address);
+      const CellKey& key, const std::string& canonical,
+      const std::string& address);
 
   mutable std::mutex mu_;
   std::string dir_;  ///< empty = memory-only

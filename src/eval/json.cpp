@@ -165,13 +165,15 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
+      // Everything up to the next quote or backslash is copied as it is.
+      std::size_t end = pos_;
+      while (end < text_.size() && text_[end] != '"' && text_[end] != '\\') {
+        ++end;
       }
+      out.append(text_.substr(pos_, end - pos_));
+      pos_ = end;
+      if (pos_ >= text_.size()) fail("unterminated string");
+      if (text_[pos_++] == '"') return out;
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char e = text_[pos_++];
       switch (e) {

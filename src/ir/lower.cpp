@@ -1666,32 +1666,38 @@ std::size_t image_bytes(const ArrayDecl& arr) {
 
 }  // namespace
 
+std::vector<std::uint8_t> encode_array(const Kernel& kernel, std::size_t ai,
+                                       const std::vector<double>& init) {
+  const auto& arr = kernel.arrays.at(ai);
+  const auto elems = static_cast<std::size_t>(arr.elems());
+  const auto esize = static_cast<std::size_t>(width_bytes(arr.type));
+  std::vector<std::uint8_t> bytes(image_bytes(arr), 0);
+  if (init.empty()) return bytes;
+  if (init.size() != elems) {
+    throw std::invalid_argument(
+        "kernel " + kernel.name + ": init for array " + arr.name + " has " +
+        std::to_string(init.size()) + " values, the array has " +
+        std::to_string(elems) + " elements");
+  }
+  const fp::FpFormat format = fp_format(arr.type);
+  fp::Flags fl;
+  for (std::size_t e = 0; e < elems; ++e) {
+    const std::uint64_t bits =
+        fp::rt_from_double(format, init[e], fp::RoundingMode::RNE, fl);
+    for (std::size_t b = 0; b < esize; ++b) {
+      bytes[e * esize + b] = static_cast<std::uint8_t>(bits >> (8 * b));
+    }
+  }
+  return bytes;
+}
+
 ArrayImages encode_init(const Kernel& kernel,
                         const std::vector<std::vector<double>>& array_init) {
   ArrayImages images(kernel.arrays.size());
   for (std::size_t ai = 0; ai < kernel.arrays.size(); ++ai) {
-    const auto& arr = kernel.arrays[ai];
-    const auto elems = static_cast<std::size_t>(arr.elems());
-    const auto esize = static_cast<std::size_t>(width_bytes(arr.type));
-    std::vector<std::uint8_t>& bytes = images[ai];
-    bytes.assign(image_bytes(arr), 0);
-    if (ai >= array_init.size() || array_init[ai].empty()) continue;
-    const std::vector<double>& init = array_init[ai];
-    if (init.size() != elems) {
-      throw std::invalid_argument(
-          "kernel " + kernel.name + ": init for array " + arr.name + " has " +
-          std::to_string(init.size()) + " values, the array has " +
-          std::to_string(elems) + " elements");
-    }
-    const fp::FpFormat format = fp_format(arr.type);
-    fp::Flags fl;
-    for (std::size_t e = 0; e < elems; ++e) {
-      const std::uint64_t bits =
-          fp::rt_from_double(format, init[e], fp::RoundingMode::RNE, fl);
-      for (std::size_t b = 0; b < esize; ++b) {
-        bytes[e * esize + b] = static_cast<std::uint8_t>(bits >> (8 * b));
-      }
-    }
+    images[ai] = ai < array_init.size()
+                     ? encode_array(kernel, ai, array_init[ai])
+                     : encode_array(kernel, ai, {});
   }
   return images;
 }

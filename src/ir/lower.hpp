@@ -85,6 +85,13 @@ using ArrayImages = std::vector<std::vector<std::uint8_t>>;
 [[nodiscard]] ArrayImages encode_init(
     const Kernel& kernel, const std::vector<std::vector<double>>& array_init);
 
+/// One image of encode_init: array `ai` of `kernel` quantized from `init`,
+/// with the same rules. The image is a function of the array's element type
+/// and the init values alone, so a caller may encode it once for every
+/// array that shares both.
+[[nodiscard]] std::vector<std::uint8_t> encode_array(
+    const Kernel& kernel, std::size_t ai, const std::vector<double>& init);
+
 /// Lower `kernel` with the given mode over encoded array images. Every
 /// lowering of a kernel (each mode, VL point and opt level) shares its
 /// images, so a caller that lowers one kernel many times encodes it once.

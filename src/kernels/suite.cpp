@@ -152,15 +152,14 @@ SvmDataset select_test_subset(const SvmModel& model, const SvmDataset& pool,
 
 const SvmFixture& svm_fixture() {
   static const SvmFixture fixture = [] {
-    SvmFixture f;
     // 8 gestures, 64 EMG features. The candidate pool is noisy enough that
     // margins span from razor-thin to comfortable; the test subset keeps
     // float perfect while making narrow accumulators lose classifications.
     auto data = make_gesture_data(8, 64, 30, 400, 3.0, 2024);
-    f.train = std::move(data.train);
-    f.model = train_svm(f.train, 8);
-    f.test = select_test_subset(f.model, data.test, 8, 2, 4);
-    return f;
+    SvmModel model = train_svm(data.train, 8);
+    SvmDataset test = select_test_subset(model, data.test, 8, 2, 4);
+    return SvmFixture(std::move(data.train), std::move(model),
+                      std::move(test));
   }();
   return fixture;
 }
@@ -169,8 +168,7 @@ const std::vector<Benchmark>& benchmark_suite() {
   static const std::vector<Benchmark> suite = {
       {"svm",
        [](TypeConfig tc) {
-         const auto& f = svm_fixture();
-         return make_svm(tc, f.model, f.test);
+         return make_svm(tc, svm_fixture());
        }},
       {"gemm", [](TypeConfig tc) { return make_gemm(tc); }},
       {"atax", [](TypeConfig tc) { return make_atax(tc); }},

@@ -19,11 +19,6 @@ struct Benchmark {
 };
 
 /// Shared gesture dataset/model for the SVM entries (trained once).
-struct SvmFixture {
-  SvmDataset train;
-  SvmDataset test;
-  SvmModel model;
-};
 [[nodiscard]] const SvmFixture& svm_fixture();
 
 /// Table III order (SVM, GEMM, ATAX, SYRK, SYR2K, FDTD2D), then the NN

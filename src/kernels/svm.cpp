@@ -136,8 +136,9 @@ SvmModel train_svm(const SvmDataset& train, int classes, double ridge_lambda) {
   return model;
 }
 
-KernelSpec make_svm(TypeConfig tc, const SvmModel& model,
-                    const SvmDataset& test) {
+KernelSpec make_svm(TypeConfig tc, const SvmFixture& fixture) {
+  const SvmModel& model = fixture.model;
+  const SvmDataset& test = fixture.test;
   assert(model.features == test.features);
   KernelSpec spec;
   Kernel& k = spec.kernel;
@@ -174,10 +175,11 @@ KernelSpec make_svm(TypeConfig tc, const SvmModel& model,
   spec.init[static_cast<std::size_t>(B)] = model.bias;
   spec.output_arrays = {"scores"};
 
-  const auto rows = svm_scores_golden(model, test);
   std::vector<double> flat;
   flat.reserve(static_cast<std::size_t>(S * C));
-  for (const auto& r : rows) flat.insert(flat.end(), r.begin(), r.end());
+  for (const auto& r : fixture.golden) {
+    flat.insert(flat.end(), r.begin(), r.end());
+  }
   spec.golden.push_back(std::move(flat));
   return spec;
 }

@@ -8,6 +8,7 @@
 // narrower accumulators losing classifications).
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "kernels/polybench.hpp"
@@ -46,15 +47,31 @@ struct GestureData {
 [[nodiscard]] SvmModel train_svm(const SvmDataset& train, int classes,
                                  double ridge_lambda = 1e-3);
 
-/// Inference kernel: scores[s][c] = bias[c] + sum_f x[s][f] * w[c][f].
-/// Arrays x/w use tc.data; bias/scores/accumulator use tc.acc (the paper's
-/// tuned assignment is data = float16, acc = float).
-[[nodiscard]] KernelSpec make_svm(TypeConfig tc, const SvmModel& model,
-                                  const SvmDataset& test);
-
 /// Golden double-precision scores, one row per sample.
 [[nodiscard]] std::vector<std::vector<double>> svm_scores_golden(
     const SvmModel& model, const SvmDataset& test);
+
+/// A trained model with its test set and the test set's reference scores.
+/// The scores do not depend on the TypeConfig, so they are computed once,
+/// with the fixture, for all of its kernel builds.
+struct SvmFixture {
+  SvmDataset train;
+  SvmDataset test;
+  SvmModel model;
+  std::vector<std::vector<double>> golden;  ///< svm_scores_golden(model, test)
+
+  SvmFixture(SvmDataset train_set, SvmModel trained, SvmDataset test_set)
+      : train(std::move(train_set)),
+        test(std::move(test_set)),
+        model(std::move(trained)),
+        golden(svm_scores_golden(model, test)) {}
+};
+
+/// Inference kernel over the fixture's test set:
+/// scores[s][c] = bias[c] + sum_f x[s][f] * w[c][f]. Arrays x/w use
+/// tc.data; bias/scores/accumulator use tc.acc (the paper's tuned
+/// assignment is data = float16, acc = float).
+[[nodiscard]] KernelSpec make_svm(TypeConfig tc, const SvmFixture& fixture);
 
 /// Reshape a flat scores output array into per-sample rows.
 [[nodiscard]] std::vector<std::vector<double>> reshape_scores(

@@ -1,6 +1,7 @@
 // Content-addressed cell store: per-axis key sensitivity (any field of what
 // a result is a function of must change the address), cross-process address
-// stability (a pinned constant), memory and disk round trips, the
+// stability (a pinned constant), planned programs and digests against each
+// cell's own lowering, memory and disk round trips, the
 // never-serve-questionable-entries contract (truncation, corruption, key
 // mismatch, schema drift), the end-to-end cache-correctness contract — a
 // warm campaign rerun serializes byte-identically with a 100% hit rate,
@@ -186,18 +187,50 @@ TEST(CellKey, KernelTextFeedsTheDigest) {
 TEST(CellKey, PlannedDigestIsTheLoweredDigest) {
   // The planner hashes each kernel's shared part once and resumes from it
   // per cell; a caller that digests a lowering on its own (e2ebench's
-  // replay looks cells up this way) must get the same address.
+  // replay looks cells up this way) must get the same address. It also
+  // encodes each distinct array image once per call and shares it by
+  // content across kernels, benchmarks and TypeConfigs: an image shared
+  // onto the wrong array or type must fail here, not only where it moves a
+  // simulated number, so every planned program must be the one the cell's
+  // kernel lowers to on its own. The svm spec has the 22 comparable
+  // {data, acc} pairs of the tuner study, so 22 kernels share 6 x/w images.
+  constexpr ir::ScalarType kDomain[] = {
+      ir::ScalarType::F8,  ir::ScalarType::P8,  ir::ScalarType::F16Alt,
+      ir::ScalarType::F16, ir::ScalarType::P16, ir::ScalarType::F32};
+  CampaignSpec svm_pairs = CampaignSpec::table3();
+  svm_pairs.name = "svm-pairs";
+  svm_pairs.benchmarks = {"svm"};
+  svm_pairs.type_configs.clear();
+  for (const ir::ScalarType acc : kDomain) {
+    for (const ir::ScalarType data : kDomain) {
+      if (!ir::comparable(data, acc)) continue;
+      svm_pairs.type_configs.push_back(
+          {std::string(ir::type_name(data)) + "/" +
+               std::string(ir::type_name(acc)),
+           {data, acc}});
+    }
+  }
+  ASSERT_EQ(svm_pairs.type_configs.size(), 22u);
   CampaignSpec swept = CampaignSpec::smoke();
   swept.vls = {0, 2, 4};
   swept.opt = ir::OptConfig::O2();
   for (const CampaignSpec& spec :
-       {CampaignSpec::smoke(), CampaignSpec::nn(SuiteScale::Smoke), swept}) {
+       {CampaignSpec::table3(), svm_pairs, CampaignSpec::smoke(),
+        CampaignSpec::nn(SuiteScale::Smoke), swept}) {
     for (const PlannedCell& p : plan_campaign(spec)) {
+      const std::string where =
+          spec.name + " " + p.cell.benchmark->bench.name + "/" +
+          p.cell.type_config.name + "/" +
+          std::string(ir::mode_name(p.cell.mode)) + "/" +
+          std::to_string(p.cell.vl);
       EXPECT_EQ(p.key.kernel_digest,
                 kernels::lowered_digest(*p.spec, *p.lowered))
-          << spec.name << " " << p.cell.benchmark->bench.name << "/"
-          << p.cell.type_config.name << "/" << ir::mode_name(p.cell.mode)
-          << "/" << p.cell.vl;
+          << where;
+      const ir::LoweredKernel alone =
+          ir::lower(p.spec->kernel, p.cell.mode, p.spec->init, p.opt);
+      EXPECT_EQ(p.lowered->program.text_words, alone.program.text_words)
+          << where;
+      EXPECT_EQ(p.lowered->program.data, alone.program.data) << where;
     }
   }
 }

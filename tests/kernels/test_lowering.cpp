@@ -154,7 +154,7 @@ TEST(LoweringVector, F8FasterThanF16Manual) {
 TEST(LoweringMixed, ManualUsesXfauxAutoUsesConversions) {
   // The Fig. 4/5 signature: mixed precision (f32 accumulator over f16 data).
   const auto& f = svm_fixture();
-  const auto spec = make_svm({ScalarType::F16, ScalarType::F32}, f.model, f.test);
+  const auto spec = make_svm({ScalarType::F16, ScalarType::F32}, f);
   const auto man = run_kernel(spec, CodegenMode::ManualVec);
   EXPECT_GT(man.stats.count(isa::Op::VFDOTPEX_S_H), 0u);
   EXPECT_EQ(man.stats.count(isa::Op::FCVT_S_H), 0u)
@@ -170,7 +170,7 @@ TEST(LoweringMixed, ManualMatchesScalarBitForBit) {
   // fmacex (scalar) and vfdotpex (vector) accumulate in the same order with
   // the same single-rounding steps, so mixed manual == mixed scalar exactly.
   const auto& f = svm_fixture();
-  const auto spec = make_svm({ScalarType::F16, ScalarType::F32}, f.model, f.test);
+  const auto spec = make_svm({ScalarType::F16, ScalarType::F32}, f);
   const auto scal = run_kernel(spec, CodegenMode::Scalar);
   const auto man = run_kernel(spec, CodegenMode::ManualVec);
   EXPECT_EQ(scal.outputs.at("scores"), man.outputs.at("scores"));
@@ -193,7 +193,7 @@ TEST(LoweringExs, WideningConfigsUseTheExSdotpUnit) {
       {ScalarType::P8, ScalarType::P16, isa::Op::VFEXSDOTP_P16_P8},
   };
   for (const auto& p : pairs) {
-    const auto spec = make_svm({p.data, p.acc}, f.model, f.test);
+    const auto spec = make_svm({p.data, p.acc}, f);
     const auto exs = run_kernel(spec, CodegenMode::ManualVecExs);
     EXPECT_GT(exs.stats.count(p.op), 0u)
         << ir::type_name(p.data) << "/" << ir::type_name(p.acc);
@@ -236,7 +236,7 @@ TEST(LoweringExs, ExpandingF32AccumulatorStillUsesDotpex) {
   // ExSdotp generator has no opcode for the two-step widening and must keep
   // the ManualVec expanding dot product.
   const auto& f = svm_fixture();
-  const auto spec = make_svm({ScalarType::F8, ScalarType::F32}, f.model, f.test);
+  const auto spec = make_svm({ScalarType::F8, ScalarType::F32}, f);
   const auto exs = run_kernel(spec, CodegenMode::ManualVecExs);
   EXPECT_GT(exs.stats.count(isa::Op::VFDOTPEX_S_B), 0u);
   EXPECT_EQ(exs.stats.count(isa::Op::VFEXSDOTP_H_B), 0u);

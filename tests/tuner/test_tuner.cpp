@@ -80,7 +80,7 @@ class SvmCaseStudy : public ::testing::Test {
     const auto it = cache.find(key);
     if (it != cache.end()) return it->second;
     const auto& f = kernels::svm_fixture();
-    const auto spec = kernels::make_svm({t[0], t[1]}, f.model, f.test);
+    const auto spec = kernels::make_svm({t[0], t[1]}, f);
     const auto r = kernels::run_kernel(spec, ir::CodegenMode::ManualVec);
     const auto rows = kernels::reshape_scores(r.outputs.at("scores"),
                                               f.test.samples, f.model.classes);
