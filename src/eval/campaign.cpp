@@ -625,8 +625,6 @@ EvalReport run_campaign(const CampaignSpec& spec, int jobs, CellStore* store,
   }
   results.resize(total);
   report.cells = std::move(results);
-  // Telemetry is always populated in memory; `has_cache` (serialization)
-  // stays opt-in so default reports keep their byte-determinism.
   report.cache = tally;
   return report;
 }

@@ -10,9 +10,10 @@
 //                shared by every kernel that has it; every cell lowers
 //                against those. The planner is per call: nothing it builds
 //                outlives the run.
-//  * store     — run_campaign consults an optional CellStore before
-//                simulating; hits are served in O(1) and only misses reach
-//                the executor (eval/cellstore.hpp).
+//  * store     — run_campaign consults an optional CellStore, a cache
+//                directory, before simulating; hits are read from their
+//                entries and only misses reach the executor
+//                (eval/cellstore.hpp).
 //  * executor  — cache-miss cells run on worker threads that share one
 //                atomic next-index cursor (eval/executor.hpp), streaming
 //                each completed matrix cell through an optional callback.
@@ -168,13 +169,12 @@ using CellCallback = std::function<void(
 /// matrix plus, when `spec.runs_tuner()`, every tuner grid point, in one
 /// executor pass. With a `store`, cells present in it are served instead of
 /// simulated and computed cells are inserted; `report.cache.{hits,misses}`
-/// record one lookup per matrix cell and per grid point (serialization of
-/// that block stays opt-in via `report.has_cache`). Without a store both
-/// stay 0. Misses that lower to the same program — a grid point and the
-/// matrix cell that covers it among them — are simulated once; every one of
-/// them is still computed (`cached` false), inserted under its own key and
-/// streamed once, and `report.cache.simulated` counts the simulations.
-/// `on_cell` streams partial results.
+/// record one lookup per matrix cell and per grid point (never serialized).
+/// Without a store both stay 0. Misses that lower to the same program — a
+/// grid point and the matrix cell that covers it among them — are simulated
+/// once; every one of them is still computed (`cached` false), inserted
+/// under its own key and streamed once, and `report.cache.simulated` counts
+/// the simulations. `on_cell` streams partial results.
 [[nodiscard]] EvalReport run_campaign(const CampaignSpec& spec, int jobs = 1,
                                       CellStore* store = nullptr,
                                       const CellCallback& on_cell = nullptr);

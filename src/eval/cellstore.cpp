@@ -102,7 +102,9 @@ std::string CellKey::address_of(std::string_view canonical) {
 }
 
 CellStore::CellStore(const std::string& cache_dir) : dir_(cache_dir) {
-  if (dir_.empty()) return;
+  if (dir_.empty()) {
+    throw std::runtime_error("cellstore: empty cache dir");
+  }
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec || !fs::is_directory(dir_)) {
@@ -138,18 +140,10 @@ std::optional<CellResult> CellStore::lookup(const CellKey& key) {
   const std::string canonical = key.canonical();
   const std::string address = CellKey::address_of(canonical);
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = cells_.find(address);
-  if (it != cells_.end()) {
+  if (auto cell = load_from_disk(key, canonical, address)) {
     ++stats_.hits;
-    return it->second;
-  }
-  if (!dir_.empty()) {
-    if (auto cell = load_from_disk(key, canonical, address)) {
-      ++stats_.hits;
-      ++stats_.disk_hits;
-      cells_.emplace(address, *cell);
-      return cell;
-    }
+    ++stats_.disk_hits;
+    return cell;
   }
   ++stats_.misses;
   return std::nullopt;
@@ -161,35 +155,32 @@ void CellStore::insert(const CellKey& key, const CellResult& cell) {
   std::string disk_error;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    cells_[address] = cell;
-    if (!dir_.empty()) {
-      const Json entry(JsonObject{{"schema", Json(key.schema)},
-                                  {"key", Json(canonical)},
-                                  {"cell", cell_to_json(cell)}});
-      // Atomic-rename publication: a reader sees either no entry or a
-      // complete one, never a torn write — even with concurrent writers
-      // racing on the same address (they write identical bytes anyway).
-      static std::atomic<std::uint64_t> seq{0};
-      const std::string tmp = entry_path(address) + ".tmp." +
-                              std::to_string(::getpid()) + "." +
-                              std::to_string(seq.fetch_add(1));
-      std::ofstream out(tmp, std::ios::binary);
-      out << entry.dump(2) << '\n';
-      out.close();
-      std::error_code ec;
-      if (!out) {
-        disk_error = "write failed";
-      } else {
-        fs::rename(tmp, entry_path(address), ec);
-        if (ec) disk_error = ec.message();
-      }
-      if (!disk_error.empty()) fs::remove(tmp, ec);
+    const Json entry(JsonObject{{"schema", Json(key.schema)},
+                                {"key", Json(canonical)},
+                                {"cell", cell_to_json(cell)}});
+    // Atomic-rename publication: a reader sees either no entry or a
+    // complete one, never a torn write — even with concurrent writers
+    // racing on the same address (they write identical bytes anyway).
+    static std::atomic<std::uint64_t> seq{0};
+    const std::string tmp = entry_path(address) + ".tmp." +
+                            std::to_string(::getpid()) + "." +
+                            std::to_string(seq.fetch_add(1));
+    std::ofstream out(tmp, std::ios::binary);
+    out << entry.dump(2) << '\n';
+    out.close();
+    std::error_code ec;
+    if (!out) {
+      disk_error = "write failed";
+    } else {
+      fs::rename(tmp, entry_path(address), ec);
+      if (ec) disk_error = ec.message();
     }
+    if (!disk_error.empty()) fs::remove(tmp, ec);
   }
   if (!disk_error.empty()) {
-    // Persistence is best-effort (the in-memory entry is already live);
-    // losing it only costs a future recomputation, so warn instead of
-    // failing the campaign.
+    // Persistence is best-effort (the campaign already holds the computed
+    // cell); losing it only costs a future recomputation, so warn instead
+    // of failing the campaign.
     std::fprintf(stderr, "warning: cellstore: could not persist %s: %s\n",
                  address.c_str(), disk_error.c_str());
   }

@@ -1,5 +1,5 @@
-// Content-addressed cell store: the campaign runner's memoization layer, and
-// (under a cache directory) the one way runs and processes share cells.
+// Content-addressed cell store: the directory through which campaign runs,
+// in one process or several, share cells (sfrv-eval --cache-dir).
 //
 // A campaign cell is addressed by everything its result is a function of:
 // the lowered-kernel content digest (kernels::lowered_digest: the data
@@ -7,18 +7,19 @@
 // planner hashes once per (benchmark, TypeConfig) kernel, then the cell's
 // own text image), the type configuration, the code generator, the
 // execution engine, the math backend, the optimizer configuration, the VL
-// point, the memory timing, and the report schema version. Display names (benchmark / type-config labels) are deliberately
-// *not* part of the address — they are presentation, patched from the
-// requesting spec on every hit — so the tuner's 36-pair grid and the
-// campaign matrix share cells whenever their content coincides.
+// point, the memory timing, and the report schema version. Display names
+// (benchmark / type-config labels) are deliberately *not* part of the
+// address: they are presentation, patched from the requesting spec on
+// every hit, so the tuner's 36-pair grid and the campaign matrix share
+// cells whenever their content coincides.
 //
 // Correctness contract: the byte-identical-report determinism the CI has
 // enforced since PR 2 becomes the cache contract — a cell served from the
 // store must serialize bit-for-bit like a recomputed one. The store never
-// guesses: a disk entry that is missing, truncated, unparsable, from
-// another schema version, or whose recorded key text does not match the
-// requested address is a miss, and the cell is recomputed (and the entry
-// rewritten) instead of served.
+// guesses: an entry that is missing, truncated, unparsable, from another
+// schema version, or whose recorded key text does not match the requested
+// address is a miss, and the cell is recomputed (and the entry rewritten)
+// instead of served.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +27,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 #include "eval/report.hpp"
 #include "ir/opt.hpp"
@@ -64,7 +64,7 @@ struct CellKey {
 
   /// 32-hex-character content address (two independently seeded FNV-1a
   /// passes over `canonical()`). Stable across processes and machines; used
-  /// as the in-memory map key and the on-disk file stem.
+  /// as the entry's file stem.
   [[nodiscard]] std::string address() const;
 
   /// The address of a canonical text: address() is
@@ -73,34 +73,29 @@ struct CellKey {
   [[nodiscard]] static std::string address_of(std::string_view canonical);
 };
 
-/// Thread-safe memoization map from CellKey address to CellResult, with
-/// optional on-disk persistence (one JSON blob per key under `cache_dir`,
+/// Thread-safe on-disk cell store: one JSON entry per key under `cache_dir`,
 /// written via atomic rename so concurrent writers and crashes can never
-/// leave a half-written entry visible).
+/// leave a half-written entry visible.
 class CellStore {
  public:
-  /// Memory-only store.
-  CellStore() = default;
-  /// Persistent store under `cache_dir` (created if absent; empty string
-  /// means memory-only). Throws std::runtime_error when the directory
-  /// cannot be created.
+  /// Store under `cache_dir`, created if absent. Throws std::runtime_error
+  /// when `cache_dir` is empty or cannot be created.
   explicit CellStore(const std::string& cache_dir);
 
-  /// O(1) in-memory lookup, falling back to disk when persistent. Disk hits
-  /// are promoted into memory. Returns nullopt on miss or on any invalid
-  /// disk entry (counted in Stats::rejected).
+  /// Read and validate the key's entry. Returns nullopt on miss or on any
+  /// invalid entry (counted in Stats::rejected).
   [[nodiscard]] std::optional<CellResult> lookup(const CellKey& key);
 
-  /// Insert (or overwrite) a computed cell; persists when disk-backed.
-  /// Overwrites are idempotent by the determinism contract: two computations
-  /// of the same address produce identical cells.
+  /// Write (or overwrite) a computed cell's entry. Overwrites are
+  /// idempotent by the determinism contract: two computations of the same
+  /// address produce identical cells.
   void insert(const CellKey& key, const CellResult& cell);
 
   struct Stats {
-    std::uint64_t hits = 0;       ///< lookups served (memory or disk)
+    std::uint64_t hits = 0;       ///< lookups served
     std::uint64_t misses = 0;     ///< lookups that found nothing usable
-    std::uint64_t disk_hits = 0;  ///< subset of hits that came from disk
-    std::uint64_t rejected = 0;   ///< corrupt/foreign disk entries skipped
+    std::uint64_t disk_hits = 0;  ///< equals `hits`: every hit reads disk
+    std::uint64_t rejected = 0;   ///< corrupt/foreign entries skipped
   };
   [[nodiscard]] Stats stats() const;
 
@@ -113,8 +108,7 @@ class CellStore {
       const std::string& address);
 
   mutable std::mutex mu_;
-  std::string dir_;  ///< empty = memory-only
-  std::unordered_map<std::string, CellResult> cells_;
+  std::string dir_;
   Stats stats_{};
 };
 

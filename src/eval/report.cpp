@@ -144,25 +144,6 @@ Json to_json(const EvalReport& report) {
       {"vls", ints_to_json(report.vls)},
       {"cells", Json(std::move(cells))},
   };
-  // Host-dependent, opt-in: keeping it out of default reports preserves the
-  // byte-determinism contract (see EvalReport::wall_ms).
-  if (report.wall_ms >= 0) {
-    obj.emplace_back("wall_ms", Json(report.wall_ms));
-  }
-  // Same opt-in: cache telemetry depends on run order (a warm rerun hits
-  // where the cold pass missed), so it must stay out of the byte-compared
-  // default reports.
-  if (report.has_cache) {
-    JsonObject cache{{"hits", Json(report.cache.hits)},
-                     {"misses", Json(report.cache.misses)}};
-    if (report.cache.cold_ms >= 0) {
-      cache.emplace_back("cold_ms", Json(report.cache.cold_ms));
-    }
-    if (report.cache.warm_ms >= 0) {
-      cache.emplace_back("warm_ms", Json(report.cache.warm_ms));
-    }
-    obj.emplace_back("cache", Json(std::move(cache)));
-  }
   if (report.has_tuner) {
     JsonArray explored;
     explored.reserve(report.tuner.explored.size());

@@ -29,9 +29,9 @@ namespace sfrv::eval {
 ///     instruction metrics legitimately depend on it; QoR metrics (sqnr_db,
 ///     accuracy) must not (outputs are bit-identical across levels).
 /// v5: adds "jit" to the recorded engines and an *optional* `wall_ms` field
-///     (campaign wall-clock milliseconds, host-dependent). `wall_ms` is
-///     serialized only when explicitly measured (`--wall-clock`), so default
-///     reports stay byte-deterministic across runs and thread counts.
+///     (campaign wall-clock milliseconds, host-dependent), written only on
+///     request. No report carries it any more: the run's wall time is
+///     printed on sfrv-eval's stdout instead.
 /// v6: posit and ExSdotp axes. Scalar types gain "posit8"/"posit16" (the
 ///     default campaign appends both uniform TypeConfigs after "mixed"),
 ///     modes gain "manual-vec-exsdotp" (ManualVec with packed one-step-wider
@@ -49,14 +49,13 @@ namespace sfrv::eval {
 ///     *different* VL points cycles and outputs legitimately differ (the
 ///     element-to-lane mapping changes with the granted VL).
 /// v8: content-addressed cell store. Adds an *optional* `cache` telemetry
-///     block ({hits, misses, cold_ms, warm_ms}) recording cell-store reuse
-///     and warm-vs-cold campaign wall time. Like `wall_ms` it is serialized
-///     only when wall-clock measurement was requested, so default reports
-///     stay byte-deterministic — and byte-identity across cold and warm runs
-///     of the same spec, in one process or several sharing a `--cache-dir`,
-///     is exactly the cache-correctness contract (CI-enforced). The schema
-///     version is part of every cell-store key, so a schema bump invalidates
-///     all cached cells.
+///     block ({hits, misses, cold_ms, warm_ms}), written only on request.
+///     No report carries it any more: sfrv-eval prints the hits and misses
+///     on stdout. Byte-identity across cold and warm runs of the same spec,
+///     in one process or several sharing a `--cache-dir`, is exactly the
+///     cache-correctness contract (CI-enforced). The schema version is part
+///     of every cell-store key, so a schema bump invalidates all cached
+///     cells.
 inline constexpr std::string_view kReportSchema = "sfrv-eval-report/v8";
 
 /// One matrix cell: a benchmark executed at a type configuration under one
@@ -104,24 +103,19 @@ struct TunerStudy {
   std::vector<TunerTrial> explored;  ///< in evaluation order
 };
 
-/// Cell-store reuse telemetry for one campaign run. With a store,
-/// `hits`/`misses` count one request per matrix cell and per tuner grid
-/// point (the 22 lattice-ordered pairs); a grid point that a matrix cell
-/// serves is a hit with no lookup of its own. Without a store both stay 0.
-/// The wall times compare a cold (store-populating) pass against a warm
-/// (fully cached) rerun, both planning from scratch, when both were
-/// measured. Host-dependent and run-order-dependent, so the block is
-/// serialized only when wall-clock measurement was requested.
+/// Cell-store reuse telemetry for one campaign run, in memory only: it
+/// depends on run order (a warm rerun hits where the cold pass missed), so
+/// it is never serialized. With a store, `hits`/`misses` count one lookup
+/// per matrix cell and per tuner grid point (the 22 lattice-ordered pairs).
+/// Without a store both stay 0.
 struct CacheTelemetry {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   /// Simulations the run made: one per distinct (benchmark, program) among
   /// the misses (every cell is a miss without a store), so misses minus
   /// this is the cells that received a copy of an identical program's
-  /// result. In memory only: never serialized.
+  /// result.
   std::uint64_t simulated = 0;
-  double cold_ms = -1;  ///< cold-pass campaign wall time; -1 = not measured
-  double warm_ms = -1;  ///< warm-rerun campaign wall time; -1 = not measured
 };
 
 struct EvalReport {
@@ -141,15 +135,7 @@ struct EvalReport {
   std::string opt = "O0";
   int mem_load_latency = 1;
   int mem_store_latency = 1;
-  /// Run wall-clock milliseconds, fixture build included (sfrv-eval starts
-  /// the clock before expanding the matrix). Host-dependent, so it is only
-  /// serialized when >= 0 (sfrv-eval --wall-clock); the default -1 keeps
-  /// reports byte-identical across machines, runs, and thread counts.
-  double wall_ms = -1;
-  /// Cell-store telemetry. Populated in memory whenever a store was used;
-  /// serialized only when `has_cache` (same opt-in as `wall_ms`).
-  bool has_cache = false;
-  CacheTelemetry cache{};
+  CacheTelemetry cache{};  ///< never serialized
   std::vector<std::string> benchmarks;    ///< suite order
   std::vector<std::string> type_configs;  ///< campaign order
   std::vector<std::string> modes;         ///< campaign order

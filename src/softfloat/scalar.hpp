@@ -1,8 +1,10 @@
 // Host-side emulation value types: the analogue of the paper's new C type
 // keywords (float8 / float16 / float16alt). Arithmetic routes through the
 // bit-accurate library using a thread-local FP environment, so host code
-// (golden references, the precision tuner) computes exactly what the
-// simulated instruction stream computes.
+// computes exactly what the simulated instruction stream computes. Only the
+// tests use them (tests/softfloat/test_scalar_emulation.cpp): golden
+// references are computed in double and the precision tuner reads
+// simulated cells.
 #pragma once
 
 #include "softfloat/arith.hpp"

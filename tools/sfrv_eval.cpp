@@ -40,8 +40,7 @@ int usage(const char* argv0) {
       "          [--benchmarks a,b,...] [--vls a,b,...] [--mem l1|l2|l3]\n"
       "          [--engine %s]\n"
       "          [--backend grs|fast] [--opt O0|O1|O2]\n"
-      "          [--verify] [--wall-clock] [--no-tuner]\n"
-      "          [--cache-dir DIR] [--cache-bench]\n"
+      "          [--verify] [--no-tuner] [--cache-dir DIR]\n"
       "          [--list benchmarks|suites|engines|backends|opts]\n"
       "\n"
       "  --suite       campaign to run (default: table3). nn is the NN\n"
@@ -67,18 +66,11 @@ int usage(const char* argv0) {
       "                SFRV_VERIFY=1): statically check every lowered kernel\n"
       "                and compiled trace, and abort with a pass-attributed\n"
       "                diagnostic on the first violation\n"
-      "  --wall-clock  record the run's wall time, fixture build included, as\n"
-      "                `wall_ms` in the JSON report (host-dependent; off by\n"
-      "                default so reports stay byte-deterministic)\n"
       "  --no-tuner    skip the Fig. 6 precision-tuning case study\n"
-      "  --cache-dir   persist the cell store under DIR (one JSON entry per\n"
-      "                content address, atomic-rename writes); later runs and\n"
+      "  --cache-dir   keep a cell store under DIR (one JSON entry per content\n"
+      "                address, atomic-rename writes); later runs and\n"
       "                concurrent processes on the same DIR reuse any cell\n"
-      "                whose address matches\n"
-      "  --cache-bench run the campaign twice in-process (cold, then warm from\n"
-      "                the store), verify the reports are byte-identical, and\n"
-      "                record {hits, misses, cold_ms, warm_ms} in the JSON\n"
-      "                report (implies --wall-clock)\n"
+      "                whose address matches (default: no store)\n"
       "  --list        print the known names of a kind, one per line, and exit\n",
       argv0, sfrv::sim::engine_names().c_str());
   return 2;
@@ -187,8 +179,6 @@ int main(int argc, char** argv) {
   std::string cache_dir;
   std::string list_kind;
   int jobs = 1;
-  bool wall_clock = false;
-  bool cache_bench = false;
   bool tuner = true;
 
   for (int i = 1; i < argc; ++i) {
@@ -239,18 +229,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache-dir") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
+      if (*v == '\0') {
+        std::fprintf(stderr, "--cache-dir: empty directory name\n");
+        return 2;
+      }
       cache_dir = v;
-    } else if (arg == "--cache-bench") {
-      cache_bench = true;
-      wall_clock = true;
     } else if (arg == "--list") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
       list_kind = v;
     } else if (arg == "--verify") {
       sfrv::verify::set_enabled(true);
-    } else if (arg == "--wall-clock") {
-      wall_clock = true;
     } else if (arg == "--no-tuner") {
       tuner = false;
     } else if (arg == "-h" || arg == "--help") {
@@ -343,7 +332,7 @@ int main(int argc, char** argv) {
 
   try {
     // The clock starts before expand_matrix: expanding a full-size suite
-    // trains the SVM fixture, which wall_ms and cold_ms must include.
+    // trains the SVM fixture, which the printed wall time includes.
     const auto t0 = std::chrono::steady_clock::now();
     const std::size_t n_cells = eval::expand_matrix(spec).size();
     std::printf("sfrv-eval: suite %s, engine %s, backend %s, opt %s, "
@@ -354,40 +343,16 @@ int main(int argc, char** argv) {
                 std::string(ir::opt_name(spec.opt)).c_str(), n_cells,
                 jobs, spec.runs_tuner() ? ", tuner study" : "");
     std::unique_ptr<eval::CellStore> store;
-    if (!cache_dir.empty() || cache_bench) {
+    if (!cache_dir.empty()) {
       store = std::make_unique<eval::CellStore>(cache_dir);
     }
-    eval::EvalReport report = eval::run_campaign(spec, jobs, store.get());
-    const auto t1 = std::chrono::steady_clock::now();
-    const double cold_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (cache_bench) {
-      const eval::EvalReport warm = eval::run_campaign(spec, jobs, store.get());
-      const double warm_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - t1)
-                                 .count();
-      // The cache-correctness contract, checked in-process: a fully cached
-      // rerun must serialize bit-for-bit like the cold pass (telemetry is
-      // not attached yet, so the dumps are directly comparable).
-      if (eval::to_json(report).dump(2) != eval::to_json(warm).dump(2) ||
-          eval::render_markdown(report) != eval::render_markdown(warm)) {
-        std::fprintf(stderr,
-                     "sfrv-eval: cache determinism violation: warm report "
-                     "differs from cold\n");
-        return 1;
-      }
-      report.has_cache = true;
-      report.cache = warm.cache;  // warm pass: every lookup hits
-      report.cache.cold_ms = cold_ms;
-      report.cache.warm_ms = warm_ms;
-      std::printf("cache bench: cold %.1f ms, warm %.1f ms (%.1fx)\n", cold_ms,
-                  warm_ms, warm_ms > 0 ? cold_ms / warm_ms : 0.0);
-      print_cache_line(report.cache.hits, report.cache.misses);
-    } else if (store != nullptr) {
-      if (wall_clock) report.has_cache = true;
+    const eval::EvalReport report = eval::run_campaign(spec, jobs, store.get());
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    if (store != nullptr) {
       print_cache_line(report.cache.hits, report.cache.misses);
     }
-    if (wall_clock) report.wall_ms = cold_ms;
 
     if (!write_file(json_path, eval::to_json(report).dump(2) + "\n") ||
         !write_file(md_path, eval::render_markdown(report))) {
@@ -395,10 +360,10 @@ int main(int argc, char** argv) {
                    md_path.c_str());
       return 1;
     }
-    std::printf("wrote %s (%zu cells, %llu simulated) and %s\n",
+    std::printf("wrote %s (%zu cells, %llu simulated) and %s, wall %.1f ms\n",
                 json_path.c_str(), report.cells.size(),
                 static_cast<unsigned long long>(report.cache.simulated),
-                md_path.c_str());
+                md_path.c_str(), wall_ms);
     if (report.has_tuner && report.tuner.found) {
       std::printf("tuned assignment: data=%s acc=%s (accuracy %.1f%%)\n",
                   std::string(ir::type_name(report.tuner.best.data)).c_str(),
