@@ -19,7 +19,8 @@
 // qualified name (past the return type that the demangler puts first for a
 // function template), so the shares are inclusive: a nested row is part of
 // its parent row, and rows at one level need not sum to 100%. The softfloat
-// and executor rows count the innermost frame only. A second table ranks the
+// and executor rows count the innermost frame only; the softfloat row's two
+// sub-rows split it into posit and IEEE entries. A second table ranks the
 // functions that are a sample's innermost frame in this executable; where
 // the sample stopped in libc, that is libc's caller. Run from an optimized
 // build without assertions for figures that describe the optimized program;
@@ -231,15 +232,20 @@ const Symbol* find_symbol(const std::vector<Symbol>& syms, std::uintptr_t a) {
 
 // ---- layers -----------------------------------------------------------------
 
+/// Which frames of a sample a row matches: any frame, or only the innermost
+/// frame of a sample under run_lowered -- any such frame, or only those
+/// whose name does (posit) or does not (IEEE) mention a posit format or
+/// function, which splits the softfloat row by the formats it computes on.
+enum class Frames : std::uint8_t { Any, Leaf, PositLeaf, IeeeLeaf };
+
 /// A row of the table: the functions (demangled-name prefixes) whose frames
-/// put a sample in it. With `leaf_only`, only the innermost frame of a
-/// sample under run_lowered counts. The quantization row has no entries:
-/// it is matched from kEncode, kConvert and kLower below.
+/// put a sample in it. The quantization row has no entries: it is matched
+/// from kEncode, kConvert and kLower below.
 struct Layer {
   const char* label;
   int indent;
   std::vector<std::string_view> entries;
-  bool leaf_only = false;
+  Frames frames = Frames::Any;
 };
 
 /// Quantizing an array's inputs: the encode step (ir::encode_init and
@@ -261,8 +267,11 @@ const std::vector<Layer>& layers() {
       {"store lookup", 0, {"sfrv::eval::CellStore::lookup"}},
       {"entry read and parse", 1, {"sfrv::eval::CellStore::load_from_disk"}},
       {"simulation (run_lowered)", 0, {"sfrv::kernels::run_lowered"}},
-      {"softfloat (innermost frame)", 1, {"sfrv::fp::"}, true},
-      {"jit executor (innermost frame)", 1, {"sfrv::sim::jit::"}, true},
+      {"softfloat (innermost frame)", 1, {"sfrv::fp::"}, Frames::Leaf},
+      {"posit entries", 2, {"sfrv::fp::"}, Frames::PositLeaf},
+      {"IEEE entries", 2, {"sfrv::fp::"}, Frames::IeeeLeaf},
+      {"jit executor (innermost frame)", 1, {"sfrv::sim::jit::"},
+       Frames::Leaf},
       {"report writing", 0,
        {"sfrv::eval::to_json", "sfrv::eval::render_markdown",
         "sfrv::eval::Json::dump"}},
@@ -277,6 +286,13 @@ bool starts_with_any(const Symbol& sym,
       std::string_view(sym.name).substr(sym.qualified);
   return std::any_of(prefixes.begin(), prefixes.end(),
                      [&](std::string_view p) { return name.starts_with(p); });
+}
+
+/// Whether the symbol's name mentions a posit format or function
+/// (`Posit8`, `posit_fma`, ...).
+bool names_posit(const Symbol& sym) {
+  return sym.name.find("Posit") != std::string::npos ||
+         sym.name.find("posit") != std::string::npos;
 }
 
 /// The name without its parameter list, cut to `width` characters.
@@ -336,9 +352,12 @@ void report(const std::vector<Symbol>& syms, std::size_t n,
       bool hit = false;
       if (rows[r].entries.empty()) {  // quantization
         hit = in({kEncode}) || (in({kConvert}) && in({kLower}));
-      } else if (rows[r].leaf_only) {
+      } else if (rows[r].frames != Frames::Any) {
         hit = leaf != nullptr && starts_with_any(*leaf, rows[r].entries) &&
               in({"sfrv::kernels::run_lowered"});
+        if (hit && rows[r].frames != Frames::Leaf) {
+          hit = names_posit(*leaf) == (rows[r].frames == Frames::PositLeaf);
+        }
       } else {
         hit = in(rows[r].entries);
       }

@@ -1,7 +1,7 @@
 // The straight-line op bodies: outside the reference interpreter, the one
 // definition of each straight-line executor token (decode.hpp's TOp) --
 // Nop and LoadImm, the 27 integer-ALU ops, the 14 scalar loads/stores,
-// setvl, and the five common FP shapes. decode.cpp expands every body into
+// setvl, and the seven common FP shapes. decode.cpp expands every body into
 // the token's cold-tier handler (the body plus `pc += 4`), and jit.cpp
 // expands it into the token's label in the threaded trace executor, so both
 // tiers run the same code.
@@ -160,6 +160,24 @@ namespace sfrv::sim::bodies {
     const std::uint64_t a = c.read_fp(u.rs1, u.width);                       \
     const std::uint64_t b = c.read_fp(u.rs2, u.width);                       \
     c.write_fp(u.rd, u.width, u.fp1.bin(a, b, rm, fl));                      \
+    c.fflags |= fl.bits;                                                     \
+  } while (0))                                                               \
+  /* Scalar fused multiply-add rs1 * rs2 + rs3 (fmadd). */                   \
+  S(FpFma, do {                                                              \
+    fp::Flags fl;                                                            \
+    const fp::RoundingMode rm = c.resolve_rm(u.rm);                          \
+    const std::uint64_t a = c.read_fp(u.rs1, u.width);                       \
+    const std::uint64_t b = c.read_fp(u.rs2, u.width);                       \
+    const std::uint64_t d = c.read_fp(u.rs3, u.width);                       \
+    c.write_fp(u.rd, u.width, u.fp1.tern(a, b, d, rm, fl));                  \
+    c.fflags |= fl.bits;                                                     \
+  } while (0))                                                               \
+  /* Scalar FP <-> FP conversion: width is the destination width, width2 */  \
+  /* the source width. */                                                    \
+  S(FpCvt, do {                                                              \
+    fp::Flags fl;                                                            \
+    const std::uint64_t a = c.read_fp(u.rs1, u.width2);                      \
+    c.write_fp(u.rd, u.width, u.fp1.cvt(a, c.resolve_rm(u.rm), fl));         \
     c.fflags |= fl.bits;                                                     \
   } while (0))                                                               \
   /* Packed lanewise binary op (.R variants broadcast lane 0 of rs2). */     \

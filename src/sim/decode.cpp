@@ -142,8 +142,9 @@ void h_fp_sqrt(ExecContext& c, const DecodedOp& u) {
   c.pc += 4;
 }
 
-// Fused multiply-add family: fp1 = fma, fp2 = sgnjn (for operand negation,
-// matching the reference interpreter's rt_sgnjn-based formulation).
+// fmsub, fnmsub and fnmadd (fmadd is the FpFma token's body): fp1 = fma,
+// fp2 = sgnjn (for operand negation, matching the reference interpreter's
+// rt_sgnjn-based formulation).
 template <bool NegA, bool NegC>
 void h_fp_fma(ExecContext& c, const DecodedOp& u) {
   Flags fl;
@@ -218,16 +219,6 @@ void h_fmv_x(ExecContext& c, const DecodedOp& u) {
 
 void h_fmv_f(ExecContext& c, const DecodedOp& u) {
   c.write_fp(u.rd, u.width, c.x[u.rs1]);
-  c.pc += 4;
-}
-
-/// FP <-> FP conversion: fp1 = pre-bound (dst, src) converter; width is the
-/// destination width, width2 the source width.
-void h_fp_cvt(ExecContext& c, const DecodedOp& u) {
-  Flags fl;
-  c.write_fp(u.rd, u.width,
-             u.fp1.cvt(c.read_fp(u.rs1, u.width2), c.resolve_rm(u.rm), fl));
-  c.fflags |= fl.bits;
   c.pc += 4;
 }
 
@@ -442,7 +433,7 @@ void bind_handler(DecodedOp& u, std::uint32_t pc, const isa::IsaConfig& cfg,
   };
   // Binds an FP<->FP converter and the source/destination widths.
   auto cvt = [&u, backend](FpFormat to, FpFormat from) {
-    u.fn = &h_fp_cvt;
+    u.top = TOp::FpCvt;
     u.width = static_cast<std::uint8_t>(fp::format_width(to));
     u.width2 = static_cast<std::uint8_t>(fp::format_width(from));
     u.fp1.cvt = fp::rt_convert_fn(to, from, backend);
@@ -610,9 +601,8 @@ void bind_handler(DecodedOp& u, std::uint32_t pc, const isa::IsaConfig& cfg,
       break;
 
     SFRV_CASE4(FMADD)
-    u.fn = &h_fp_fma<false, false>;
+    u.top = TOp::FpFma;
     u.fp1.tern = so.fma;
-    u.fp2.bin = so.sgnjn;
     break;
     SFRV_CASE4(FMSUB)
     u.fn = &h_fp_fma<false, true>;

@@ -67,9 +67,10 @@ template <isa::Op B>
 //   Addi..Remu, Lb..Fsb, FpBin..VecExsdotp
 //             — straight-line ops with one body each (sim/bodies.hpp):
 //               the 27 integer-ALU ops, the 14 scalar loads/stores, and
-//               the five common FP shapes, which call the *bound*
-//               softfloat pointer (the same body serves either backend;
-//               packed bodies read the live vl).
+//               the seven common FP shapes (scalar two-operand op, fmadd,
+//               FP<->FP convert, and the four packed shapes), which call
+//               the *bound* softfloat pointer (the same body serves either
+//               backend; packed bodies read the live vl).
 //   Setvl     — setvl, straight-line with one body (sim/bodies.hpp):
 //               lanes = VLMAX for its element width, width2 = its cap.
 //   CallUop   — any other FP/vector op: runs its hand-written handler
@@ -92,7 +93,8 @@ template <isa::Op B>
   X(Mul) X(Mulh) X(Mulhsu) X(Mulhu) X(Div) X(Divu) X(Rem) X(Remu)         \
   X(Lb) X(Lh) X(Lw) X(Lbu) X(Lhu) X(Sb) X(Sh) X(Sw)                       \
   X(Flw) X(Flh) X(Flb) X(Fsw) X(Fsh) X(Fsb) X(VMem) X(Setvl)              \
-  X(CallUop) X(FpBin) X(VecBin) X(VecMac) X(VecDotp) X(VecExsdotp)        \
+  X(CallUop) X(FpBin) X(FpFma) X(FpCvt)                                   \
+  X(VecBin) X(VecMac) X(VecDotp) X(VecExsdotp)                            \
   X(Beq) X(Bne) X(Blt) X(Bge) X(Bltu) X(Bgeu)                             \
   X(Jal) X(Jalr) X(Halt) X(Exit)
 

@@ -89,11 +89,19 @@ TOp expected_top(Op op, std::uint8_t rd) {
     // setvl writes only vl and rd: straight-line, so it may sit anywhere in
     // a trace (packed bodies read the live vl).
     case Op::SETVL: return TOp::Setvl;
+    // fmadd has a body; fmsub, fnmsub and fnmadd negate an operand first
+    // and call their handler.
+    case Op::FMADD_S:
+    case Op::FMADD_AH:
+    case Op::FMADD_H:
+    case Op::FMADD_B:
+    case Op::FMADD_P8:
+    case Op::FMADD_P16: return TOp::FpFma;
     default: break;
   }
   // The other CSR ops read the live counters, which a trace books only as
-  // it exits: stop class. FP compute: the five inlined shapes by op class;
-  // any other op calls its handler.
+  // it exits: stop class. FP compute: the inlined shapes by op class; any
+  // other op calls its handler.
   const bool vec = isa::is_vector(op);
   switch (isa::op_class(op)) {
     case Cls::Csr: return TOp::Exit;
@@ -103,6 +111,7 @@ TOp expected_top(Op op, std::uint8_t rd) {
     case Cls::FpMinMax:
     case Cls::FpSgnj: return vec ? TOp::VecBin : TOp::FpBin;
     case Cls::FpFma: return vec ? TOp::VecMac : TOp::CallUop;
+    case Cls::FpCvt: return vec ? TOp::CallUop : TOp::FpCvt;
     case Cls::FpDotp: return TOp::VecDotp;
     case Cls::FpDotpEx: return TOp::VecExsdotp;
     default: return TOp::CallUop;

@@ -1,26 +1,28 @@
 // MathBackend::Fast: bit- and fflags-identical accelerated table entries.
 //
-// One technique: host binary64 arithmetic on an EXACT intermediate, narrowed
-// once through the library's own single-rounding converter. binary8, binary16,
+// One technique: host binary64 arithmetic on an EXACT intermediate, rounded
+// once into the format: inline when the mode is RNE and the result is a
+// normal number, through the library's own single-rounding converter in
+// every other case (see narrow() below). binary8, binary16,
 // binary16alt and binary32 are all subsets of binary64, so widening an operand
 // is exact, and (see docs/formats.md for the full argument):
 //   - add/sub/mul: for a format with precision p and exponent-field distance
 //     d, the sum needs p + d + 1 significant bits, guarded to <= 53; the
 //     product needs 2p <= 48.
-//   - fma (and the packed mac/dotp/exsdotp built on it): the product plus
-//     addend is exact whenever their combined bit span fits in 53 bits.
+//   - fma (and the packed mac/dotp/exsdotp built on it): the product is
+//     exact; the sum with the addend is exact or, rounded to odd with its
+//     TwoSum error, stands in for the exact value.
 // Narrowing an exact value with one rounding is by definition the
 // single-rounding result, and the flags come from that one rounding.
 // Specials (NaN/inf/zero operands, apart from the fma's finite zeros, which
-// are exact), FMA beyond its exactness guard, div/sqrt, f64 (the host width),
-// both posit formats, and every other entry keep the Grs entries.
+// are exact), div/sqrt, f64 (the host width), both posit formats, and every
+// other entry keep the Grs entries.
 // The host FP environment must be in its default round-to-nearest mode; the
 // simulator never changes it.
-#include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
-#include <memory>
 
 #include "softfloat/arith.hpp"
 #include "softfloat/convert.hpp"
@@ -32,7 +34,7 @@ namespace sfrv::fp {
 namespace {
 
 template <class F>
-Float<F> as(std::uint64_t bits) {
+constexpr Float<F> as(std::uint64_t bits) {
   return Float<F>::from_bits(bits);
 }
 
@@ -59,26 +61,50 @@ struct FmtTag<Binary32> {
   static constexpr FpFormat value = FpFormat::F32;
 };
 
-/// Exact widening to host double of a *any* bit pattern of F.
-/// binary8 and binary16 go through 256- and 64K-entry tables (their layouts
-/// need re-biasing work); binary16alt is a bfloat16, i.e. the high half of a
-/// binary32; binary32 is a plain host float.
+/// Exact binary64 value of one pattern of F, by the library's own converter
+/// (a NaN widens to the canonical quiet NaN).
 template <class F>
-double widen(std::uint64_t bits) {
+constexpr double widen_exact(std::uint64_t bits) {
+  Flags fl;
+  return std::bit_cast<double>(
+      convert<Binary64>(as<F>(bits), RoundingMode::RNE, fl).bits);
+}
+
+/// binary8's 256 widenings, built at compile time.
+constexpr auto kWidenF8 = [] {
+  std::array<double, 256> t{};
+  for (std::size_t i = 0; i < t.size(); ++i) t[i] = widen_exact<Binary8>(i);
+  return t;
+}();
+
+/// binary16's 65536 widenings (512 KiB): too many converter runs for
+/// Clang's default constant-evaluation step limit, so they are filled at
+/// run time, once, by fill_widen_tables(), which the detail:: accessors
+/// below call before handing out a fast table. Every fast entry is reached
+/// through one of those tables, so a lookup needs no guard, and a process
+/// that never asks for the fast backend never touches these pages.
+std::array<double, 65536> gWidenF16;
+
+void fill_widen_tables() {
+  static const bool filled = [] {
+    for (std::size_t i = 0; i < gWidenF16.size(); ++i) {
+      gWidenF16[i] = widen_exact<Binary16>(i);
+    }
+    return true;
+  }();
+  (void)filled;
+}
+
+/// Exact widening to host double of *any* bit pattern of F. binary8 and
+/// binary16 read the tables above (their layouts need re-biasing work);
+/// binary16alt is a bfloat16, i.e. the high half of a binary32; binary32 is
+/// a plain host float.
+template <class F>
+[[gnu::always_inline]] inline double widen(std::uint64_t bits) {
   if constexpr (std::is_same_v<F, Binary8>) {
-    static const std::array<double, 256> t = [] {
-      std::array<double, 256> a{};
-      for (unsigned i = 0; i < 256; ++i) a[i] = to_double(as<Binary8>(i));
-      return a;
-    }();
-    return t[bits & 0xff];
+    return kWidenF8[bits & 0xff];
   } else if constexpr (std::is_same_v<F, Binary16>) {
-    static const std::unique_ptr<const std::array<double, 65536>> t = [] {
-      auto a = std::make_unique<std::array<double, 65536>>();
-      for (unsigned i = 0; i < 65536; ++i) (*a)[i] = to_double(as<Binary16>(i));
-      return a;
-    }();
-    return (*t)[bits & 0xffff];
+    return gWidenF16[bits & 0xffff];
   } else if constexpr (std::is_same_v<F, Binary16Alt>) {
     return static_cast<double>(std::bit_cast<float>(
         static_cast<std::uint32_t>(bits & 0xffff) << 16));
@@ -87,6 +113,46 @@ double widen(std::uint64_t bits) {
     return static_cast<double>(
         std::bit_cast<float>(static_cast<std::uint32_t>(bits)));
   }
+}
+
+/// The GRS narrowing of an exact double: every case narrow() leaves. Out of
+/// line, so that the fast entries stay small enough to inline into the
+/// packed lane loops.
+template <class F>
+[[gnu::noinline]] std::uint64_t grs_narrow(double r, RoundingMode rm,
+                                           Flags& fl) {
+  return from_double<F>(r, rm, fl).bits;
+}
+
+/// Round the exact double `r` once into F. Inline when rm is RNE and both
+/// `r` and its rounded value are normal numbers of F: the rounded
+/// significand is r's top man_bits bits plus the RNE increment, which
+/// carries into the exponent field on its own, and the one flag possible is
+/// NX. Every other case (other modes, zeros, results that are subnormal,
+/// tiny, overflowing or not finite) is the GRS converter's.
+template <class F>
+[[gnu::always_inline]] inline std::uint64_t narrow(double r, RoundingMode rm,
+                                                   Flags& fl) {
+  constexpr int kDrop = 52 - F::man_bits;
+  constexpr std::uint64_t kRebias =
+      static_cast<std::uint64_t>(1023 - F::bias) << F::man_bits;
+  const std::uint64_t x = std::bit_cast<std::uint64_t>(r);
+  const std::uint64_t mag = x & ~(std::uint64_t{1} << 63);
+  // F's biased exponent of r, as unsigned: in [1, exp_field_max) iff normal.
+  const std::uint64_t ef = (mag >> 52) - (1023 - F::bias);
+  if (rm == RoundingMode::RNE &&
+      ef - 1 < static_cast<std::uint64_t>(F::exp_field_max - 1)) {
+    const std::uint64_t rest = mag & ((std::uint64_t{1} << kDrop) - 1);
+    const std::uint64_t lsb = (mag >> kDrop) & 1;
+    const std::uint64_t q =
+        ((mag + ((std::uint64_t{1} << (kDrop - 1)) - 1) + lsb) >> kDrop) -
+        kRebias;
+    if (q < F::exp_mask) {  // no carry into the infinity exponent
+      if (rest != 0) fl.raise(Flags::NX);
+      return q | ((x >> 63) << (F::width - 1));
+    }
+  }
+  return grs_narrow<F>(r, rm, fl);
 }
 
 /// Grs recomputation for the delegated cases.
@@ -132,14 +198,13 @@ std::uint64_t fast_bin(std::uint64_t a, std::uint64_t b, RoundingMode rm,
     // host sign of r must not be trusted (host RNE gives +0 always).
     if (r == 0) return Float<F>::zero(rm == RoundingMode::RDN).bits;
   }
-  return from_double<F>(r, rm, fl).bits;
+  return narrow<F>(r, rm, fl);
 }
 
-/// fast_fma's operands that are NaN, infinite or zero. Finite zeros are
-/// exact: a zero product takes the Grs rule (fma_zero_product), and a zero
-/// addend leaves the exact double product, rounded once. NaN and infinity
-/// delegate to the Grs fma. Out of line, so that fast_fma stays small
-/// enough to inline into the packed mac loop.
+/// fast_fma's operands that are NaN or infinite, or a zero product. A zero
+/// product takes the Grs rule (fma_zero_product); NaN and infinity delegate
+/// to the Grs fma. Out of line, so that fast_fma stays small enough to
+/// inline into the packed mac loop.
 template <class F>
 [[gnu::noinline]] std::uint64_t fast_fma_special(Float<F> a, Float<F> b,
                                                  Float<F> c, RoundingMode rm,
@@ -147,44 +212,59 @@ template <class F>
   if (!a.is_finite() || !b.is_finite() || !c.is_finite()) {
     return fma(a, b, c, rm, fl).bits;
   }
-  if (a.is_zero() || b.is_zero()) return fma_zero_product(a, b, c, rm).bits;
-  return from_double<F>(widen<F>(a.bits) * widen<F>(b.bits), rm, fl).bits;
+  return fma_zero_product(a, b, c, rm).bits;
 }
 
-/// Fused multiply-add, fast when the double intermediate is provably EXACT.
-/// The product of two p-bit values needs 2p <= 48 significant bits, so
-/// da * db is always exact; the sum (a*b) + c is exact whenever the combined
-/// bit span -- from the lower of the two scale exponents to the higher of
-/// the two top bits, plus one carry bit -- fits in 53. Under the guard there
-/// is no intermediate rounding at all, so narrowing the exact value is the
-/// single rounding and carries the exact flags. Specials and zeros go to
-/// fast_fma_special; wide-span operands delegate to the Grs fma. (For
-/// binary8 the guard is provably always satisfied; for binary32 it admits
-/// the accumulation case |a*b| ~ |c| that dominates the kernels.)
+/// The rounding error of the double sum s = x + y (TwoSum): x + y equals
+/// s + err exactly, whatever the operands' order or magnitudes.
+[[gnu::always_inline]] inline double two_sum_err(double x, double y,
+                                                 double s) {
+  const double yv = s - x;
+  const double xv = s - yv;
+  return (x - xv) + (y - yv);
+}
+
+/// The exact value s + err (s the nearest double, err != 0) rounded to odd
+/// at double precision: truncated toward zero -- s itself, or its neighbour
+/// toward zero when err points that way -- with its last bit set. Rounding
+/// that double once more into a format of at most 51 bits, in any mode,
+/// gives the exact value's correct rounding and flags (Boldo and
+/// Melquiond's rounding to odd).
+[[gnu::always_inline]] inline double round_to_odd(double s, double err) {
+  std::uint64_t bits = std::bit_cast<std::uint64_t>(s);
+  if (std::signbit(s) != std::signbit(err)) --bits;
+  return std::bit_cast<double>(bits | 1);
+}
+
+/// Fused multiply-add through one host double sum. The product of two p-bit
+/// values needs 2p <= 48 significant bits, so da * db is exact; the sum
+/// (a*b) + c is the nearest double r, and TwoSum recovers its exact error.
+/// When the error is zero r is the exact value; otherwise r rounded to odd
+/// stands in for it. Either way narrowing r is the single rounding and
+/// carries the exact flags. NaN/infinite operands and zero products go to
+/// fast_fma_special; a zero addend leaves the exact product. Forced inline
+/// into the packed mac, dotp and exsdotp lane loops.
 template <class F>
-std::uint64_t fast_fma(std::uint64_t a, std::uint64_t b, std::uint64_t c,
-                       RoundingMode rm, Flags& fl) {
+[[gnu::always_inline]] inline std::uint64_t fast_fma(std::uint64_t a,
+                                                     std::uint64_t b,
+                                                     std::uint64_t c,
+                                                     RoundingMode rm,
+                                                     Flags& fl) {
   const auto fa = as<F>(a);
   const auto fb = as<F>(b);
   const auto fc = as<F>(c);
   if (!fa.is_finite() || !fb.is_finite() || !fc.is_finite() || fa.is_zero() ||
-      fb.is_zero() || fc.is_zero()) {
+      fb.is_zero()) {
     return fast_fma_special<F>(fa, fb, fc, rm, fl);
   }
-  constexpr int P = F::man_bits + 1;
-  // Scale exponents share the offset 2 * (bias + man_bits): s1 for the
-  // product, s2 for the addend. Subnormals (field 0) behave as field 1 with
-  // a shorter significand, so the span bound stays an upper bound.
-  const auto ee = [](unsigned f) { return f == 0 ? 1 : static_cast<int>(f); };
-  const int s1 = ee(fa.exp_field()) + ee(fb.exp_field());
-  const int s2 = ee(fc.exp_field()) + F::bias + F::man_bits;
-  const int top = std::max(s1 + 2 * P, s2 + P);
-  const int bot = std::min(s1, s2);
-  if (top - bot > 52) return fma(fa, fb, fc, rm, fl).bits;
-  const double r = widen<F>(a) * widen<F>(b) + widen<F>(c);
+  const double p = widen<F>(a) * widen<F>(b);
+  const double d = widen<F>(c);
+  double r = p + d;
   // Exact cancellation of non-zero product and addend: Grs fma's zero rule.
   if (r == 0) return Float<F>::zero(rm == RoundingMode::RDN).bits;
-  return from_double<F>(r, rm, fl).bits;
+  const double err = two_sum_err(p, d, r);
+  if (err != 0) r = round_to_odd(r, err);
+  return narrow<F>(r, rm, fl);
 }
 
 template <class F>
@@ -222,21 +302,44 @@ std::uint64_t v_fast_mac(std::uint64_t a, std::uint64_t b, std::uint64_t d,
   return out;
 }
 
-/// Exact widening of one lane to binary32 *bits* (operand known finite).
-template <class F>
-std::uint32_t widen_f32_bits(std::uint64_t bits) {
-  if constexpr (std::is_same_v<F, Binary16Alt>) {
-    return static_cast<std::uint32_t>(bits & 0xffff) << 16;
+/// Exact widening of one lane to the bits of the wider format Wide (binary16
+/// or binary32), for any pattern but a NaN. binary8 has binary16's exponent
+/// field and bias, so it widens to binary16 by a shift, as binary16alt
+/// (a bfloat16) does to binary32.
+template <class F, class Wide>
+[[gnu::always_inline]] inline std::uint64_t widen_bits(std::uint64_t bits) {
+  if constexpr (std::is_same_v<F, Binary8> && std::is_same_v<Wide, Binary16>) {
+    return (bits & 0xff) << 8;
+  } else if constexpr (std::is_same_v<F, Binary16Alt>) {
+    static_assert(std::is_same_v<Wide, Binary32>);
+    return (bits & 0xffff) << 16;
   } else {
+    static_assert(std::is_same_v<Wide, Binary32>);
     return std::bit_cast<std::uint32_t>(static_cast<float>(widen<F>(bits)));
   }
 }
 
+/// A NaN lane's widening: the GRS converter's canonical NaN, with NV for a
+/// signaling one.
+template <class F, class Wide>
+[[gnu::noinline]] std::uint64_t grs_cvt(std::uint64_t bits, Flags& fl) {
+  return convert<Wide>(as<F>(bits), RoundingMode::RNE, fl).bits;
+}
+
+/// Exact widening of one lane of any pattern to the bits of Wide: a NaN
+/// through the GRS converter, everything else by widen_bits.
+template <class F, class Wide>
+[[gnu::always_inline]] inline std::uint64_t widen_lane(std::uint64_t bits,
+                                                       Flags& fl) {
+  return as<F>(bits).is_nan() ? grs_cvt<F, Wide>(bits, fl)
+                              : widen_bits<F, Wide>(bits);
+}
+
 /// Expanding dot product: the Grs path converts each lane to binary32
 /// (exact, flag-free for finite lanes) and chains binary32 fmas. The fast
-/// path widens through tables/casts and runs the guarded-exact binary32 fma
-/// per step; any non-finite lane falls back wholesale so NaN
-/// canonicalization and NV stay with the Grs code.
+/// path widens through tables/casts and runs the fast binary32 fma per
+/// step; any non-finite lane falls back wholesale so NaN canonicalization
+/// and NV stay with the Grs code.
 template <class F>
 std::uint64_t v_fast_dotp(std::uint64_t a, std::uint64_t b,
                           std::uint64_t acc32, int lanes, bool rep,
@@ -252,55 +355,55 @@ std::uint64_t v_fast_dotp(std::uint64_t a, std::uint64_t b,
     }
   }
   std::uint64_t acc = acc32;
-  const std::uint32_t wb0 = widen_f32_bits<F>(b0);
+  const std::uint64_t wb0 = widen_bits<F, Binary32>(b0);
   for (int l = 0; l < lanes; ++l) {
-    const std::uint32_t wa =
-        widen_f32_bits<F>((a >> (l * w)) & lane_mask<F>());
-    const std::uint32_t wb =
-        rep ? wb0 : widen_f32_bits<F>((b >> (l * w)) & lane_mask<F>());
+    const std::uint64_t wa =
+        widen_bits<F, Binary32>((a >> (l * w)) & lane_mask<F>());
+    const std::uint64_t wb =
+        rep ? wb0 : widen_bits<F, Binary32>((b >> (l * w)) & lane_mask<F>());
     acc = fast_fma<Binary32>(wa, wb, acc, rm, fl);
   }
   return acc;
 }
 
-/// 16-bit -> binary32 widening: exact, so a host float cast of the exact
-/// double suffices; NaNs delegate for canonicalization/NV.
-template <class From>
-std::uint64_t fast_widen_to_f32(std::uint64_t a, RoundingMode rm, Flags& fl) {
-  const auto fa = as<From>(a);
-  if (fa.is_nan()) return convert<Binary32>(fa, rm, fl).bits;
-  return std::bit_cast<std::uint32_t>(static_cast<float>(widen<From>(a)));
+/// FP -> FP conversion between two of the host-exact formats: the exact
+/// lane widening where To is the wider format, else the exact double
+/// rounded once; a NaN delegates for canonicalization/NV.
+template <class To, class From>
+std::uint64_t fast_cvt(std::uint64_t a, RoundingMode rm, Flags& fl) {
+  if constexpr (std::is_same_v<To, Binary32> ||
+                (std::is_same_v<From, Binary8> &&
+                 std::is_same_v<To, Binary16>)) {
+    return widen_lane<From, To>(a, fl);
+  } else {
+    if (as<From>(a).is_nan()) return grs_cvt<From, To>(a, fl);
+    return narrow<To>(widen<From>(a), rm, fl);
+  }
 }
 
-/// ExSdotp fast entry: the exact widening runs through the Grs converter
-/// (identical flags, including NV for signaling-NaN lanes), and each wide
-/// accumulation step is the guarded-exact host fma -- which delegates its own
-/// special/wide-span cases to Grs internally, so no wholesale fallback is
-/// needed and the lane order matches the Grs entry step for step.
+/// ExSdotp fast entry: each lane widens exactly (a NaN lane through the GRS
+/// converter, for its canonical NaN and NV), and each wide accumulation step
+/// is the fast fma -- which delegates its own special cases to Grs
+/// internally, so no wholesale fallback is needed and the lane order
+/// matches the Grs entry step for step.
 template <class F, class Wide>
 std::uint64_t v_fast_exsdotp(std::uint64_t a, std::uint64_t b,
                              std::uint64_t acc, int lanes, bool rep,
                              RoundingMode rm, Flags& fl) {
   constexpr int w = F::width;
   std::uint64_t out = 0;
-  std::uint64_t wb0 = 0;
-  if (rep) {
-    wb0 = convert<Wide>(as<F>(b & lane_mask<F>()), RoundingMode::RNE, fl).bits;
-  }
+  const std::uint64_t wb0 =
+      rep ? widen_lane<F, Wide>(b & lane_mask<F>(), fl) : 0;
   for (int wl = 0; 2 * wl < lanes; ++wl) {
     std::uint64_t accl = (acc >> (wl * Wide::width)) & lane_mask<Wide>();
     const int k = lanes - 2 * wl < 2 ? lanes - 2 * wl : 2;
     for (int i = 0; i < k; ++i) {
       const int l = 2 * wl + i;
       const std::uint64_t wa =
-          convert<Wide>(as<F>((a >> (l * w)) & lane_mask<F>()),
-                        RoundingMode::RNE, fl)
-              .bits;
+          widen_lane<F, Wide>((a >> (l * w)) & lane_mask<F>(), fl);
       const std::uint64_t wb =
           rep ? wb0
-              : convert<Wide>(as<F>((b >> (l * w)) & lane_mask<F>()),
-                              RoundingMode::RNE, fl)
-                    .bits;
+              : widen_lane<F, Wide>((b >> (l * w)) & lane_mask<F>(), fl);
       accl = fast_fma<Wide>(wa, wb, accl, rm, fl);
     }
     out |= accl << (wl * Wide::width);
@@ -338,6 +441,7 @@ RtVecOps make_host_fast_vec_ops(FpFormat tag) {
 namespace detail {
 
 const RtOps& fast_ops(FpFormat f) {
+  fill_widen_tables();
   static const RtOps kFastOps[] = {
       make_host_fast_ops<Binary8>(FpFormat::F8),
       make_host_fast_ops<Binary16>(FpFormat::F16),
@@ -355,6 +459,7 @@ const RtOps& fast_ops(FpFormat f) {
 }
 
 const RtVecOps& fast_vec_ops(FpFormat f) {
+  fill_widen_tables();
   static const RtVecOps kFastVecOps[] = {
       make_host_fast_vec_ops<Binary8, Binary16>(FpFormat::F8),
       make_host_fast_vec_ops<Binary16, Binary32>(FpFormat::F16),
@@ -374,15 +479,25 @@ RtCvtFn fast_convert_fn(FpFormat to, FpFormat from) {
   if (fidx(to) >= static_cast<std::size_t>(kNumFormats) ||
       fidx(from) >= static_cast<std::size_t>(kNumFormats))
     invalid_format_tag();
-  // The 16-bit widenings to f32 are exact host casts; every other pair stays
-  // on the Grs path.
-  if (to == FpFormat::F32 && from == FpFormat::F16) {
-    return &fast_widen_to_f32<Binary16>;
+  fill_widen_tables();
+  // Between two distinct formats of binary8, binary16, binary16alt and
+  // binary32 (the first four tags), the exact double is rounded once; every
+  // other pair (the diagonal, binary64 and the posits) stays on the Grs
+  // path.
+  using Row = std::array<RtCvtFn, 4>;
+  const auto row = []<class To>() {
+    return Row{&fast_cvt<To, Binary8>, &fast_cvt<To, Binary16>,
+               &fast_cvt<To, Binary16Alt>, &fast_cvt<To, Binary32>};
+  };
+  static const std::array<Row, 4> kFastCvt = {
+      row.template operator()<Binary8>(), row.template operator()<Binary16>(),
+      row.template operator()<Binary16Alt>(),
+      row.template operator()<Binary32>()};
+  if (to == from || fidx(to) >= kFastCvt.size() ||
+      fidx(from) >= kFastCvt.size()) {
+    return rt_convert_fn(to, from);
   }
-  if (to == FpFormat::F32 && from == FpFormat::F16Alt) {
-    return &fast_widen_to_f32<Binary16Alt>;
-  }
-  return rt_convert_fn(to, from);
+  return kFastCvt[fidx(to)][fidx(from)];
 }
 
 }  // namespace detail

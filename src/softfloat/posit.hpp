@@ -10,19 +10,23 @@
 // implementation (decode -> wide fixed-point -> posit round-pack) mirroring
 // the guard/round/sticky discipline of arith.hpp:
 //
-//   * decode: peel sign (2's complement), count the regime run, read the
-//     exponent bits (missing low bits are zero), attach the hidden bit.
+//   * decode: peel sign (2's complement), left-align the body and count the
+//     regime run with one countl_zero/countl_one, read the exponent bits
+//     (missing low bits are zero), and place the hidden bit at a fixed
+//     position (the widest fraction field the format has).
 //   * arithmetic: exact 64-bit significand arithmetic; when an alignment
 //     shift would overflow 64 bits the smaller operand collapses into a
 //     sticky epsilon (the `mag - 1, sticky = 1` trick), which is exact with
 //     respect to any rounding position the pack step can examine.
-//   * round-pack: build the full regime|exponent|fraction bit string at a
-//     fixed 40-bit hidden-bit position and round once at width bits with
-//     round-to-nearest-even on the bit string -- which is precisely the
-//     posit-standard rounding (geometric near the regime ends, arithmetic in
-//     between). Saturation: results beyond +-maxpos clamp to +-maxpos and
-//     nonzero results below minpos clamp to +-minpos; rounding never
-//     produces zero or NaR from a nonzero real value.
+//   * round-pack: split the scale into k = scale >> 2 and e = scale & 3,
+//     build the regime|exponent|fraction bit string straight-line,
+//     left-aligned in 64 bits (what falls off its end is sticky), and round
+//     once at width bits with round-to-nearest-even on the bit string --
+//     which is precisely the posit-standard rounding (geometric near the
+//     regime ends, arithmetic in between). Saturation: results beyond
+//     +-maxpos clamp to +-maxpos and nonzero results below minpos clamp to
+//     +-minpos; rounding never produces zero or NaR from a nonzero real
+//     value.
 //
 // Per the standard, posit operations use a single rounding attitude (RNE on
 // the pattern): the RoundingMode argument threaded through the runtime
@@ -74,52 +78,44 @@ struct Posit16 : PositTraits<16, std::uint16_t> {
 
 namespace posit_detail {
 
-/// Hidden-bit position used by round_pack's internal fixed-point form. High
-/// enough that every reachable fraction field (<= width-5 bits) plus the
-/// round/guard inspection window sits strictly above the sticky region.
-inline constexpr int kPackTop = 40;
+/// Fraction bits of the widest fraction field P can hold: the width less the
+/// sign bit, the shortest regime (two bits) and the two exponent bits.
+/// decode places every significand's hidden bit here.
+template <class P>
+inline constexpr int kFracBits = P::width - 5;
 
-/// A decoded non-zero, non-NaR posit: value = (-1)^sign * sig * 2^(scale-top)
-/// with the hidden bit of `sig` at bit position `top` (top = fraction bits).
+/// A decoded non-zero, non-NaR posit: value = (-1)^sign * sig * 2^(scale -
+/// kFracBits<P>), with the hidden bit of `sig` at bit kFracBits<P>.
 struct Unpacked {
   bool sign = false;
   int scale = 0;          ///< unbiased exponent: 4*regime + exponent field
-  std::uint64_t sig = 0;  ///< 1.f significand, hidden bit at `top`
-  int top = 0;            ///< fraction bit count
+  std::uint64_t sig = 0;  ///< 1.f significand, hidden bit at kFracBits<P>
 };
 
 /// Decode a non-zero, non-NaR pattern. Negative patterns are two's-complement
 /// negated first; the resulting positive body always has a clear sign bit.
+/// The body is left-aligned so the regime starts at bit 63: one count of
+/// leading zeros (or ones) is the regime run, and the pattern's missing low
+/// bits shift in as the zeros the standard reads them as.
 template <class P>
-[[nodiscard]] constexpr Unpacked decode(std::uint64_t bits) {
-  Unpacked u;
+[[nodiscard, gnu::always_inline]] constexpr Unpacked decode(std::uint64_t bits) {
   bits &= P::mask;
   assert(bits != 0 && bits != P::nar_bits);
+  Unpacked u;
   u.sign = (bits & P::sign_mask) != 0;
   const std::uint64_t body = u.sign ? ((~bits + 1) & P::mask) : bits;
-  // Regime: run of identical bits starting at width-2, then a terminator.
-  const int n = P::width;
-  const int r0 = static_cast<int>((body >> (n - 2)) & 1);
-  int run = 0;
-  while (run < n - 1 && static_cast<int>((body >> (n - 2 - run)) & 1) == r0) ++run;
-  const int k = (r0 == 1) ? run - 1 : -run;
-  // Bits remaining after sign, regime run and (if it fits) the terminator.
-  const int consumed = 1 + ((run < n - 1) ? run + 1 : run);
-  const int rest = n - consumed;
-  int e = 0;
-  int frac_bits = 0;
-  std::uint64_t frac = 0;
-  if (rest >= P::es) {
-    e = static_cast<int>((body >> (rest - P::es)) & 3);
-    frac_bits = rest - P::es;
-    frac = body & ((std::uint64_t{1} << frac_bits) - 1);
-  } else if (rest == 1) {
-    // One exponent bit present: it is the HIGH bit; the missing bit is zero.
-    e = static_cast<int>((body & 1) << 1);
-  }
-  u.scale = 4 * k + e;
-  u.top = frac_bits;
-  u.sig = (std::uint64_t{1} << frac_bits) | frac;
+  const std::uint64_t x = body << (65 - P::width);
+  // A run of ones counts as the leading zeros of ~x: flip x by its top bit.
+  const int ones = static_cast<int>(x >> 63);
+  const int run = std::countl_zero(x ^ (std::uint64_t{0} - (x >> 63)));
+  // Past the run and its terminator: two exponent bits, then the fraction.
+  const std::uint64_t rest = x << (run + 1);
+  // k = run - 1 for a run of ones, -run for a run of zeros.
+  const int flip = ones - 1;  // 0 for ones, -1 for zeros
+  const int k = ((run ^ flip) - flip) - ones;
+  u.scale = 4 * k + static_cast<int>(rest >> 62);
+  u.sig = (std::uint64_t{1} << kFracBits<P>) |
+          ((rest << 2) >> (64 - kFracBits<P>));
   return u;
 }
 
@@ -130,18 +126,9 @@ template <class P>
 /// mag's bit 0. Rounds RNE on the posit bit string and saturates to
 /// maxpos/minpos (never to zero or NaR).
 template <class P>
-[[nodiscard]] constexpr std::uint64_t round_pack(bool sign, int scale_msb,
-                                                 std::uint64_t mag, bool sticky) {
+[[nodiscard, gnu::always_inline]] constexpr std::uint64_t round_pack(
+    bool sign, int scale_msb, std::uint64_t mag, bool sticky) {
   assert(mag != 0);
-  // Normalize the hidden bit to kPackTop; right shifts feed the sticky.
-  int w = std::bit_width(mag) - 1;
-  if (w > kPackTop) {
-    const int s = w - kPackTop;
-    sticky = sticky || (mag & ((std::uint64_t{1} << s) - 1)) != 0;
-    mag >>= s;
-  } else if (w < kPackTop) {
-    mag <<= (kPackTop - w);
-  }
   // Saturate outside the representable scale range. A nonzero value never
   // rounds to zero (below minpos clamps up) nor overflows into NaR.
   std::uint64_t body;
@@ -150,26 +137,35 @@ template <class P>
   } else if (scale_msb < P::min_scale) {
     body = P::minpos_bits;
   } else {
-    // Build regime | exponent | fraction above the sticky region and round
-    // once at width-1 body bits.
-    const int k = (scale_msb >= 0) ? scale_msb / 4 : -((-scale_msb + 3) / 4);
-    const int e = scale_msb - 4 * k;
-    assert(e >= 0 && e <= 3);
-    // Regime field: k >= 0 -> (k+1) ones then 0, k < 0 -> (-k) zeros then 1.
+    // The bit string regime | exponent | fraction, left-aligned in 64 bits;
+    // every bit that falls off its end joins the sticky.
+    const std::uint64_t frac = (mag << std::countl_zero(mag)) << 1;
+    const int k = scale_msb >> 2;  // floor(scale / 4)
+    const int e = scale_msb & 3;
+    // Regime: k >= 0 -> (k+1) ones then 0, k < 0 -> (-k) zeros then 1; in
+    // both cases r + 1 run bits and a terminator, r = k for k >= 0 and
+    // -k - 1 below. Flipping the run of ones gives the run of zeros.
+    const int neg = k >> 31;  // 0 for k >= 0, -1 below
+    const int r = k ^ neg;
+    const int regime_bits = r + 2;
     const std::uint64_t regime =
-        (k >= 0) ? (((std::uint64_t{1} << (k + 2)) - 2)) : std::uint64_t{1};
-    const int regime_bits = (k >= 0) ? k + 2 : 1 - k;
-    const std::uint64_t frac = mag & ((std::uint64_t{1} << kPackTop) - 1);
-    const std::uint64_t str = (regime << (P::es + kPackTop)) |
-                              (static_cast<std::uint64_t>(e) << kPackTop) | frac;
-    const int str_bits = regime_bits + P::es + kPackTop;
-    const int shift = str_bits - (P::width - 1);
-    assert(shift > 0 && str_bits < 64);
-    body = str >> shift;
-    const bool guard = (str >> (shift - 1)) & 1;
-    const bool below =
-        sticky || (str & ((std::uint64_t{1} << (shift - 1)) - 1)) != 0;
-    if (guard && (below || (body & 1))) ++body;
+        (~(~std::uint64_t{0} >> (r + 1)) ^ static_cast<std::uint64_t>(neg)) &
+        ~(~std::uint64_t{0} >> regime_bits);
+    const std::uint64_t tail =
+        (static_cast<std::uint64_t>(e) << 62) | (frac >> 2);
+    const std::uint64_t str = regime | (tail >> regime_bits);
+    // Round once at the width-1 body bits at the top of the string.
+    constexpr int cut = 65 - P::width;
+    body = str >> cut;
+    const std::uint64_t guard = (str >> (cut - 1)) & 1;
+    // Below the guard: the tail past the body and guard (regime_bits <=
+    // width), the fraction bit `tail` dropped, and the caller's sticky.
+    const std::uint64_t below =
+        (sticky || (frac & 2) != 0 ||
+         (tail << (P::width - regime_bits)) != 0)
+            ? 1
+            : 0;
+    body += guard & (below | (body & 1));
     // The only all-ones body (maxpos) has a zero guard (its regime
     // terminator), so the increment can never carry into the sign bit.
     assert(body <= P::maxpos_bits && body >= P::minpos_bits);
@@ -187,48 +183,67 @@ struct Sum {
   bool sticky = false;
 };
 
-[[nodiscard]] constexpr Sum exact_add(bool sa, int ea, std::uint64_t ma,
-                                      bool sb, int eb, std::uint64_t mb) {
+/// `m` with sign `neg` as a two's-complement integer (m < 2^63).
+[[nodiscard, gnu::always_inline]] constexpr std::int64_t apply_sign(
+    bool neg, std::uint64_t m) {
+  const std::uint64_t s = neg ? 1 : 0;
+  return static_cast<std::int64_t>((m ^ (std::uint64_t{0} - s)) + s);
+}
+
+[[nodiscard, gnu::always_inline]] constexpr Sum exact_add(
+    bool sa, int ea, std::uint64_t ma, bool sb, int eb, std::uint64_t mb) {
   assert(ma != 0 && mb != 0);
-  // Order so `hi` has the larger bit-0 exponent.
-  if (ea < eb) {
-    const bool ts = sa; sa = sb; sb = ts;
-    const int te = ea; ea = eb; eb = te;
-    const std::uint64_t tm = ma; ma = mb; mb = tm;
-  }
-  const int d = ea - eb;
-  const int max_shift = 62 - std::bit_width(ma);
+  // Order so the first operand (hi) has the larger bit-0 exponent.
+  const bool swap = ea < eb;
+  const bool s_hi = swap ? sb : sa, s_lo = swap ? sa : sb;
+  const int e_hi = swap ? eb : ea, e_lo = swap ? ea : eb;
+  const std::uint64_t m_hi = swap ? mb : ma, m_lo = swap ? ma : mb;
+  const int d = e_hi - e_lo;
+  const int max_shift = 62 - std::bit_width(m_hi);
   Sum r;
   if (d <= max_shift) {
     // Alignment fits: the sum is exact in 64 bits.
-    const std::int64_t v = (sa ? -1 : 1) * static_cast<std::int64_t>(ma << d) +
-                           (sb ? -1 : 1) * static_cast<std::int64_t>(mb);
+    const std::int64_t v = apply_sign(s_hi, m_hi << d) + apply_sign(s_lo, m_lo);
     if (v == 0) return r;  // exact cancellation -> posit zero
     r.sign = v < 0;
     r.mag = static_cast<std::uint64_t>(r.sign ? -v : v);
-    r.scale_msb = eb + std::bit_width(r.mag) - 1;
+    r.scale_msb = e_lo + std::bit_width(r.mag) - 1;
   } else {
     // Cap the left shift of the larger operand at the 64-bit headroom and
     // right-shift the smaller one the rest of the way, folding the dropped
-    // tail into a sticky epsilon. Since the shifted `ma` has its MSB at bit
-    // 61 and mb' occupies far fewer bits, the sum cannot cancel: its sign is
-    // sa and its magnitude stays huge, so the epsilon only ever adjusts the
-    // sticky region (borrow one ulp when the tail pulls against the sum).
+    // tail into a sticky epsilon. Since the shifted `m_hi` has its MSB at
+    // bit 61 and m_lo' occupies far fewer bits, the sum cannot cancel: its
+    // sign is s_hi and its magnitude stays huge, so the epsilon only ever
+    // adjusts the sticky region (borrow one ulp when the tail pulls against
+    // the sum).
     const int lo_shift = d - max_shift;
-    const std::uint64_t mbs = (lo_shift < 64) ? (mb >> lo_shift) : 0;
+    const std::uint64_t mbs = (lo_shift < 64) ? (m_lo >> lo_shift) : 0;
     const bool dropped =
-        (lo_shift < 64) ? (mb & ((std::uint64_t{1} << lo_shift) - 1)) != 0
-                        : mb != 0;
+        (lo_shift < 64) ? (m_lo & ((std::uint64_t{1} << lo_shift) - 1)) != 0
+                        : m_lo != 0;
     const std::int64_t v =
-        (sa ? -1 : 1) * static_cast<std::int64_t>(ma << max_shift) +
-        (sb ? -1 : 1) * static_cast<std::int64_t>(mbs);
+        apply_sign(s_hi, m_hi << max_shift) + apply_sign(s_lo, mbs);
     std::uint64_t mag = static_cast<std::uint64_t>(v < 0 ? -v : v);
-    if (dropped && sb != sa) --mag;
-    r.sign = sa;
+    if (dropped && s_lo != s_hi) --mag;
+    r.sign = s_hi;
     r.mag = mag;
-    r.scale_msb = (ea - max_shift) + std::bit_width(mag) - 1;
+    r.scale_msb = (e_hi - max_shift) + std::bit_width(mag) - 1;
     r.sticky = dropped;
   }
+  return r;
+}
+
+/// The exact product of two decoded posits: its hidden bit sits at 2T or
+/// 2T+1 (T = kFracBits<P>), so its scale is the sum of theirs plus that
+/// carry.
+template <class P>
+[[nodiscard, gnu::always_inline]] constexpr Sum exact_mul(const Unpacked& ua,
+                                                         const Unpacked& ub) {
+  constexpr int T = kFracBits<P>;
+  Sum r;
+  r.sign = ua.sign != ub.sign;
+  r.mag = ua.sig * ub.sig;  // <= 2T + 2 <= 24 bits: exact
+  r.scale_msb = ua.scale + ub.scale + static_cast<int>(r.mag >> (2 * T + 1));
   return r;
 }
 
@@ -272,13 +287,14 @@ template <class P>
 /// (<= 13 significand bits, |scale| <= 56), so this widening is exact.
 /// NaR widens to the canonical quiet NaN.
 template <class P>
-[[nodiscard]] inline double posit_to_double(std::uint64_t a) {
+[[nodiscard, gnu::always_inline]] inline double posit_to_double(
+    std::uint64_t a) {
   a &= P::mask;
   if (a == 0) return 0.0;
   if (a == P::nar_bits) return std::bit_cast<double>(F64::quiet_nan().bits);
   const auto u = posit_detail::decode<P>(a);
   double v = static_cast<double>(u.sig);
-  int e = u.scale - u.top;
+  const int e = u.scale - posit_detail::kFracBits<P>;
   // Scales stay within [-112, 112] even for wide intermediates; build the
   // power of two exactly via the binary64 exponent field.
   const double p2 = std::bit_cast<double>(
@@ -287,28 +303,23 @@ template <class P>
   return u.sign ? -v : v;
 }
 
-/// Correctly rounded conversion from any real (carried exactly in a decoded
-/// triple) -- used by the IEEE->posit converts. Not exposed for doubles in
-/// general: posit rounding needs exact inputs, which IEEE sources are.
-template <class P>
-[[nodiscard]] constexpr std::uint64_t posit_round_from(bool sign, int scale_msb,
-                                                       std::uint64_t mag,
-                                                       bool sticky) {
-  return posit_detail::round_pack<P>(sign, scale_msb, mag, sticky);
-}
-
 // ---- arithmetic (rounding mode ignored; no flags raised) -------------------
+// add, sub, mul and fma force their decode, exact_add and round_pack inline,
+// and are forced inline themselves: every scalar and packed entry that runs
+// them (runtime.cpp) is then one function with no call per lane.
 
 template <class P>
-[[nodiscard]] constexpr std::uint64_t posit_add(std::uint64_t a, std::uint64_t b) {
+[[nodiscard, gnu::always_inline]] constexpr std::uint64_t posit_add(
+    std::uint64_t a, std::uint64_t b) {
   a &= P::mask; b &= P::mask;
   if (a == P::nar_bits || b == P::nar_bits) return P::nar_bits;
   if (a == 0) return b;
   if (b == 0) return a;
+  constexpr int T = posit_detail::kFracBits<P>;
   const auto ua = posit_detail::decode<P>(a);
   const auto ub = posit_detail::decode<P>(b);
-  const auto s = posit_detail::exact_add(ua.sign, ua.scale - ua.top, ua.sig,
-                                         ub.sign, ub.scale - ub.top, ub.sig);
+  const auto s = posit_detail::exact_add(ua.sign, ua.scale - T, ua.sig,
+                                         ub.sign, ub.scale - T, ub.sig);
   if (s.mag == 0) return 0;
   return posit_detail::round_pack<P>(s.sign, s.scale_msb, s.mag, s.sticky);
 }
@@ -319,21 +330,20 @@ template <class P>
 }
 
 template <class P>
-[[nodiscard]] constexpr std::uint64_t posit_sub(std::uint64_t a, std::uint64_t b) {
+[[nodiscard, gnu::always_inline]] constexpr std::uint64_t posit_sub(
+    std::uint64_t a, std::uint64_t b) {
   return posit_add<P>(a, posit_neg<P>(b));
 }
 
 template <class P>
-[[nodiscard]] constexpr std::uint64_t posit_mul(std::uint64_t a, std::uint64_t b) {
+[[nodiscard, gnu::always_inline]] constexpr std::uint64_t posit_mul(
+    std::uint64_t a, std::uint64_t b) {
   a &= P::mask; b &= P::mask;
   if (a == P::nar_bits || b == P::nar_bits) return P::nar_bits;
   if (a == 0 || b == 0) return 0;
-  const auto ua = posit_detail::decode<P>(a);
-  const auto ub = posit_detail::decode<P>(b);
-  const std::uint64_t p = ua.sig * ub.sig;  // <= 26 bits: exact
-  const int e = (ua.scale - ua.top) + (ub.scale - ub.top);
-  return posit_detail::round_pack<P>(ua.sign != ub.sign,
-                                     e + std::bit_width(p) - 1, p, false);
+  const auto p = posit_detail::exact_mul<P>(posit_detail::decode<P>(a),
+                                            posit_detail::decode<P>(b));
+  return posit_detail::round_pack<P>(p.sign, p.scale_msb, p.mag, false);
 }
 
 template <class P>
@@ -348,30 +358,30 @@ template <class P>
   const std::uint64_t num = ua.sig << 30;
   const std::uint64_t q = num / ub.sig;
   const bool sticky = (num % ub.sig) != 0;
-  const int e = (ua.scale - ua.top) - (ub.scale - ub.top) - 30;
+  const int e = ua.scale - ub.scale - 30;
   return posit_detail::round_pack<P>(ua.sign != ub.sign,
                                      e + std::bit_width(q) - 1, q, sticky);
 }
 
 /// Fused multiply-add a*b + c with a single posit rounding. The product is
-/// exact (<= 26 bits), the addition is exact-or-sticky via exact_add.
+/// exact (<= 24 bits), the addition is exact-or-sticky via exact_add.
 template <class P>
-[[nodiscard]] constexpr std::uint64_t posit_fma(std::uint64_t a, std::uint64_t b,
-                                                std::uint64_t c) {
+[[nodiscard, gnu::always_inline]] constexpr std::uint64_t posit_fma(
+    std::uint64_t a, std::uint64_t b, std::uint64_t c) {
   a &= P::mask; b &= P::mask; c &= P::mask;
   if (a == P::nar_bits || b == P::nar_bits || c == P::nar_bits)
     return P::nar_bits;
   if (a == 0 || b == 0) return c;
+  constexpr int T = posit_detail::kFracBits<P>;
   const auto ua = posit_detail::decode<P>(a);
   const auto ub = posit_detail::decode<P>(b);
-  const std::uint64_t p = ua.sig * ub.sig;
-  const int ep = (ua.scale - ua.top) + (ub.scale - ub.top);
-  const bool sp = ua.sign != ub.sign;
-  if (c == 0)
-    return posit_detail::round_pack<P>(sp, ep + std::bit_width(p) - 1, p, false);
+  const auto p = posit_detail::exact_mul<P>(ua, ub);
+  if (c == 0) {
+    return posit_detail::round_pack<P>(p.sign, p.scale_msb, p.mag, false);
+  }
   const auto uc = posit_detail::decode<P>(c);
-  const auto s =
-      posit_detail::exact_add(sp, ep, p, uc.sign, uc.scale - uc.top, uc.sig);
+  const auto s = posit_detail::exact_add(p.sign, ua.scale + ub.scale - 2 * T,
+                                         p.mag, uc.sign, uc.scale - T, uc.sig);
   if (s.mag == 0) return 0;
   return posit_detail::round_pack<P>(s.sign, s.scale_msb, s.mag, s.sticky);
 }
@@ -385,7 +395,7 @@ template <class P>
   // Shift to an even bit-0 exponent with ~30 result bits: sqrt(m * 2^(2q))
   // = isqrt(m) * 2^q with the floor remainder folded into the sticky (the
   // square root of a non-square is irrational, so no exact midpoints exist).
-  int e = u.scale - u.top;
+  const int e = u.scale - posit_detail::kFracBits<P>;
   int s = 30;
   if ((e - s) & 1) ++s;
   const std::uint64_t m = u.sig << s;
@@ -541,7 +551,8 @@ template <class F, class P>
 
 /// posit -> posit resize: widening (8 -> 16) is exact; narrowing re-rounds.
 template <class PTo, class PFrom>
-[[nodiscard]] constexpr std::uint64_t posit_resize(std::uint64_t a) {
+[[nodiscard, gnu::always_inline]] constexpr std::uint64_t posit_resize(
+    std::uint64_t a) {
   a &= PFrom::mask;
   if (a == 0) return 0;
   if (a == PFrom::nar_bits) return PTo::nar_bits;

@@ -32,11 +32,12 @@ namespace sfrv::fp {
 ///    per-call rt_*(FpFormat, ...) wrappers and the reference interpreter
 ///    use it unconditionally (they are the frozen oracle).
 ///  * Fast -- bit- and fflags-identical accelerated entries: f8/f16/f16alt/
-///    f32 add/sub/mul/fma (and the packed mac/dotp/exsdotp) compute an exact
-///    host-double intermediate and round it once (see docs/formats.md),
-///    falling back to Grs for any case whose result or flags cannot be
-///    proven identical. Every other entry -- div/sqrt, f64, the posits --
-///    is the Grs entry itself.
+///    f32 add/sub/mul/fma (and the packed mac/dotp/exsdotp) and the FP -> FP
+///    conversions between those four formats compute an exact host-double
+///    intermediate (or its rounding to odd) and round it once (see
+///    docs/formats.md), falling back to Grs for any case whose result or
+///    flags cannot be proven identical. Every other entry -- div/sqrt, f64,
+///    the posits -- is the Grs entry itself.
 ///
 /// The contract -- enforced by exhaustive 8-bit equivalence tests,
 /// randomized f16/f32 differential fuzzing, and the golden digest matrix --

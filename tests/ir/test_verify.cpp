@@ -402,6 +402,8 @@ asmb::Program fp_program() {
   Assembler a;
   a.fp_rrr(Op::FADD_S, 1, 2, 3);
   a.fp_rrr(Op::VFMAC_H, 4, 5, 6);
+  a.fp_r4(Op::FMADD_H, 7, 8, 9, 10);
+  a.fp_rr(Op::FCVT_S_H, 11, 7);
   a.ebreak();
   return a.finish();
 }
@@ -435,7 +437,7 @@ TEST(TraceChecker, FastBackendUsesGenericSlots) {
   // which is the fast kernel itself: no backend-specific token exists.
   TraceFixture f(fp_program(), 0, fp::MathBackend::Fast);
   ASSERT_NE(f.t, nullptr);
-  ASSERT_EQ(f.t->n, 3u);
+  ASSERT_EQ(f.t->n, 5u);
   const sim::DecodedOp& add = f.uops[0];
   EXPECT_EQ(add.top, sim::TOp::FpBin);
   EXPECT_EQ(add.fp1.bin,
@@ -444,6 +446,14 @@ TEST(TraceChecker, FastBackendUsesGenericSlots) {
   EXPECT_EQ(mac.top, sim::TOp::VecMac);
   EXPECT_EQ(mac.fp1.vtern,
             fp::rt_vec_ops(fp::FpFormat::F16, fp::MathBackend::Fast).mac);
+  const sim::DecodedOp& fma = f.uops[2];
+  EXPECT_EQ(fma.top, sim::TOp::FpFma);
+  EXPECT_EQ(fma.fp1.tern,
+            fp::rt_ops(fp::FpFormat::F16, fp::MathBackend::Fast).fma);
+  const sim::DecodedOp& cvt = f.uops[3];
+  EXPECT_EQ(cvt.top, sim::TOp::FpCvt);
+  EXPECT_EQ(cvt.fp1.cvt, fp::rt_convert_fn(fp::FpFormat::F32, fp::FpFormat::F16,
+                                           fp::MathBackend::Fast));
   const auto ds = f.check();
   EXPECT_TRUE(ds.empty()) << render_all(ds);
 }

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string_view>
 #include <vector>
 
@@ -189,6 +190,35 @@ TEST_P(F8LutVsGrs, PackedLaneEntries) {
       }
     }
   }
+  // The expanding dot product (rebound under fast): every lane-0 pair, upper
+  // lanes moving, against binary32 accumulators from zero and tiny through
+  // huge to NaN, in every mode.
+  const std::uint64_t accs[] = {0x00000000u, 0x80000000u, 0x3f800000u,
+                                0xc0600000u, 0x00000001u, 0x7f7fffffu,
+                                0x7f800000u, 0x7fc00000u, 0x4b000001u};
+  for (const RoundingMode rm : kAllRoundingModes) {
+    for (unsigned a = 0; a < 256; ++a) {
+      for (unsigned b = 0; b < 256; ++b) {
+        const std::uint64_t va = a | (std::uint64_t{b} << 8) |
+                                 (std::uint64_t{a ^ 0x80} << 16) |
+                                 (std::uint64_t{0x7f} << 24);
+        const std::uint64_t vb = b | (std::uint64_t{a} << 8) |
+                                 (std::uint64_t{b ^ 0x55} << 16) |
+                                 (std::uint64_t{a} << 24);
+        const int lanes = 1 + static_cast<int>((a + b) % 4);
+        const bool rep = ((a ^ b) & 1) != 0;
+        const std::uint64_t acc = accs[(a * 7 + b) % std::size(accs)];
+        Flags fg, ff;
+        ASSERT_EQ(vg.dotp(va, vb, acc, lanes, rep, rm, fg),
+                  vf.dotp(va, vb, acc, lanes, rep, rm, ff))
+            << "dotp a=0x" << std::hex << va << " b=0x" << vb << " acc=0x"
+            << acc;
+        ASSERT_EQ(fg.bits, ff.bits)
+            << "dotp flags a=0x" << std::hex << va << " b=0x" << vb
+            << " acc=0x" << acc;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, F8LutVsGrs,
@@ -337,6 +367,48 @@ TEST(HostFastVsGrs, WideningConvertsToF32) {
   }
 }
 
+/// One converter, both backends, bits + flags must agree.
+void check_cvt(FpFormat to, FpFormat from, std::uint64_t a, RoundingMode rm) {
+  Flags fg, ff;
+  const std::uint64_t rg =
+      fp::rt_convert_fn(to, from, MathBackend::Grs)(a, rm, fg);
+  const std::uint64_t rf =
+      fp::rt_convert_fn(to, from, MathBackend::Fast)(a, rm, ff);
+  ASSERT_EQ(rg, rf) << fp::format_name(from) << "->" << fp::format_name(to)
+                    << " a=0x" << std::hex << a
+                    << " rm=" << fp::rounding_mode_name(rm);
+  ASSERT_EQ(fg.bits, ff.bits)
+      << fp::format_name(from) << "->" << fp::format_name(to)
+      << " flags a=0x" << std::hex << a << " rm=" << fp::rounding_mode_name(rm);
+}
+
+TEST(HostFastVsGrs, ConvertsBetweenHostFormats) {
+  // Every rebound converter: between two distinct formats of binary8,
+  // binary16, binary16alt and binary32. 8- and 16-bit sources are swept
+  // exhaustively, binary32 sources over the boundary set and random
+  // patterns, all in every rounding mode.
+  const FpFormat host[] = {FpFormat::F8, FpFormat::F16, FpFormat::F16Alt,
+                           FpFormat::F32};
+  const auto f32_vals = boundary_values<Binary32>();
+  for (const FpFormat to : host) {
+    for (const FpFormat from : host) {
+      if (from == to) continue;
+      for (const RoundingMode rm : kAllRoundingModes) {
+        if (from == FpFormat::F32) {
+          for (const std::uint64_t a : f32_vals) check_cvt(to, from, a, rm);
+          for (int i = 0; i < 20'000; ++i) {
+            check_cvt(to, from, random_bits<Binary32>().bits, rm);
+          }
+        } else {
+          const unsigned n = 1u << fp::format_width(from);
+          for (unsigned a = 0; a < n; ++a) check_cvt(to, from, a, rm);
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
 TEST(HostFastVsGrs, PackedLaneEntriesMatch) {
   // f16/f16alt packed entries: random packed registers, all lane counts.
   for (const FpFormat tag : {FpFormat::F16, FpFormat::F16Alt}) {
@@ -467,14 +539,17 @@ TEST(Backend, F64AndUnprovenEntriesShareTheGrsImplementation) {
     expect_rebound_exactly(tag, "packed", entry_pairs(vfast(tag), vgrs(tag)),
                            simd ? packed : std::vector<std::string_view>{});
   }
-  // Converters: only the two exact 16-bit -> binary32 casts are rebound, so
-  // every binary8 pair is the Grs converter.
+  // Converters: every pair of distinct host-double formats is rebound;
+  // binary64, the posits and the diagonal are the Grs converter.
+  const auto host_fmt = [](FpFormat f) {
+    return f == FpFormat::F8 || f == FpFormat::F16 || f == FpFormat::F16Alt ||
+           f == FpFormat::F32;
+  };
   for (int to = 0; to < fp::kNumFormats; ++to) {
     for (int from = 0; from < fp::kNumFormats; ++from) {
       const auto t = static_cast<FpFormat>(to);
       const auto s = static_cast<FpFormat>(from);
-      const bool rebound = t == FpFormat::F32 &&
-                           (s == FpFormat::F16 || s == FpFormat::F16Alt);
+      const bool rebound = host_fmt(t) && host_fmt(s) && t != s;
       EXPECT_EQ(fp::rt_convert_fn(t, s, MathBackend::Fast) ==
                     fp::rt_convert_fn(t, s, MathBackend::Grs),
                 !rebound)
@@ -483,7 +558,7 @@ TEST(Backend, F64AndUnprovenEntriesShareTheGrsImplementation) {
   }
 }
 
-// ---- guarded-exact fma / mac / dotp ----------------------------------------
+// ---- fma / mac / dotp ------------------------------------------------------
 
 /// One scalar fma entry, both backends, bits + flags must agree.
 void check_fma(fp::RtTernFn g, fp::RtTernFn f, std::uint64_t a,
@@ -506,8 +581,9 @@ void check_fma_format(FpFormat tag, int fuzz_triples) {
                                  Float<F>::zero(true).bits};
   for (const RoundingMode rm : kAllRoundingModes) {
     // Boundary triples: all pairs from the set, with c sweeping a stride so
-    // the product/addend span crosses the exactness guard both ways, and
-    // with c = +-0 (the exact product, rounded once).
+    // the product/addend span crosses 53 bits both ways (the double sum
+    // exact, or rounded to odd), and with c = +-0 (the exact product,
+    // rounded once).
     for (std::size_t i = 0; i < vals.size(); ++i) {
       for (std::size_t j = 0; j < vals.size(); ++j) {
         const std::uint64_t c = vals[(i * 7 + j * 13 + 5) % vals.size()];
@@ -539,8 +615,8 @@ void check_fma_format(FpFormat tag, int fuzz_triples) {
 }
 
 TEST(HostFastVsGrs, FmaBinary8Exhaustive) {
-  // binary8's span always fits, so the fast fma never delegates on finite
-  // non-zero operands: check the whole operand cube at a fixed addend grid,
+  // The fast fma never delegates on finite operands with a non-zero
+  // product: check the whole binary8 operand cube at a fixed addend grid,
   // every addend when a or b is +-0 (the zero-product rules), and both zero
   // addends for every pair (the exact product, rounded once).
   const auto g = grs(FpFormat::F8).fma;
@@ -574,10 +650,86 @@ TEST(HostFastVsGrs, FmaBinary32) {
   check_fma_format<Binary32>(FpFormat::F32, 60'000);
 }
 
+// ---- narrowing boundaries ---------------------------------------------------
+
+/// Exact results at F's rounding boundaries, reached as a + b, as a * b, as
+/// fma(a, 1, b) or fma(a, b, +-0), and (below binary32) as a conversion of
+/// the exact binary32 value: the inline RNE narrowing and its GRS fallback
+/// must agree with the GRS entries in every mode. `rne` pins the GRS flags
+/// in RNE, so each case provably sits on the boundary it names.
+template <class F>
+void check_narrowing_boundaries(FpFormat tag) {
+  using T = Float<F>;
+  constexpr int M = F::man_bits;
+  const double ulp1 = std::ldexp(1.0, -M);  // one ulp of 1.0
+  const double max_finite = fp::to_double(T::max_finite());
+  struct Case {
+    const char* what;
+    bool mul;  // a * b, else a + b
+    double a, b;
+    std::uint8_t rne;
+  };
+  const Case cases[] = {
+      {"carry into the next binade", false, 2 - ulp1, ulp1 / 2, Flags::NX},
+      {"past the largest finite value", false, max_finite,
+       std::ldexp(1.0, F::emax - M - 1), Flags::OF | Flags::NX},
+      {"below the largest finite tie", false, max_finite,
+       std::ldexp(1.0, F::emax - M - 2), Flags::NX},
+      {"just below the smallest normal", true, 1 + ulp1,
+       std::ldexp(1.0, F::emin - 1), Flags::UF | Flags::NX},
+      {"tie to even, down", false, 1.0, ulp1 / 2, Flags::NX},
+      {"tie to even, up", false, 1 + ulp1, ulp1 / 2, Flags::NX},
+      {"exact", false, 1.0, ulp1, 0},
+  };
+  const RtOps& g = grs(tag);
+  const RtOps& f = fast(tag);
+  const std::uint64_t one = T::one().bits;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    // The negated case negates the result: both addends, or one factor.
+    for (const bool neg : {false, true}) {
+      const double av = neg ? -c.a : c.a;
+      const double bv = neg && !c.mul ? -c.b : c.b;
+      const std::uint64_t a = fp::from_double<F>(av).bits;
+      const std::uint64_t b = fp::from_double<F>(bv).bits;
+      ASSERT_EQ(fp::to_double(T::from_bits(a)), av);
+      ASSERT_EQ(fp::to_double(T::from_bits(b)), bv);
+      Flags rne;
+      (void)(c.mul ? g.mul : g.add)(a, b, RoundingMode::RNE, rne);
+      EXPECT_EQ(rne.bits, c.rne);
+      const double exact = c.mul ? av * bv : av + bv;
+      for (const RoundingMode rm : kAllRoundingModes) {
+        if (c.mul) {
+          check_bin(g.mul, f.mul, a, b, rm, "mul");
+          for (const std::uint64_t z :
+               {T::zero(false).bits, T::zero(true).bits}) {
+            check_fma(g.fma, f.fma, a, b, z, rm);
+          }
+        } else {
+          check_bin(g.add, f.add, a, b, rm, "add");
+          check_fma(g.fma, f.fma, a, one, b, rm);
+        }
+        if (F::width < 32) {
+          check_cvt(tag, FpFormat::F32,
+                    fp::from_double<Binary32>(exact).bits, rm);
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(HostFastVsGrs, NarrowingBoundaries) {
+  check_narrowing_boundaries<Binary8>(FpFormat::F8);
+  check_narrowing_boundaries<Binary16>(FpFormat::F16);
+  check_narrowing_boundaries<Binary16Alt>(FpFormat::F16Alt);
+  check_narrowing_boundaries<Binary32>(FpFormat::F32);
+}
+
 TEST(HostFastVsGrs, FmaBinary32AccumulationShapes) {
-  // The guard's sweet spot: |a*b| ~ |c|. Build triples whose product and
-  // addend exponents are deliberately close, where the fast path must take
-  // (not delegate) the exact branch and still agree bit-for-bit.
+  // The accumulation shape |a*b| ~ |c|: triples whose product and addend
+  // exponents are deliberately close exercise the TwoSum sum, both exact
+  // and rounded to odd, and must still agree bit-for-bit.
   const RtOps& g = grs(FpFormat::F32);
   const RtOps& f = fast(FpFormat::F32);
   for (const RoundingMode rm : kAllRoundingModes) {

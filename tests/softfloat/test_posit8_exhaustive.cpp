@@ -42,6 +42,14 @@
 // IEEE honour rm/flags and are checked against from_double of the oracle
 // value; IEEE -> posit8 is checked exhaustively (all 65536 binary16
 // patterns) and by directed+random binary32 sampling against oracle_round8.
+//
+// posit16 is sampled against the same oracle machinery (oracle_round16, a
+// binary search over the value-ordered patterns with 17-bit boundaries):
+// add/sub/mul/div, the scalar fma (random triples, and directed ties that
+// only a far-below addend breaks), the packed posit8 and posit16 mac, and
+// the posit8 -> posit16 exsdotp. Their fma oracle (oracle_fma) is exact:
+// TwoSum pins the exact sum between two adjacent long doubles, and no
+// rounding boundary lies strictly between two of them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -660,48 +668,70 @@ TEST(Posit8Exhaustive, FromInt32IsNearestWithSaturation) {
 
 // ---- posit16 spot checks against the same oracle machinery -----------------
 
-TEST(Posit16Sampled, BinopsAgainstLongDoubleOracle) {
-  // Nearest-posit16 oracle: pattern order is value order (verified for the
-  // encoding above), so decode neighbours directly. Comparisons happen in
-  // long double; sums of posit16 values can span more than 64 bits, so an
-  // unstable rounding (exact sum within 1 ulp64 of a decision boundary) is
-  // skipped and counted, like the posit8 FMA sweep.
-  const auto round16 = [](long double v) -> std::uint16_t {
-    if (std::isnan(v) || std::isinf(v)) return 0x8000;
-    if (v == 0) return 0;
-    const bool neg = v < 0;
-    const long double m = neg ? -v : v;
-    // Binary search over positive patterns 1..0x7fff (value-ordered).
-    unsigned lo = 1, hi = 0x7fff;
-    if (m >= static_cast<long double>(oracle_value(hi, 16))) {
-      lo = hi;
-    } else if (m <= static_cast<long double>(oracle_value(lo, 16))) {
-      hi = lo;
-    } else {
-      while (hi - lo > 1) {
-        const unsigned mid = lo + (hi - lo) / 2;
-        if (static_cast<long double>(oracle_value(mid, 16)) <= m)
-          lo = mid;
-        else
-          hi = mid;
-      }
-      const long double vlo = oracle_value(lo, 16), vhi = oracle_value(hi, 16);
-      if (m == vhi) {
-        lo = hi;
-      } else if (m != vlo) {
-        // Bit-string RNE boundary: the 17-bit posit between the adjacent
-        // bodies (<= 13-bit significand, exact in double).
-        const long double midv = oracle_value((lo << 1) | 1u, 17);
-        if (m > midv)
-          lo = hi;
-        else if (m == midv && (lo & 1u))
-          lo = hi;  // tie to the even body pattern
-      }
+/// Nearest-posit16 oracle: pattern order is value order (verified for the
+/// encoding above), so decode neighbours directly; ties go to the even body
+/// pattern, and the range clamps like posit8's.
+std::uint16_t oracle_round16(long double v) {
+  if (std::isnan(v) || std::isinf(v)) return 0x8000;
+  if (v == 0) return 0;
+  const bool neg = v < 0;
+  const long double m = neg ? -v : v;
+  // Binary search over positive patterns 1..0x7fff (value-ordered).
+  unsigned lo = 1, hi = 0x7fff;
+  if (m >= static_cast<long double>(oracle_value(hi, 16))) {
+    lo = hi;
+  } else if (m <= static_cast<long double>(oracle_value(lo, 16))) {
+    hi = lo;
+  } else {
+    while (hi - lo > 1) {
+      const unsigned mid = lo + (hi - lo) / 2;
+      if (static_cast<long double>(oracle_value(mid, 16)) <= m)
+        lo = mid;
+      else
+        hi = mid;
     }
-    const auto p = static_cast<std::uint16_t>(lo);
-    return neg ? static_cast<std::uint16_t>(-p) : p;
-  };
+    const long double vlo = oracle_value(lo, 16), vhi = oracle_value(hi, 16);
+    if (m == vhi) {
+      lo = hi;
+    } else if (m != vlo) {
+      // Bit-string RNE boundary: the 17-bit posit between the adjacent
+      // bodies (<= 13-bit significand, exact in double).
+      const long double midv = oracle_value((lo << 1) | 1u, 17);
+      if (m > midv)
+        lo = hi;
+      else if (m == midv && (lo & 1u))
+        lo = hi;  // tie to the even body pattern
+    }
+  }
+  const auto p = static_cast<std::uint16_t>(lo);
+  return neg ? static_cast<std::uint16_t>(-p) : p;
+}
 
+/// The oracle rounding of x * y + z through `round`, where x * y is exact in
+/// long double (posit products are: <= 24 significant bits). The long
+/// double sum s can be inexact; TwoSum recovers its error, so the exact
+/// value lies strictly between s and its neighbour n toward the error. No
+/// rounding boundary lies strictly between two adjacent long doubles (every
+/// boundary, a <= 13-bit significand, is one), and boundaries are far
+/// apart: so the exact value rounds like s, unless s is itself a boundary,
+/// and then like n.
+template <class Round>
+unsigned oracle_fma(Round round, long double x, long double y, long double z) {
+  const long double inf = std::numeric_limits<long double>::infinity();
+  const long double prod = x * y;
+  const long double s = prod + z;
+  const long double err = two_sum_err(prod, z, s);
+  if (err == 0) return round(s);
+  const bool s_is_boundary =
+      round(std::nextafterl(s, -inf)) != round(std::nextafterl(s, inf));
+  return round(s_is_boundary ? std::nextafterl(s, err > 0 ? inf : -inf) : s);
+}
+
+TEST(Posit16Sampled, BinopsAgainstLongDoubleOracle) {
+  // Comparisons happen in long double; sums of posit16 values can span more
+  // than 64 bits, so an unstable rounding (exact sum within 1 ulp64 of a
+  // decision boundary) is skipped and counted, like the posit8 FMA sweep.
+  const auto round16 = oracle_round16;
   const auto& ops = rt_ops(FpFormat::P16);
   const long double inf = std::numeric_limits<long double>::infinity();
   std::uint64_t checked = 0, skipped = 0;
@@ -748,6 +778,141 @@ TEST(Posit16Sampled, BinopsAgainstLongDoubleOracle) {
     }
   }
   EXPECT_GT(checked, (checked + skipped) * 999 / 1000);
+}
+
+TEST(Posit16Sampled, FmaAgainstLongDoubleOracle) {
+  // Random triples, every fourth with the addend set to the negated rounded
+  // product so near-cancellation is exercised.
+  const RtTernFn fma = rt_ops(FpFormat::P16).fma;
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t r = rng()();
+    const unsigned a = r & 0xffff, b = (r >> 16) & 0xffff;
+    unsigned c = (r >> 32) & 0xffff;
+    Flags fl;
+    if (i % 4 == 0) {
+      c = (0x10000u - static_cast<unsigned>(fma(a, b, 0, RoundingMode::RNE,
+                                                 fl))) & 0xffff;
+    }
+    const auto got =
+        static_cast<std::uint16_t>(fma(a, b, c, RoundingMode::RNE, fl));
+    EXPECT_EQ(fl.bits, 0u);
+    if (a == 0x8000 || b == 0x8000 || c == 0x8000) {
+      ASSERT_EQ(got, 0x8000u);
+      continue;
+    }
+    ASSERT_EQ(got, oracle_fma(oracle_round16, oracle_value(a, 16),
+                              oracle_value(b, 16), oracle_value(c, 16)))
+        << "a=0x" << std::hex << a << " b=0x" << b << " c=0x" << c;
+  }
+
+  // Directed: every positive a times a short multiplier puts many products
+  // exactly on a rounding tie, and a tiny addend of either sign, too far
+  // below a large product to align in 64 bits, must still break the tie
+  // its way (the sticky epsilon).
+  const std::uint16_t tiny[] = {0x0001, 0xffff, 0x0100, 0xff00};
+  std::uint64_t ties = 0;
+  for (unsigned a = 0x0001; a < 0x8000; ++a) {
+    for (const double bv : {1.5, 1.25, 0.75, 3.0}) {
+      Flags fl;
+      const auto b = static_cast<unsigned>(
+          rt_from_double(FpFormat::P16, bv, RoundingMode::RNE, fl));
+      ASSERT_EQ(oracle_value(b, 16), bv);
+      const long double prod =
+          static_cast<long double>(oracle_value(a, 16)) * bv;
+      if (oracle_round16(std::nextafterl(prod, 0)) !=
+          oracle_round16(std::nextafterl(prod, 4 * prod))) {
+        ++ties;  // prod sits on a boundary: the addend decides
+      }
+      for (const unsigned c : tiny) {
+        const auto got =
+            static_cast<std::uint16_t>(fma(a, b, c, RoundingMode::RNE, fl));
+        ASSERT_EQ(got, oracle_fma(oracle_round16, oracle_value(a, 16), bv,
+                                  oracle_value(c, 16)))
+            << "a=0x" << std::hex << a << " b=0x" << b << " c=0x" << c;
+      }
+    }
+  }
+  EXPECT_GT(ties, 1000u) << "the directed set must hit rounding ties";
+}
+
+/// The packed posit mac over a full 64-bit register (and one lane short of
+/// it, and .R replication), lane by lane against the oracle fma.
+template <int W, class Round>
+void check_packed_mac(FpFormat tag, Round round) {
+  const RtVecTernFn mac = rt_vec_ops(tag).mac;
+  constexpr int kLanes = 64 / W;
+  constexpr std::uint64_t kMask = (std::uint64_t{1} << W) - 1;
+  constexpr std::uint64_t kNar = std::uint64_t{1} << (W - 1);
+  const auto lane = [](std::uint64_t v, int l) { return (v >> (l * W)) & kMask; };
+  for (int i = 0; i < 40000; ++i) {
+    const std::uint64_t a = rng()(), b = rng()(), d = rng()();
+    const int lanes = kLanes - (i & 1);
+    const bool rep = (i & 2) != 0;
+    Flags fl;
+    const std::uint64_t got = mac(a, b, d, lanes, rep, RoundingMode::RNE, fl);
+    EXPECT_EQ(fl.bits, 0u);
+    for (int l = 0; l < kLanes; ++l) {
+      const std::uint64_t gl = lane(got, l);
+      if (l >= lanes) {
+        ASSERT_EQ(gl, 0u) << "bits above the active lanes must be zero";
+        continue;
+      }
+      const std::uint64_t al = lane(a, l), bl = lane(b, rep ? 0 : l),
+                          dl = lane(d, l);
+      if (al == kNar || bl == kNar || dl == kNar) {
+        ASSERT_EQ(gl, kNar);
+        continue;
+      }
+      ASSERT_EQ(gl, oracle_fma(round, oracle_value(al, W), oracle_value(bl, W),
+                               oracle_value(dl, W)))
+          << "lane " << l << " a=0x" << std::hex << al << " b=0x" << bl
+          << " d=0x" << dl;
+    }
+  }
+}
+
+TEST(PositPackedSampled, MacAgainstLongDoubleOracle) {
+  check_packed_mac<8>(FpFormat::P8, [](long double v) -> unsigned {
+    return oracle_round8(v);
+  });
+  check_packed_mac<16>(FpFormat::P16, [](long double v) -> unsigned {
+    return oracle_round16(v);
+  });
+}
+
+TEST(PositPackedSampled, ExSdotpP8ToP16AgainstLongDoubleOracle) {
+  // Wide lane w accumulates narrow lanes 2w and 2w+1 in order, each step an
+  // exact posit8 product added to the posit16 accumulator and rounded once
+  // in posit16; NaR in any input of a wide lane poisons it.
+  const RtVecDotpFn exsdotp = rt_vec_ops(FpFormat::P8).exsdotp;
+  const auto p8 = [](std::uint64_t v, int l) { return (v >> (8 * l)) & 0xff; };
+  const auto p16 = [](std::uint64_t v, int l) {
+    return (v >> (16 * l)) & 0xffff;
+  };
+  for (int i = 0; i < 40000; ++i) {
+    const std::uint64_t a = rng()(), b = rng()(), acc = rng()();
+    const int lanes = 8 - (i & 1);
+    const bool rep = (i & 2) != 0;
+    Flags fl;
+    const std::uint64_t got =
+        exsdotp(a, b, acc, lanes, rep, RoundingMode::RNE, fl);
+    EXPECT_EQ(fl.bits, 0u);
+    for (int w = 0; w < 4; ++w) {
+      unsigned want = static_cast<unsigned>(p16(acc, w));
+      bool nar = want == 0x8000;
+      for (int l = 2 * w; l < 2 * w + 2 && l < lanes; ++l) {
+        const std::uint64_t al = p8(a, l), bl = p8(b, rep ? 0 : l);
+        nar = nar || al == kNar8 || bl == kNar8;
+        if (nar) continue;
+        want = oracle_fma(oracle_round16, oracle_value(al, 8),
+                          oracle_value(bl, 8), oracle_value(want, 16));
+      }
+      if (nar) want = 0x8000;
+      ASSERT_EQ(p16(got, w), want)
+          << "wide lane " << w << " a=0x" << std::hex << a << " b=0x" << b
+          << " acc=0x" << acc << " lanes=" << std::dec << lanes;
+    }
+  }
 }
 
 }  // namespace

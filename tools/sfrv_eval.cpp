@@ -33,6 +33,11 @@
 
 namespace {
 
+/// The largest -j: run_sharded starts one thread per job (at most one per
+/// group of cells), and a wide --vls list makes thousands of groups, so an
+/// uncapped -j could ask for thousands of threads.
+constexpr int kMaxJobs = 256;
+
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -48,7 +53,7 @@ int usage(const char* argv0) {
       "                its reduced-size clone for CI\n"
       "  --out         output prefix; writes PREFIX.json and PREFIX.md\n"
       "                (default: report)\n"
-      "  -j, --jobs    worker threads (default: 1)\n"
+      "  -j, --jobs    worker threads, 1 to %d (default: 1)\n"
       "  --benchmarks  comma-separated subset of the suite (default: all)\n"
       "  --vls         comma-separated VL-sweep axis; each point overrides\n"
       "                the strip-mining setvl cap (0 = legacy fixed-lane\n"
@@ -72,7 +77,7 @@ int usage(const char* argv0) {
       "                concurrent processes on the same DIR reuse any cell\n"
       "                whose address matches (default: no store)\n"
       "  --list        print the known names of a kind, one per line, and exit\n",
-      argv0, sfrv::sim::engine_names().c_str());
+      argv0, sfrv::sim::engine_names().c_str(), kMaxJobs);
   return 2;
 }
 
@@ -200,6 +205,11 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       if (!parse_int(v, jobs) || jobs < 1) {
         std::fprintf(stderr, "invalid job count: %s\n", v);
+        return 2;
+      }
+      if (jobs > kMaxJobs) {
+        std::fprintf(stderr, "job count %s exceeds the maximum of %d\n", v,
+                     kMaxJobs);
         return 2;
       }
     } else if (arg == "--benchmarks") {
