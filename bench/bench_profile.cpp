@@ -20,7 +20,11 @@
 // function template), so the shares are inclusive: a nested row is part of
 // its parent row, and rows at one level need not sum to 100%. The softfloat
 // and executor rows count the innermost frame only; the softfloat row's two
-// sub-rows split it into posit and IEEE entries. A second table ranks the
+// sub-rows split it into posit and IEEE entries. The split is steady state,
+// after the warm-up pass: a fresh process's first pass (what a sfrv-eval
+// run pays) differs, and ITIMER_PROF samples at the kernel tick whatever
+// the interval asked for, so a first-pass split needs the samples of many
+// `--reps 1` processes added up (docs/evaluation.md). A second table ranks the
 // functions that are a sample's innermost frame in this executable; where
 // the sample stopped in libc, that is libc's caller. Run from an optimized
 // build without assertions for figures that describe the optimized program;
@@ -257,13 +261,17 @@ constexpr std::string_view kLower = "sfrv::ir::lower";
 
 const std::vector<Layer>& layers() {
   static const std::vector<Layer> rows = {
-      {"planning (plan_cells)", 0,
-       {"sfrv::eval::(anonymous namespace)::plan_cells"}},
-      {"kernel build (kernels::make_*)", 1, {"sfrv::kernels::make_"}},
+      {"planning (plan_cells)", 0, {"sfrv::eval::plan_cells"}},
+      {"kernel build (kernels::Benchmark)", 1,
+       {"sfrv::kernels::Benchmark::", "sfrv::kernels::make_"}},
+      {"benchmark data", 2, {"sfrv::kernels::Benchmark::data"}},
       {"quantization", 1, {}},
       {"lowering (ir::lower*)", 1, {kLower}},
       {"digest", 1,
-       {"sfrv::kernels::lowered_digest", "sfrv::kernels::KernelDigest::"}},
+       {"sfrv::kernels::lowered_digest", "sfrv::kernels::KernelDigest::",
+        "sfrv::kernels::(anonymous namespace)::shared_part",
+        "sfrv::kernels::(anonymous namespace)::with_text",
+        "sfrv::util::WordHash::"}},
       {"store lookup", 0, {"sfrv::eval::CellStore::lookup"}},
       {"entry read and parse", 1, {"sfrv::eval::CellStore::load_from_disk"}},
       {"simulation (run_lowered)", 0, {"sfrv::kernels::run_lowered"}},

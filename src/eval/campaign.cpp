@@ -65,54 +65,18 @@ std::vector<EvalBenchmark> make_full_suite() {
 }
 
 std::vector<EvalBenchmark> make_smoke_suite() {
-  using kernels::Benchmark;
-  std::vector<EvalBenchmark> out;
-  out.push_back({Benchmark{"svm",
-                           [](TypeConfig tc) {
-                             return kernels::make_svm(tc, smoke_svm());
-                           }},
-                 svm_accuracy_hook(smoke_svm().model, smoke_svm().test)});
-  out.push_back({Benchmark{"gemm",
-                           [](TypeConfig tc) {
-                             return kernels::make_gemm(tc, 8, 8, 8);
-                           }},
-                 nullptr});
-  out.push_back({Benchmark{"atax",
-                           [](TypeConfig tc) {
-                             return kernels::make_atax(tc, 8, 10);
-                           }},
-                 nullptr});
-  out.push_back({Benchmark{"syrk",
-                           [](TypeConfig tc) {
-                             return kernels::make_syrk(tc, 8, 8);
-                           }},
-                 nullptr});
-  out.push_back({Benchmark{"syr2k",
-                           [](TypeConfig tc) {
-                             return kernels::make_syr2k(tc, 8, 8);
-                           }},
-                 nullptr});
-  out.push_back({Benchmark{"fdtd2d",
-                           [](TypeConfig tc) {
-                             return kernels::make_fdtd2d(tc, 2, 8, 8);
-                           }},
-                 nullptr});
-  out.push_back({Benchmark{"conv2d",
-                           [](TypeConfig tc) {
-                             return kernels::make_conv2d(tc, 6, 6, 3);
-                           }},
-                 nullptr});
-  out.push_back({Benchmark{"fully_connected",
-                           [](TypeConfig tc) {
-                             return kernels::make_fully_connected(tc, 6, 10);
-                           }},
-                 nullptr});
-  out.push_back({Benchmark{"nn_train",
-                           [](TypeConfig tc) {
-                             return kernels::make_nn_train(tc, 5, 6);
-                           }},
-                 nullptr});
-  return out;
+  return {
+      {kernels::svm(smoke_svm),
+       svm_accuracy_hook(smoke_svm().model, smoke_svm().test)},
+      {kernels::gemm(8, 8, 8), nullptr},
+      {kernels::atax(8, 10), nullptr},
+      {kernels::syrk(8, 8), nullptr},
+      {kernels::syr2k(8, 8), nullptr},
+      {kernels::fdtd2d(2, 8, 8), nullptr},
+      {kernels::conv2d(6, 6, 3), nullptr},
+      {kernels::fully_connected(6, 10), nullptr},
+      {kernels::nn_train(5, 6), nullptr},
+  };
 }
 
 std::vector<double> golden_concat(const KernelSpec& spec) {
@@ -228,19 +192,21 @@ namespace {
 /// The array images of one planning call, shared by content: arrays with
 /// the same element type and byte-equal init values get one image, encoded
 /// on first request and copied into every kernel that asks for it, whatever
-/// benchmark or TypeConfig the kernel has. Entries point at init values of
-/// kernels the call keeps alive, and go when the call returns.
+/// benchmark or TypeConfig the kernel has. Entries point at the init values
+/// of the call's benchmark data (the same vectors for every TypeConfig of a
+/// benchmark, so those match without a compare), and go when the call
+/// returns.
 class ImagePool {
  public:
-  ir::ArrayImages images(const KernelSpec& spec) {
-    const ir::Kernel& kernel = spec.kernel;
+  ir::ArrayImages images(const ir::Kernel& kernel,
+                         const std::vector<std::vector<double>>& inits) {
     ir::ArrayImages out(kernel.arrays.size());
     for (std::size_t ai = 0; ai < kernel.arrays.size(); ++ai) {
-      if (ai >= spec.init.size()) {
+      if (ai >= inits.size()) {
         out[ai] = ir::encode_array(kernel, ai, {});
         continue;
       }
-      const std::vector<double>& init = spec.init[ai];
+      const std::vector<double>& init = inits[ai];
       const ir::ArrayDecl& arr = kernel.arrays[ai];
       const auto elems = static_cast<std::size_t>(arr.elems());
       if (init.empty() || init.size() != elems) {
@@ -251,7 +217,8 @@ class ImagePool {
       std::vector<Entry>& same_shape = entries_[{arr.type, elems}];
       auto it = std::find_if(
           same_shape.begin(), same_shape.end(), [&](const Entry& e) {
-            return std::memcmp(e.init->data(), init.data(),
+            return e.init == &init ||
+                   std::memcmp(e.init->data(), init.data(),
                                elems * sizeof(double)) == 0;
           });
       if (it == same_shape.end()) {
@@ -278,39 +245,39 @@ class ImagePool {
 /// the kernel lowers from the same encoded images and resumes the same
 /// digest state.
 struct KernelPlan {
-  KernelPlan(std::shared_ptr<const KernelSpec> built, ImagePool& pool)
-      : spec(std::move(built)), images(pool.images(*spec)), digest(*spec) {}
+  KernelPlan(const kernels::Benchmark& bench, TypeConfig tc,
+             const kernels::KernelData& data, ImagePool& pool)
+      : spec(std::make_shared<const KernelSpec>(bench.instantiate(tc, data))),
+        images(pool.images(spec->kernel, data.init)),
+        digest(*spec) {}
 
   std::shared_ptr<const KernelSpec> spec;
   ir::ArrayImages images;
   kernels::KernelDigest digest;
 };
 
-/// The planner proper. It runs once per call and keeps nothing afterwards:
-/// each (benchmark, TypeConfig) kernel is built and reference-hashed once,
-/// and each distinct array image is encoded once (ImagePool). Then every
-/// cell is lowered from its kernel's images under the campaign opt, with the
-/// cell's VL point as `vl_cap` (each point is a distinct lowering of the
-/// same kernel), and given its content address.
+}  // namespace
+
 std::vector<PlannedCell> plan_cells(const CampaignSpec& spec,
                                     const std::vector<CellSpec>& cells) {
+  // Each benchmark's data, built on its first cell and shared by every
+  // TypeConfig's kernel.
+  std::map<const EvalBenchmark*, kernels::KernelData> data;
   std::map<std::tuple<const EvalBenchmark*, ir::ScalarType, ir::ScalarType>,
            KernelPlan>
-      kernels;
+      plans;
   ImagePool pool;
   std::vector<PlannedCell> planned;
   planned.reserve(cells.size());
   for (const CellSpec& cell : cells) {
     const TypeConfig& tc = cell.type_config.tc;
     const std::tuple key{cell.benchmark, tc.data, tc.acc};
-    auto it = kernels.find(key);
-    if (it == kernels.end()) {
-      it = kernels
-               .try_emplace(key,
-                            std::make_shared<const KernelSpec>(
-                                cell.benchmark->bench.make(tc)),
-                            pool)
-               .first;
+    auto it = plans.find(key);
+    if (it == plans.end()) {
+      const kernels::Benchmark& bench = cell.benchmark->bench;
+      auto [d, fresh] = data.try_emplace(cell.benchmark);
+      if (fresh) d->second = bench.data();
+      it = plans.try_emplace(key, bench, tc, d->second, pool).first;
     }
     KernelPlan& kernel = it->second;
     PlannedCell p;
@@ -336,6 +303,8 @@ std::vector<PlannedCell> plan_cells(const CampaignSpec& spec,
   }
   return planned;
 }
+
+namespace {
 
 /// Presentation fields are spec-derived, not measurement-derived: they are
 /// (re)stamped on every serve, which is what lets differently-labelled specs
@@ -394,14 +363,16 @@ bool same_program(const PlannedCell& a, const PlannedCell& b) {
 
 /// Serve or simulate every planned cell on one run_sharded pass of `jobs`
 /// workers. This is the one place that looks up, inserts and tallies store
-/// cells. With a store, every cell is looked up first (serially, so hits
-/// land before any simulation starts), only the misses reach the workers,
-/// and each computed cell is inserted. Without a store every cell is a miss
-/// and nothing but `simulated` is tallied. Misses with the same benchmark
-/// and digest (their keys may still differ in mode, VL or types, or be the
-/// same key requested twice) are simulated once: the other cells of the
-/// group get copies of that result, each under its own presentation and its
-/// own store key. `landed` (optional) sees each cell as it lands: its index,
+/// cells. With a store, each distinct key is looked up once, before any
+/// simulation starts (serially, so hits land first), and a later cell with
+/// the same key is served from that hit, re-stamped, or misses with it;
+/// only the misses reach the workers, and each computed key is inserted
+/// once. The tallies count cells, not reads. Without a store every cell is
+/// a miss and nothing but `simulated` is tallied. Misses with the same
+/// benchmark and digest (their keys may still differ in mode, VL or types,
+/// or be the same key requested twice) are simulated once: the other cells
+/// of the group get copies of that result, each under its own
+/// presentation. `landed` (optional) sees each cell as it lands: its index,
 /// the result, and whether the store served it; calls are serialized.
 std::vector<CellResult> serve_or_simulate(
     const CampaignSpec& spec, const std::vector<PlannedCell>& planned,
@@ -415,13 +386,32 @@ std::vector<CellResult> serve_or_simulate(
     landed(i, c, served);
   };
 
+  // first_key[i]: the first cell with cell i's key (a tuner point and the
+  // matrix cell that covers it share one). Only that cell reads the store
+  // and writes it; the others take its outcome.
+  std::vector<std::size_t> first_key(planned.size());
+  std::map<std::uint64_t, std::vector<std::size_t>> by_digest;
+  for (std::size_t i = 0; i < planned.size(); ++i) {
+    std::vector<std::size_t>& same = by_digest[planned[i].key.kernel_digest];
+    const auto it = std::find_if(same.begin(), same.end(), [&](std::size_t j) {
+      return planned[j].key == planned[i].key;
+    });
+    first_key[i] = it == same.end() ? i : *it;
+    if (it == same.end()) same.push_back(i);
+  }
   std::vector<std::size_t> misses;
+  std::vector<bool> served(planned.size(), false);
   for (std::size_t i = 0; i < planned.size(); ++i) {
     std::optional<CellResult> hit;
-    if (store != nullptr) hit = store->lookup(planned[i].key);
+    if (first_key[i] != i) {
+      if (served[first_key[i]]) hit = results[first_key[i]];
+    } else if (store != nullptr) {
+      hit = store->lookup(planned[i].key);
+    }
     if (hit) {
       stamp_presentation(*hit, planned[i].cell);
       results[i] = std::move(*hit);
+      served[i] = true;
       land(i, results[i], true);
     } else {
       misses.push_back(i);
@@ -457,7 +447,9 @@ std::vector<CellResult> serve_or_simulate(
     for (const std::size_t i : groups[g]) {
       CellResult c = simulated;
       stamp_presentation(c, planned[i].cell);
-      if (store != nullptr) store->insert(planned[i].key, c);
+      if (store != nullptr && first_key[i] == i) {
+        store->insert(planned[i].key, c);
+      }
       land(i, c, false);
       results[i] = std::move(c);
     }
@@ -472,39 +464,6 @@ std::vector<CellResult> serve_or_simulate(
 constexpr std::array<ir::ScalarType, 6> kTunerDomain = {
     ir::ScalarType::F8,  ir::ScalarType::P8,  ir::ScalarType::F16Alt,
     ir::ScalarType::F16, ir::ScalarType::P16, ir::ScalarType::F32};
-
-/// The grid points the study simulates: every {data, acc} pair of the SVM
-/// that the promotion lattice orders, in the order the tuner visits them.
-/// A point vectorizes whenever its data type packs (the paper's tuned
-/// deployment; float data has no lanes at FLEN=32 and runs the scalar
-/// pipeline) and runs at the spec's `vl_cap`. Unordered pairs — the two
-/// 16-bit IEEE formats against each other, or posit/IEEE mixes outside
-/// float — have no defined source-level typing and are not grid points.
-std::vector<CellSpec> tuner_grid(const CampaignSpec& spec) {
-  const auto& suite = eval_suite(spec.scale);
-  const auto svm = std::find_if(
-      suite.begin(), suite.end(),
-      [](const EvalBenchmark& b) { return b.bench.name == "svm"; });
-  if (svm == suite.end() || !svm->accuracy) {
-    throw std::runtime_error("tuner study requires the svm benchmark");
-  }
-  std::vector<CellSpec> grid;
-  for (const ir::ScalarType acc : kTunerDomain) {
-    for (const ir::ScalarType data : kTunerDomain) {
-      if (!ir::comparable(data, acc)) continue;
-      CellSpec cell;
-      cell.benchmark = &*svm;
-      cell.type_config = {std::string(ir::type_name(data)) + "/" +
-                              std::string(ir::type_name(acc)),
-                          {data, acc}};
-      cell.mode = ir::lanes32(data) >= 2 ? ir::CodegenMode::ManualVec
-                                         : ir::CodegenMode::Scalar;
-      cell.vl = spec.opt.vl_cap;
-      grid.push_back(std::move(cell));
-    }
-  }
-  return grid;
-}
 
 /// Tune the SVM's {data, acc} slots from the grid's outcomes (`outcome[i]`
 /// is the cell of `grid[i]`): QoR = simulated classification accuracy, cost
@@ -562,6 +521,32 @@ TunerStudy tune(const std::vector<CellSpec>& grid,
 }
 
 }  // namespace
+
+std::vector<CellSpec> tuner_grid(const CampaignSpec& spec) {
+  const auto& suite = eval_suite(spec.scale);
+  const auto svm = std::find_if(
+      suite.begin(), suite.end(),
+      [](const EvalBenchmark& b) { return b.bench.name == "svm"; });
+  if (svm == suite.end() || !svm->accuracy) {
+    throw std::runtime_error("tuner study requires the svm benchmark");
+  }
+  std::vector<CellSpec> grid;
+  for (const ir::ScalarType acc : kTunerDomain) {
+    for (const ir::ScalarType data : kTunerDomain) {
+      if (!ir::comparable(data, acc)) continue;
+      CellSpec cell;
+      cell.benchmark = &*svm;
+      cell.type_config = {std::string(ir::type_name(data)) + "/" +
+                              std::string(ir::type_name(acc)),
+                          {data, acc}};
+      cell.mode = ir::lanes32(data) >= 2 ? ir::CodegenMode::ManualVec
+                                         : ir::CodegenMode::Scalar;
+      cell.vl = spec.opt.vl_cap;
+      grid.push_back(std::move(cell));
+    }
+  }
+  return grid;
+}
 
 std::vector<PlannedCell> plan_campaign(const CampaignSpec& spec) {
   return plan_cells(spec, expand_matrix(spec));

@@ -1,15 +1,17 @@
 // Campaign runner, split into three layers:
 //
-//  * planner   — expand_matrix / plan_campaign turn a CampaignSpec into
+//  * planner   — expand_matrix / plan_cells turn a CampaignSpec into
 //                planned cells: the built kernel, its lowered program, and a
 //                content-addressed CellKey (kernel digest × TypeConfig ×
 //                mode × engine × backend × opt × vl × mem × schema). Each
-//                (benchmark, TypeConfig) kernel is built and its reference
-//                hashed once per call, and each distinct (element type,
-//                init values) array image is encoded once per call and
-//                shared by every kernel that has it; every cell lowers
-//                against those. The planner is per call: nothing it builds
-//                outlives the run.
+//                benchmark's data (inputs and golden reference) is built
+//                once per call and shared by all its TypeConfigs; each
+//                (benchmark, TypeConfig) kernel is instantiated from it and
+//                its reference hashed once per call, and each distinct
+//                (element type, init values) array image is encoded once per
+//                call and shared by every kernel that has it; every cell
+//                lowers against those. The planner is per call: nothing it
+//                builds outlives the run.
 //  * store     — run_campaign consults an optional CellStore, a cache
 //                directory, before simulating; hits are read from their
 //                entries and only misses reach the executor
@@ -143,10 +145,29 @@ struct PlannedCell {
   CellKey key;
 };
 
-/// The planner: expand the matrix and build/lower/digest every cell (no
-/// simulation). Cheap relative to execution — this is the part a warm run
-/// still pays, every run and every process anew.
+/// The planner: build, lower and digest every cell (no simulation). Each
+/// benchmark's data (inputs and golden reference) is built once per call
+/// and every (benchmark, TypeConfig) kernel is instantiated from it once;
+/// each distinct array image is encoded once; then every cell lowers under
+/// `spec.opt` with its own VL point and gets its content address. Cheap
+/// relative to execution — this is the part a warm run still pays, every
+/// run and every process anew. run_campaign plans the matrix and the tuner
+/// grid in one call.
+[[nodiscard]] std::vector<PlannedCell> plan_cells(
+    const CampaignSpec& spec, const std::vector<CellSpec>& cells);
+
+/// plan_cells over the expanded matrix.
 [[nodiscard]] std::vector<PlannedCell> plan_campaign(const CampaignSpec& spec);
+
+/// The grid points the Fig. 6 study simulates: every {data, acc} pair of the
+/// SVM that the promotion lattice orders, in the order the tuner visits
+/// them. A point vectorizes whenever its data type packs (the paper's tuned
+/// deployment; float data has no lanes at FLEN=32 and runs the scalar
+/// pipeline) and runs at the spec's `vl_cap`. Unordered pairs — the two
+/// 16-bit IEEE formats against each other, or posit/IEEE mixes outside
+/// float — have no defined source-level typing and are not grid points.
+/// Throws when the spec's suite has no SVM.
+[[nodiscard]] std::vector<CellSpec> tuner_grid(const CampaignSpec& spec);
 
 /// Execute one cell on its own, without a store: plan it as the campaign
 /// does, simulate, and measure. Its result serializes like the campaign's
@@ -168,13 +189,14 @@ using CellCallback = std::function<void(
 /// Run the whole campaign with `jobs` worker threads (clamped to >= 1): the
 /// matrix plus, when `spec.runs_tuner()`, every tuner grid point, in one
 /// executor pass. With a `store`, cells present in it are served instead of
-/// simulated and computed cells are inserted; `report.cache.{hits,misses}`
-/// record one lookup per matrix cell and per grid point (never serialized).
-/// Without a store both stay 0. Misses that lower to the same program — a
-/// grid point and the matrix cell that covers it among them — are simulated
-/// once; every one of them is still computed (`cached` false), inserted
-/// under its own key and streamed once, and `report.cache.simulated` counts
-/// the simulations. `on_cell` streams partial results.
+/// simulated and computed cells are inserted; each distinct key is read and
+/// written once per pass, and `report.cache.{hits,misses}` count every
+/// matrix cell and grid point (never serialized). Without a store both stay
+/// 0. Misses that lower to the same program — a grid point and the matrix
+/// cell that covers it among them — are simulated once; every one of them
+/// is still computed (`cached` false) and streamed once, and
+/// `report.cache.simulated` counts the simulations. `on_cell` streams
+/// partial results.
 [[nodiscard]] EvalReport run_campaign(const CampaignSpec& spec, int jobs = 1,
                                       CellStore* store = nullptr,
                                       const CellCallback& on_cell = nullptr);

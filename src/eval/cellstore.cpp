@@ -87,9 +87,10 @@ std::string CellKey::canonical() const {
 std::string CellKey::address() const { return address_of(canonical()); }
 
 std::string CellKey::address_of(std::string_view canonical) {
-  // Two independently seeded passes give a 128-bit address: at the cell
-  // counts this store sees, accidental collision is out of the picture, and
-  // deliberate collision is caught by the canonical-text check on load.
+  // Two passes with different offset bases give a 128-bit address: at the
+  // cell counts this store sees, accidental collision is out of the
+  // picture, and deliberate collision is caught by the canonical-text check
+  // on load.
   util::Fnv1a lo;
   util::Fnv1a hi(0x9e3779b97f4a7c15ull);
   lo.bytes(canonical.data(), canonical.size());

@@ -2,10 +2,10 @@
 // in one process or several, share cells (sfrv-eval --cache-dir).
 //
 // A campaign cell is addressed by everything its result is a function of:
-// the lowered-kernel content digest (kernels::lowered_digest: the data
-// segment with the quantized inputs and the golden reference, which the
-// planner hashes once per (benchmark, TypeConfig) kernel, then the cell's
-// own text image), the type configuration, the code generator, the
+// the lowered-kernel content digest (kernels::lowered_digest, a word-wise
+// hash of the data segment with the quantized inputs and the golden
+// reference, which the planner hashes once per (benchmark, TypeConfig)
+// kernel, then of the cell's own text image), the type configuration, the code generator, the
 // execution engine, the math backend, the optimizer configuration, the VL
 // point, the memory timing, and the report schema version. Display names
 // (benchmark / type-config labels) are deliberately *not* part of the
@@ -62,15 +62,17 @@ struct CellKey {
   /// file) is detected instead of served.
   [[nodiscard]] std::string canonical() const;
 
-  /// 32-hex-character content address (two independently seeded FNV-1a
-  /// passes over `canonical()`). Stable across processes and machines; used
-  /// as the entry's file stem.
+  /// 32-hex-character content address (two FNV-1a passes over
+  /// `canonical()`, with the standard and one other offset basis). Stable
+  /// across processes and machines; used as the entry's file stem.
   [[nodiscard]] std::string address() const;
 
   /// The address of a canonical text: address() is
   /// address_of(canonical()), so a caller that needs both builds the text
   /// once.
   [[nodiscard]] static std::string address_of(std::string_view canonical);
+
+  friend bool operator==(const CellKey&, const CellKey&) = default;
 };
 
 /// Thread-safe on-disk cell store: one JSON entry per key under `cache_dir`,

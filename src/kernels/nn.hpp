@@ -23,15 +23,20 @@ namespace sfrv::kernels {
 
 /// out[oy][ox] += sum_{ky,kx} W[ky][kx] * in[oy+ky][ox+kx]  (valid conv,
 /// output oh x ow, filter k x k, input (oh+k-1) x (ow+k-1)).
-[[nodiscard]] KernelSpec make_conv2d(TypeConfig tc, int oh = 12, int ow = 12,
-                                     int k = 3);
+[[nodiscard]] Benchmark conv2d(int oh = 12, int ow = 12, int k = 3);
 
 /// out[o] = sum_i W[o][i] * x[i]      (n_out x n_in)
-[[nodiscard]] KernelSpec make_fully_connected(TypeConfig tc, int n_out = 16,
-                                              int n_in = 32);
+[[nodiscard]] Benchmark fully_connected(int n_out = 16, int n_in = 32);
 
 /// Forward + weight update:  h[o] = sum_i W[o][i]*x[i];
 /// W[o][i] += lr * g[o] * x[i]        (n_out x n_in, lr = 1/16)
+[[nodiscard]] Benchmark nn_train(int n_out = 12, int n_in = 24);
+
+/// One instance of each: the benchmark above at `tc`.
+[[nodiscard]] KernelSpec make_conv2d(TypeConfig tc, int oh = 12, int ow = 12,
+                                     int k = 3);
+[[nodiscard]] KernelSpec make_fully_connected(TypeConfig tc, int n_out = 16,
+                                              int n_in = 32);
 [[nodiscard]] KernelSpec make_nn_train(TypeConfig tc, int n_out = 12,
                                        int n_in = 24);
 

@@ -9,34 +9,31 @@
 // inputs so the innermost loop is a unit-stride update.
 #pragma once
 
-#include "ir/type.hpp"
 #include "kernels/runner.hpp"
 
 namespace sfrv::kernels {
 
-/// Variable-to-type assignment: `data` types the arrays, `acc` the
-/// reduction accumulators (mixed precision uses acc wider than data).
-struct TypeConfig {
-  ir::ScalarType data = ir::ScalarType::F32;
-  ir::ScalarType acc = ir::ScalarType::F32;
-
-  static TypeConfig uniform(ir::ScalarType t) { return {t, t}; }
-};
-
 /// C[i][j] += A[i][k] * B[k][j]      (n x p x m)
-[[nodiscard]] KernelSpec make_gemm(TypeConfig tc, int n = 24, int m = 24,
-                                   int p = 24);
+[[nodiscard]] Benchmark gemm(int n = 24, int m = 24, int p = 24);
 
 /// tmp = A x ; y = A^T tmp           (n x m)
-[[nodiscard]] KernelSpec make_atax(TypeConfig tc, int n = 28, int m = 30);
+[[nodiscard]] Benchmark atax(int n = 28, int m = 30);
 
 /// C[i][j] += A[i][k] * A[j][k], lower triangle (j <= i)
-[[nodiscard]] KernelSpec make_syrk(TypeConfig tc, int n = 24, int k = 24);
+[[nodiscard]] Benchmark syrk(int n = 24, int k = 24);
 
 /// C[i][j] += A[i][k]*B[j][k] + B[i][k]*A[j][k], lower triangle
-[[nodiscard]] KernelSpec make_syr2k(TypeConfig tc, int n = 24, int k = 24);
+[[nodiscard]] Benchmark syr2k(int n = 24, int k = 24);
 
 /// 2-D finite-difference time domain stencil over t timesteps.
+[[nodiscard]] Benchmark fdtd2d(int t = 4, int n = 24, int m = 24);
+
+/// One instance of each: the benchmark above at `tc`.
+[[nodiscard]] KernelSpec make_gemm(TypeConfig tc, int n = 24, int m = 24,
+                                   int p = 24);
+[[nodiscard]] KernelSpec make_atax(TypeConfig tc, int n = 28, int m = 30);
+[[nodiscard]] KernelSpec make_syrk(TypeConfig tc, int n = 24, int k = 24);
+[[nodiscard]] KernelSpec make_syr2k(TypeConfig tc, int n = 24, int k = 24);
 [[nodiscard]] KernelSpec make_fdtd2d(TypeConfig tc, int t = 4, int n = 24,
                                      int m = 24);
 

@@ -8,11 +8,20 @@
 #include <type_traits>
 
 #include "softfloat/runtime.hpp"
-#include "util/fnv.hpp"
 
 namespace sfrv::kernels {
 
-using util::Fnv1a;
+using util::WordHash;
+
+KernelData Benchmark::data() const { return build_data(); }
+
+KernelSpec Benchmark::instantiate(TypeConfig tc, const KernelData& data) const {
+  return {data, build_kernel(tc)};
+}
+
+KernelSpec Benchmark::make(TypeConfig tc) const {
+  return {data(), build_kernel(tc)};
+}
 
 double RunResult::ideal_cycles(int vl) const {
   if (vl < 1) {
@@ -50,13 +59,13 @@ std::vector<double> RunResult::concat_outputs(
 namespace {
 
 /// The digest's first part, which every lowering of one kernel shares.
-Fnv1a shared_part(const KernelSpec& spec, const asmb::Program& program) {
-  Fnv1a h;
+WordHash shared_part(const KernelSpec& spec, const asmb::Program& program) {
+  WordHash h;
   h.pod(program.data_base);
   h.bytes(program.data.data(), program.data.size());
   // The QoR reference: SQNR (and accuracy) of a cached cell are functions of
   // the golden outputs too, so a reference change must change the address.
-  for (const auto& name : spec.output_arrays) h.str(name);
+  for (const auto& name : spec.output_arrays) h.bytes(name.data(), name.size());
   for (const auto& g : spec.golden) {
     h.bytes(g.data(), g.size() * sizeof(double));
   }
@@ -64,7 +73,7 @@ Fnv1a shared_part(const KernelSpec& spec, const asmb::Program& program) {
 }
 
 /// The digest's second part: the lowering's own text.
-std::uint64_t with_text(Fnv1a h, const asmb::Program& program) {
+std::uint64_t with_text(WordHash h, const asmb::Program& program) {
   h.pod(program.text_base);
   h.bytes(program.text_words.data(),
           program.text_words.size() * sizeof(std::uint32_t));

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -10,16 +11,51 @@
 
 #include "ir/lower.hpp"
 #include "sim/core.hpp"
-#include "util/fnv.hpp"
+#include "util/wordhash.hpp"
 
 namespace sfrv::kernels {
 
-/// A benchmark instance: typed IR, input data, golden double reference.
-struct KernelSpec {
-  ir::Kernel kernel;
+/// Variable-to-type assignment: `data` types the arrays, `acc` the
+/// reduction accumulators (mixed precision uses acc wider than data).
+struct TypeConfig {
+  ir::ScalarType data = ir::ScalarType::F32;
+  ir::ScalarType acc = ir::ScalarType::F32;
+
+  static TypeConfig uniform(ir::ScalarType t) { return {t, t}; }
+};
+
+/// The part of a benchmark instance that no TypeConfig changes: the input
+/// values, the arrays compared for QoR and the golden double reference.
+struct KernelData {
   std::vector<std::vector<double>> init;          ///< per array id (inputs)
   std::vector<std::string> output_arrays;         ///< arrays compared for QoR
   std::vector<std::vector<double>> golden;        ///< per output array
+};
+
+/// A benchmark instance: input data and golden reference, plus the IR
+/// typed for one TypeConfig.
+struct KernelSpec : KernelData {
+  ir::Kernel kernel;
+};
+
+/// A suite benchmark in its two parts: the data, built once for every
+/// TypeConfig, and the typed IR of one TypeConfig, whose array ids index
+/// the data's `init`.
+struct Benchmark {
+  std::string name;
+  std::function<KernelData()> build_data;
+  std::function<ir::Kernel(TypeConfig)> build_kernel;
+
+  /// The TypeConfig-independent part: build_data(), behind a named
+  /// out-of-line call so that profiles can attribute it (bench_profile's
+  /// "benchmark data" row).
+  [[nodiscard]] KernelData data() const;
+  /// The instance at `tc` over data built once: a copy of `data` with the
+  /// IR typed for `tc`.
+  [[nodiscard]] KernelSpec instantiate(TypeConfig tc,
+                                       const KernelData& data) const;
+  /// The instance at `tc`: the two parts composed.
+  [[nodiscard]] KernelSpec make(TypeConfig tc) const;
 };
 
 struct RunResult {
@@ -64,21 +100,22 @@ struct RunResult {
     sim::Engine engine = sim::Engine::Jit,
     fp::MathBackend backend = fp::MathBackend::Grs);
 
-/// Content digest of a lowered kernel instance: a process-stable FNV-1a hash
-/// over the memory layout bases, the initialized data segment (which embeds
-/// the quantized inputs), the encoded text image, and the QoR reference
-/// (output-array names and golden values). Any change to the kernel source,
-/// its inputs, the code generator, or the optimizer that alters the program
-/// or its reference changes the digest — this is what makes the eval cell
-/// store content-addressed rather than name-addressed. The bytes are hashed
-/// in two parts: first what every lowering of the kernel shares (data base,
-/// data segment, output-array names, golden values), then the lowering's own
-/// text base and text words, so KernelDigest can hash the first part once.
+/// Content digest of a lowered kernel instance: a process-stable word-wise
+/// hash (util::WordHash, eight bytes per step) over the memory layout bases,
+/// the initialized data segment (which embeds the quantized inputs), the
+/// encoded text image, and the QoR reference (output-array names and golden
+/// values). Any change to the kernel source, its inputs, the code generator,
+/// or the optimizer that alters the program or its reference changes the
+/// digest — this is what makes the eval cell store content-addressed rather
+/// than name-addressed. The bytes are hashed in two parts: first what every
+/// lowering of the kernel shares (data base, data segment, output-array
+/// names, golden values), then the lowering's own text base and text words,
+/// so KernelDigest can hash the first part once.
 [[nodiscard]] std::uint64_t lowered_digest(const KernelSpec& spec,
                                            const ir::LoweredKernel& lowered);
 
 /// lowered_digest over many lowerings of one kernel. The first call hashes
-/// the shared part and keeps its FNV state with the data segment it hashed;
+/// the shared part and keeps the hash state with the data segment it hashed;
 /// a later lowering whose data base and data segment are byte-equal resumes
 /// from that state and hashes only its text, and any other lowering is
 /// hashed in full. Every call returns exactly lowered_digest(spec, lowered).
@@ -93,7 +130,7 @@ class KernelDigest {
   const KernelSpec* spec_;
   std::optional<std::vector<std::uint8_t>> data_;  ///< the segment hashed
   std::uint32_t data_base_ = 0;
-  util::Fnv1a shared_;  ///< the state after the shared part
+  util::WordHash shared_;  ///< the state after the shared part
 };
 
 }  // namespace sfrv::kernels

@@ -166,19 +166,8 @@ const SvmFixture& svm_fixture() {
 
 const std::vector<Benchmark>& benchmark_suite() {
   static const std::vector<Benchmark> suite = {
-      {"svm",
-       [](TypeConfig tc) {
-         return make_svm(tc, svm_fixture());
-       }},
-      {"gemm", [](TypeConfig tc) { return make_gemm(tc); }},
-      {"atax", [](TypeConfig tc) { return make_atax(tc); }},
-      {"syrk", [](TypeConfig tc) { return make_syrk(tc); }},
-      {"syr2k", [](TypeConfig tc) { return make_syr2k(tc); }},
-      {"fdtd2d", [](TypeConfig tc) { return make_fdtd2d(tc); }},
-      {"conv2d", [](TypeConfig tc) { return make_conv2d(tc); }},
-      {"fully_connected",
-       [](TypeConfig tc) { return make_fully_connected(tc); }},
-      {"nn_train", [](TypeConfig tc) { return make_nn_train(tc); }},
+      svm(svm_fixture), gemm(),   atax(),           syrk(),    syr2k(),
+      fdtd2d(),         conv2d(), fully_connected(), nn_train(),
   };
   return suite;
 }

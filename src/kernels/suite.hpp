@@ -3,8 +3,6 @@
 // type configuration.
 #pragma once
 
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "kernels/nn.hpp"
@@ -12,11 +10,6 @@
 #include "kernels/svm.hpp"
 
 namespace sfrv::kernels {
-
-struct Benchmark {
-  std::string name;
-  std::function<KernelSpec(TypeConfig)> make;
-};
 
 /// Shared gesture dataset/model for the SVM entries (trained once).
 [[nodiscard]] const SvmFixture& svm_fixture();

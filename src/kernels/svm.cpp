@@ -136,52 +136,59 @@ SvmModel train_svm(const SvmDataset& train, int classes, double ridge_lambda) {
   return model;
 }
 
+Benchmark svm(std::function<const SvmFixture&()> fixture) {
+  // Arrays, in declaration order: x, w, bias, scores.
+  auto data = [fixture] {
+    const SvmFixture& f = fixture();
+    assert(f.model.features == f.test.features);
+    KernelData d;
+    d.init.resize(4);
+    d.init[0] = f.test.x;
+    d.init[1] = f.model.weights;
+    d.init[2] = f.model.bias;
+    d.output_arrays = {"scores"};
+    std::vector<double> flat;
+    flat.reserve(static_cast<std::size_t>(f.test.samples * f.model.classes));
+    for (const auto& r : f.golden) flat.insert(flat.end(), r.begin(), r.end());
+    d.golden.push_back(std::move(flat));
+    return d;
+  };
+  auto kernel = [fixture](TypeConfig tc) {
+    const SvmFixture& f = fixture();
+    Kernel k;
+    k.name = "svm";
+    const int S = f.test.samples;
+    const int C = f.model.classes;
+    const int F = f.model.features;
+    const int X = k.add_array("x", tc.data, S, F);
+    const int W = k.add_array("w", tc.data, C, F);
+    const int B = k.add_array("bias", tc.acc, 1, C);
+    const int SC = k.add_array("scores", tc.acc, S, C);
+    const int acc = k.add_var("acc", tc.acc);
+
+    const int s = k.fresh_loop_var();
+    const int c = k.fresh_loop_var();
+    const int fv = k.fresh_loop_var();
+
+    Loop ls{s, 0, Bound::fixed(S), {}};
+    Loop lc{c, 0, Bound::fixed(C), {}};
+    lc.body.push_back(ir::assign_var(
+        acc, Expr::load({B, Index::constant(0), {c, 0}})));
+    Loop lf{fv, 0, Bound::fixed(F), {}};
+    lf.body.push_back(ir::accum_var(
+        acc, Expr::mul(Expr::load({X, {s, 0}, {fv, 0}}),
+                       Expr::load({W, {c, 0}, {fv, 0}}))));
+    lc.body.push_back(std::move(lf));
+    lc.body.push_back(ir::store({SC, {s, 0}, {c, 0}}, Expr::variable(acc)));
+    ls.body.push_back(std::move(lc));
+    k.body.push_back(std::move(ls));
+    return k;
+  };
+  return {"svm", std::move(data), std::move(kernel)};
+}
+
 KernelSpec make_svm(TypeConfig tc, const SvmFixture& fixture) {
-  const SvmModel& model = fixture.model;
-  const SvmDataset& test = fixture.test;
-  assert(model.features == test.features);
-  KernelSpec spec;
-  Kernel& k = spec.kernel;
-  k.name = "svm";
-  const int S = test.samples;
-  const int C = model.classes;
-  const int F = model.features;
-  const int X = k.add_array("x", tc.data, S, F);
-  const int W = k.add_array("w", tc.data, C, F);
-  const int B = k.add_array("bias", tc.acc, 1, C);
-  const int SC = k.add_array("scores", tc.acc, S, C);
-  const int acc = k.add_var("acc", tc.acc);
-
-  const int s = k.fresh_loop_var();
-  const int c = k.fresh_loop_var();
-  const int f = k.fresh_loop_var();
-
-  Loop ls{s, 0, Bound::fixed(S), {}};
-  Loop lc{c, 0, Bound::fixed(C), {}};
-  lc.body.push_back(ir::assign_var(
-      acc, Expr::load({B, Index::constant(0), {c, 0}})));
-  Loop lf{f, 0, Bound::fixed(F), {}};
-  lf.body.push_back(ir::accum_var(
-      acc, Expr::mul(Expr::load({X, {s, 0}, {f, 0}}),
-                     Expr::load({W, {c, 0}, {f, 0}}))));
-  lc.body.push_back(std::move(lf));
-  lc.body.push_back(ir::store({SC, {s, 0}, {c, 0}}, Expr::variable(acc)));
-  ls.body.push_back(std::move(lc));
-  k.body.push_back(std::move(ls));
-
-  spec.init.resize(k.arrays.size());
-  spec.init[static_cast<std::size_t>(X)] = test.x;
-  spec.init[static_cast<std::size_t>(W)] = model.weights;
-  spec.init[static_cast<std::size_t>(B)] = model.bias;
-  spec.output_arrays = {"scores"};
-
-  std::vector<double> flat;
-  flat.reserve(static_cast<std::size_t>(S * C));
-  for (const auto& r : fixture.golden) {
-    flat.insert(flat.end(), r.begin(), r.end());
-  }
-  spec.golden.push_back(std::move(flat));
-  return spec;
+  return svm([&fixture]() -> const SvmFixture& { return fixture; }).make(tc);
 }
 
 std::vector<std::vector<double>> svm_scores_golden(const SvmModel& model,

@@ -8,6 +8,7 @@
 // narrower accumulators losing classifications).
 #pragma once
 
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -70,7 +71,12 @@ struct SvmFixture {
 /// Inference kernel over the fixture's test set:
 /// scores[s][c] = bias[c] + sum_f x[s][f] * w[c][f]. Arrays x/w use
 /// tc.data; bias/scores/accumulator use tc.acc (the paper's tuned
-/// assignment is data = float16, acc = float).
+/// assignment is data = float16, acc = float). `fixture` is called for the
+/// fixture each time a part is built, so a suite can build it on first use
+/// (svm_fixture()); the fixture it returns must outlive that part's build.
+[[nodiscard]] Benchmark svm(std::function<const SvmFixture&()> fixture);
+
+/// One instance: svm(fixture) at `tc`.
 [[nodiscard]] KernelSpec make_svm(TypeConfig tc, const SvmFixture& fixture);
 
 /// Reshape a flat scores output array into per-sample rows.

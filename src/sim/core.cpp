@@ -164,32 +164,40 @@ void Core::account(const DecodedOp& u, std::uint32_t idx) {
 
 Core::RunResult Core::run_jit(std::uint64_t max_steps) {
   // Every block entry: look up the trace at pc, compile it on a miss, run
-  // it. A trace books its aggregates as it exits, so stats_ is exact
-  // between iterations (a CSR op on the cold tier reads it).
-  std::uint64_t remaining = max_steps;
-  while (remaining > 0 && !ctx_.halted) {
-    const std::uint32_t idx = fetch_index(ctx_.pc);
-    jit::Trace* t = jit_.lookup(idx);
-    if (t == nullptr) {
-      t = jit_.translate(idx, uops_, timing_, text_base_);
-      if (t != nullptr && verify::enabled()) {
-        verify_trace_or_throw(*t, uops_, timing_, mem_.config(), text_base_);
+  // it. A trace books cycles, instructions, loads and stores as it exits,
+  // so those are exact between iterations (a CSR op on the cold tier reads
+  // them); the per-op and per-pc counts its exits leave pending are added
+  // when this returns or unwinds.
+  try {
+    std::uint64_t remaining = max_steps;
+    while (remaining > 0 && !ctx_.halted) {
+      const std::uint32_t idx = fetch_index(ctx_.pc);
+      jit::Trace* t = jit_.lookup(idx);
+      if (t == nullptr) {
+        t = jit_.translate(idx, uops_, timing_, text_base_);
+        if (t != nullptr && verify::enabled()) {
+          verify_trace_or_throw(*t, uops_, timing_, mem_.config(), text_base_);
+        }
       }
+      if (t == nullptr || remaining < t->n) {
+        // A stop-class op retires alone; a budget that ends inside the trace
+        // retires its straight-line prefix.
+        const std::uint64_t count = t == nullptr ? 1 : remaining;
+        jit_.note_interp();
+        run_cold(idx, count);
+        remaining -= count;
+        continue;
+      }
+      const std::uint64_t runs =
+          jit::run_trace_full(*t, uops_, ctx_, stats_, remaining / t->n);
+      jit_.note_runs(runs);
+      remaining -= runs * t->n;
     }
-    if (t == nullptr || remaining < t->n) {
-      // A stop-class op retires alone; a budget that ends inside the trace
-      // retires its straight-line prefix.
-      const std::uint64_t count = t == nullptr ? 1 : remaining;
-      jit_.note_interp();
-      run_cold(idx, count);
-      remaining -= count;
-      continue;
-    }
-    const std::uint64_t runs =
-        jit::run_trace_full(*t, uops_, ctx_, stats_, remaining / t->n);
-    jit_.note_runs(runs);
-    remaining -= runs * t->n;
+  } catch (...) {
+    jit_.flush(stats_, uops_);
+    throw;
   }
+  jit_.flush(stats_, uops_);
   return ctx_.halted ? RunResult::Halted : RunResult::MaxStepsReached;
 }
 

@@ -8,7 +8,8 @@
 // the pc bump. The executor books nothing per op and restarts internally
 // on a taken back-edge to the trace head (hot loops never leave the
 // executor); run_trace_full books the complete executions when the trace
-// exits. A step budget shorter than the trace never reaches it:
+// exits, and JitProgram::flush their per-op and per-pc counts when
+// Core::run returns. A step budget shorter than the trace never reaches it:
 // Core::run_jit hands that budget to the cold tier instead.
 //
 // Fault model: the only ops in a trace that can throw are the memory ops —
@@ -158,21 +159,26 @@ const void* token_label(TOp t) {
   return threaded_labels()[static_cast<int>(t)];
 }
 
-void Trace::charge(Stats& st, const std::vector<DecodedOp>& uops,
-                   std::uint64_t runs, std::uint64_t taken) const {
+void Trace::charge(Stats& st, std::uint64_t runs, std::uint64_t taken) {
   st.cycles += runs * sum_cycles + taken * taken_extra;
   st.instructions += runs * n;
   st.load_count += runs * n_loads;
   st.store_count += runs * n_stores;
+  pending_runs += runs;
+  pending_taken += taken;
+}
+
+void Trace::flush(Stats& st, const std::vector<DecodedOp>& uops) {
+  if (pending_runs == 0) return;
   for (const auto& [op, cnt] : op_counts) {
-    st.op_count[op] += runs * cnt;
+    st.op_count[op] += pending_runs * cnt;
   }
   for (std::uint32_t i = start_idx; i < start_idx + n; ++i) {
-    st.pc_cycles[i] += runs * uops[i].cycles;
+    st.pc_cycles[i] += pending_runs * uops[i].cycles;
   }
-  if (taken != 0) {
-    st.pc_cycles[start_idx + n - 1] += taken * taken_extra;
-  }
+  st.pc_cycles[start_idx + n - 1] += pending_taken * taken_extra;
+  pending_runs = 0;
+  pending_taken = 0;
 }
 
 std::uint64_t run_trace_full(Trace& t, const std::vector<DecodedOp>& uops,
@@ -194,7 +200,7 @@ std::uint64_t run_trace_full(Trace& t, const std::vector<DecodedOp>& uops,
     // faulting op recorded itself in cursor before the access, so
     // [0, cursor) is the completed prefix (none of which can be the branch
     // terminator).
-    if (t.runs_done != 0) t.charge(st, uops, t.runs_done, t.runs_done);
+    if (t.runs_done != 0) t.charge(st, t.runs_done, t.runs_done);
     for (std::uint32_t i = t.start_idx; i < t.start_idx + t.cursor; ++i) {
       book_op(st, uops[i], i);
     }
@@ -204,8 +210,12 @@ std::uint64_t run_trace_full(Trace& t, const std::vector<DecodedOp>& uops,
   // Every internal restart ended in the taken back-edge; the final run
   // ended in a taken branch only if the executor set branch_taken.
   const std::uint64_t runs = t.runs_done + 1;
-  t.charge(st, uops, runs, t.runs_done + (c.branch_taken ? 1 : 0));
+  t.charge(st, runs, t.runs_done + (c.branch_taken ? 1 : 0));
   return runs;
+}
+
+void JitProgram::flush(Stats& st, const std::vector<DecodedOp>& uops) {
+  for (Trace& t : traces_) t.flush(st, uops);
 }
 
 // ---- translation ------------------------------------------------------------

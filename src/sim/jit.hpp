@@ -35,15 +35,21 @@
 //
 // Cycle identity. The executor books *nothing* per op: the translator
 // aggregates the trace's total cycles, instruction/load/store counts, and
-// per-op retirement counts, and run_trace_full multiplies them out into
-// `Stats` — including the per-pc cycle attribution — when the trace exits,
-// for the complete executions of that call and the taken endings among them.
-// `Stats` is therefore exact whenever control is outside the executor. CSR
-// ops stay stop-class because the ops before them in the same trace run
-// would not be booked yet. A fault books the completed prefix per op, and a
-// step budget shorter than the trace runs on the cold tier, which books
-// every op as it retires, so simulated cycles, fflags, and architectural
-// digests stay bit-identical to Engine::Reference.
+// per-op retirement counts. When the trace exits, run_trace_full books the
+// complete executions of that call in O(1): cycles (with the taken endings'
+// penalty), instructions, loads and stores go into `Stats` at once -- the
+// counters a CSR op reads -- and the trace adds the runs and taken endings
+// to its pending totals. The per-op counts and the per-pc cycle attribution
+// of those totals are multiplied out once, by JitProgram::flush, when
+// Core::run returns or unwinds, so a short trace that exits often no longer
+// walks its ops at every exit. `Stats` is therefore exact whenever control
+// is outside Core::run, and its CSR-visible counters are exact whenever
+// control is outside the executor. CSR ops stay stop-class because the ops
+// before them in the same trace run would not be booked yet. A fault books
+// the completed prefix per op, and a step budget shorter than the trace
+// runs on the cold tier, which books every op as it retires, so simulated
+// cycles, fflags, and architectural digests stay bit-identical to
+// Engine::Reference.
 //
 // Translation cache. Every block compiles on its first entry. Traces are
 // keyed on the starting text index alone within a (backend, code version)
@@ -99,10 +105,20 @@ struct Trace {
   std::uint32_t runs_left = 0;
   std::uint32_t runs_done = 0;
 
+  /// Complete executions whose per-op and per-pc counts are not booked
+  /// yet, and how many of them ended in a taken branch (flush books them).
+  std::uint64_t pending_runs = 0;
+  std::uint64_t pending_taken = 0;
+
   /// Book `runs` complete executions (of which `taken` ended in a taken
-  /// branch) of this range of `uops` into `st`.
-  void charge(Stats& st, const std::vector<DecodedOp>& uops,
-              std::uint64_t runs, std::uint64_t taken) const;
+  /// branch) in O(1): cycles, instructions, loads and stores into `st`, the
+  /// counters a CSR reads; the per-op and per-pc counts into the pending
+  /// totals.
+  void charge(Stats& st, std::uint64_t runs, std::uint64_t taken);
+
+  /// Add the pending runs' per-op and per-pc counts over this range of
+  /// `uops` to `st`, and clear them.
+  void flush(Stats& st, const std::vector<DecodedOp>& uops);
 };
 
 /// Translation/execution telemetry (bench columns, tests).
@@ -159,6 +175,10 @@ class JitProgram {
   /// Record one cold-tier entry from Core::run.
   void note_interp() { ++stats_.interp_entries; }
 
+  /// Flush every trace's pending counts into `st` (Trace::flush); Core::run
+  /// calls this when it returns or unwinds.
+  void flush(Stats& st, const std::vector<DecodedOp>& uops);
+
   [[nodiscard]] std::size_t size() const { return traces_.size(); }
   [[nodiscard]] const JitStats& stats() const { return stats_; }
 
@@ -174,10 +194,10 @@ class JitProgram {
 /// to `max_runs` total executions) whenever the branch terminator takes its
 /// back-edge to the trace's own head — a hot inner loop runs to completion
 /// without ever leaving threaded code — then book the complete executions
-/// into `st` and return their number. On a memory fault, books the
-/// completed internal runs and the completed prefix of the partial run per
-/// op, sets pc to the faulting instruction, and rethrows. The caller must
-/// guarantee budget >= max_runs * t.n, max_runs >= 1.
+/// into `st` (Trace::charge) and return their number. On a memory fault,
+/// books the completed internal runs and the completed prefix of the
+/// partial run per op, sets pc to the faulting instruction, and rethrows.
+/// The caller must guarantee budget >= max_runs * t.n, max_runs >= 1.
 std::uint64_t run_trace_full(Trace& t, const std::vector<DecodedOp>& uops,
                              ExecContext& c, Stats& st,
                              std::uint64_t max_runs);

@@ -3,7 +3,7 @@
 // One technique: host binary64 arithmetic on an EXACT intermediate, rounded
 // once into the format: inline when the mode is RNE and the result is a
 // normal number, through the library's own single-rounding converter in
-// every other case (see narrow() below). binary8, binary16,
+// every other case (exact::narrow, softfloat/exact.hpp). binary8, binary16,
 // binary16alt and binary32 are all subsets of binary64, so widening an operand
 // is exact, and (see docs/formats.md for the full argument):
 //   - add/sub/mul: for a format with precision p and exponent-field distance
@@ -26,12 +26,17 @@
 
 #include "softfloat/arith.hpp"
 #include "softfloat/convert.hpp"
+#include "softfloat/exact.hpp"
 #include "softfloat/host.hpp"
 #include "softfloat/runtime.hpp"
 
 namespace sfrv::fp {
 
 namespace {
+
+using exact::fill_widen_tables;
+using exact::narrow;
+using exact::widen;
 
 template <class F>
 constexpr Float<F> as(std::uint64_t bits) {
@@ -60,100 +65,6 @@ template <>
 struct FmtTag<Binary32> {
   static constexpr FpFormat value = FpFormat::F32;
 };
-
-/// Exact binary64 value of one pattern of F, by the library's own converter
-/// (a NaN widens to the canonical quiet NaN).
-template <class F>
-constexpr double widen_exact(std::uint64_t bits) {
-  Flags fl;
-  return std::bit_cast<double>(
-      convert<Binary64>(as<F>(bits), RoundingMode::RNE, fl).bits);
-}
-
-/// binary8's 256 widenings, built at compile time.
-constexpr auto kWidenF8 = [] {
-  std::array<double, 256> t{};
-  for (std::size_t i = 0; i < t.size(); ++i) t[i] = widen_exact<Binary8>(i);
-  return t;
-}();
-
-/// binary16's 65536 widenings (512 KiB): too many converter runs for
-/// Clang's default constant-evaluation step limit, so they are filled at
-/// run time, once, by fill_widen_tables(), which the detail:: accessors
-/// below call before handing out a fast table. Every fast entry is reached
-/// through one of those tables, so a lookup needs no guard, and a process
-/// that never asks for the fast backend never touches these pages.
-std::array<double, 65536> gWidenF16;
-
-void fill_widen_tables() {
-  static const bool filled = [] {
-    for (std::size_t i = 0; i < gWidenF16.size(); ++i) {
-      gWidenF16[i] = widen_exact<Binary16>(i);
-    }
-    return true;
-  }();
-  (void)filled;
-}
-
-/// Exact widening to host double of *any* bit pattern of F. binary8 and
-/// binary16 read the tables above (their layouts need re-biasing work);
-/// binary16alt is a bfloat16, i.e. the high half of a binary32; binary32 is
-/// a plain host float.
-template <class F>
-[[gnu::always_inline]] inline double widen(std::uint64_t bits) {
-  if constexpr (std::is_same_v<F, Binary8>) {
-    return kWidenF8[bits & 0xff];
-  } else if constexpr (std::is_same_v<F, Binary16>) {
-    return gWidenF16[bits & 0xffff];
-  } else if constexpr (std::is_same_v<F, Binary16Alt>) {
-    return static_cast<double>(std::bit_cast<float>(
-        static_cast<std::uint32_t>(bits & 0xffff) << 16));
-  } else {
-    static_assert(std::is_same_v<F, Binary32>);
-    return static_cast<double>(
-        std::bit_cast<float>(static_cast<std::uint32_t>(bits)));
-  }
-}
-
-/// The GRS narrowing of an exact double: every case narrow() leaves. Out of
-/// line, so that the fast entries stay small enough to inline into the
-/// packed lane loops.
-template <class F>
-[[gnu::noinline]] std::uint64_t grs_narrow(double r, RoundingMode rm,
-                                           Flags& fl) {
-  return from_double<F>(r, rm, fl).bits;
-}
-
-/// Round the exact double `r` once into F. Inline when rm is RNE and both
-/// `r` and its rounded value are normal numbers of F: the rounded
-/// significand is r's top man_bits bits plus the RNE increment, which
-/// carries into the exponent field on its own, and the one flag possible is
-/// NX. Every other case (other modes, zeros, results that are subnormal,
-/// tiny, overflowing or not finite) is the GRS converter's.
-template <class F>
-[[gnu::always_inline]] inline std::uint64_t narrow(double r, RoundingMode rm,
-                                                   Flags& fl) {
-  constexpr int kDrop = 52 - F::man_bits;
-  constexpr std::uint64_t kRebias =
-      static_cast<std::uint64_t>(1023 - F::bias) << F::man_bits;
-  const std::uint64_t x = std::bit_cast<std::uint64_t>(r);
-  const std::uint64_t mag = x & ~(std::uint64_t{1} << 63);
-  // F's biased exponent of r, as unsigned: in [1, exp_field_max) iff normal.
-  const std::uint64_t ef = (mag >> 52) - (1023 - F::bias);
-  if (rm == RoundingMode::RNE &&
-      ef - 1 < static_cast<std::uint64_t>(F::exp_field_max - 1)) {
-    const std::uint64_t rest = mag & ((std::uint64_t{1} << kDrop) - 1);
-    const std::uint64_t lsb = (mag >> kDrop) & 1;
-    const std::uint64_t q =
-        ((mag + ((std::uint64_t{1} << (kDrop - 1)) - 1) + lsb) >> kDrop) -
-        kRebias;
-    if (q < F::exp_mask) {  // no carry into the infinity exponent
-      if (rest != 0) fl.raise(Flags::NX);
-      return q | ((x >> 63) << (F::width - 1));
-    }
-  }
-  return grs_narrow<F>(r, rm, fl);
-}
 
 /// Grs recomputation for the delegated cases.
 template <class F, HOp Op>

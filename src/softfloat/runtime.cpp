@@ -9,6 +9,7 @@
 #include "softfloat/arith.hpp"
 #include "softfloat/compare.hpp"
 #include "softfloat/convert.hpp"
+#include "softfloat/exact.hpp"
 #include "softfloat/host.hpp"
 #include "softfloat/posit.hpp"
 
@@ -763,8 +764,16 @@ std::uint64_t rt_from_uint32(FpFormat f, std::uint32_t v, RoundingMode rm,
 double rt_to_double(FpFormat f, std::uint64_t a) {
   if (f == FpFormat::P8) return posit_to_double<Posit8>(a);
   if (f == FpFormat::P16) return posit_to_double<Posit16>(a);
-  return dispatch_format(
-      f, [&]<class F>() -> double { return to_double(as<F>(a)); });
+  return dispatch_format(f, [&]<class F>() -> double {
+    if constexpr (std::is_same_v<F, Binary64>) {
+      return std::bit_cast<double>(a);
+    } else {
+      // A NaN widens to the GRS converter's canonical quiet NaN.
+      if (as<F>(a).is_nan()) return to_double(as<F>(a));
+      if constexpr (std::is_same_v<F, Binary16>) exact::fill_widen_tables();
+      return exact::widen<F>(a);
+    }
+  });
 }
 
 std::uint64_t rt_from_double(FpFormat f, double v, RoundingMode rm, Flags& fl) {
@@ -780,7 +789,11 @@ std::uint64_t rt_from_double(FpFormat f, double v, RoundingMode rm, Flags& fl) {
     return bits;
   }
   return dispatch_format(f, [&]<class F>() -> std::uint64_t {
-    return from_double<F>(v, rm, fl).bits;
+    if constexpr (std::is_same_v<F, Binary64>) {
+      return std::bit_cast<std::uint64_t>(v);
+    } else {
+      return exact::narrow<F>(v, rm, fl);
+    }
   });
 }
 

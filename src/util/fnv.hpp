@@ -1,8 +1,10 @@
-// Seedable 64-bit FNV-1a, shared by the kernel-content digest
-// (kernels::lowered_digest) and the eval cell store's content addresses.
-// Process-stable by construction: the hash is a pure function of the fed
-// bytes, never of pointers or container iteration order, which is what lets
-// two processes (or two machines) agree on a cell address.
+// 64-bit FNV-1a, one multiply per byte, with a settable offset basis (the
+// seed): the eval cell store's content addresses (CellKey::address_of) are
+// two passes of it with different offset bases. The kernel-content digest
+// hashes word-wise instead (util/wordhash.hpp). Process-stable by
+// construction: the hash is a pure function of the fed bytes, never of
+// pointers or container iteration order, which is what lets two processes
+// (or two machines) agree on a cell address.
 #pragma once
 
 #include <cstddef>

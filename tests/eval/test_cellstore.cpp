@@ -1,20 +1,25 @@
 // Content-addressed cell store: per-axis key sensitivity (any field of what
 // a result is a function of must change the address), cross-process address
-// stability (a pinned constant), planned programs and digests against each
-// cell's own lowering, round trips through a directory within one store and
+// stability (a pinned constant), planned programs, data and digests against
+// each cell's own build and lowering, the digest's sensitivity to every bit
+// it hashes, round trips through a directory within one store and
 // across instances (an empty directory is rejected), the
 // never-serve-questionable-entries contract (truncation, corruption, key
 // mismatch, schema drift), the end-to-end cache-correctness contract — a
 // warm campaign rerun serializes byte-identically with a 100% hit rate,
 // including when two stores race to fill one shared directory — and the
-// tuner grid sharing the campaign's one serve-or-simulate pass.
+// tuner grid sharing the campaign's one serve-or-simulate pass, with one
+// entry read per distinct key.
 #include "eval/cellstore.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -195,7 +200,8 @@ TEST(CellKey, PlannedDigestIsTheLoweredDigest) {
   // onto the wrong array or type must fail here, not only where it moves a
   // simulated number, so every planned program must be the one the cell's
   // kernel lowers to on its own. The svm spec has the 22 comparable
-  // {data, acc} pairs of the tuner study, so 22 kernels share 6 x/w images.
+  // {data, acc} pairs of the tuner study, so 22 kernels share one data
+  // build and 6 x/w images.
   constexpr ir::ScalarType kDomain[] = {
       ir::ScalarType::F8,  ir::ScalarType::P8,  ir::ScalarType::F16Alt,
       ir::ScalarType::F16, ir::ScalarType::P16, ir::ScalarType::F32};
@@ -219,12 +225,23 @@ TEST(CellKey, PlannedDigestIsTheLoweredDigest) {
   for (const CampaignSpec& spec :
        {CampaignSpec::table3(), svm_pairs, CampaignSpec::smoke(),
         CampaignSpec::nn(SuiteScale::Smoke), swept}) {
+    // The planner builds each benchmark's data once and instantiates every
+    // TypeConfig from it: each planned kernel must carry the inputs, output
+    // names and golden reference of its own build.
+    std::set<const kernels::KernelSpec*> checked;
     for (const PlannedCell& p : plan_campaign(spec)) {
       const std::string where =
           spec.name + " " + p.cell.benchmark->bench.name + "/" +
           p.cell.type_config.name + "/" +
           std::string(ir::mode_name(p.cell.mode)) + "/" +
           std::to_string(p.cell.vl);
+      if (checked.insert(p.spec.get()).second) {
+        const kernels::KernelSpec own =
+            p.cell.benchmark->bench.make(p.cell.type_config.tc);
+        EXPECT_EQ(p.spec->init, own.init) << where;
+        EXPECT_EQ(p.spec->output_arrays, own.output_arrays) << where;
+        EXPECT_EQ(p.spec->golden, own.golden) << where;
+      }
       EXPECT_EQ(p.key.kernel_digest,
                 kernels::lowered_digest(*p.spec, *p.lowered))
           << where;
@@ -256,6 +273,50 @@ TEST(CellKey, KernelDigestRehashesAnotherDataSegment) {
   const auto scalar =
       ir::lower(spec.kernel, ir::CodegenMode::Scalar, spec.init);
   EXPECT_EQ(digest(scalar), kernels::lowered_digest(spec, scalar));
+}
+
+TEST(CellKey, EveryDigestedBitChangesTheDigest) {
+  // The digest hashes eight bytes per step: flipping any one bit of the
+  // data segment, the golden values or the text must still move it, in
+  // segments whose length is not a multiple of eight too (the byte tail).
+  const auto& suite = eval_suite(SuiteScale::Smoke);
+  bool odd_data = false;
+  bool odd_text = false;
+  for (const char* name : {"atax", "fully_connected", "nn_train"}) {
+    const auto b = std::find_if(
+        suite.begin(), suite.end(),
+        [&](const EvalBenchmark& e) { return e.bench.name == name; });
+    ASSERT_NE(b, suite.end());
+    for (const ir::ScalarType t : {ir::ScalarType::F8, ir::ScalarType::F16}) {
+      kernels::KernelSpec spec =
+          b->bench.make(kernels::TypeConfig::uniform(t));
+      ir::LoweredKernel low =
+          ir::lower(spec.kernel, ir::CodegenMode::Scalar, spec.init);
+      const std::uint64_t base = kernels::lowered_digest(spec, low);
+      const std::string where =
+          std::string(name) + "/" + std::string(ir::type_name(t));
+      odd_data = odd_data || low.program.data.size() % 8 != 0;
+      odd_text = odd_text || low.program.text_words.size() % 2 != 0;
+      auto flips = [&](auto* bytes, std::size_t n, const char* part) {
+        auto* p = reinterpret_cast<unsigned char*>(bytes);
+        for (std::size_t bit = 0; bit < n * 8; ++bit) {
+          p[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+          const std::uint64_t flipped = kernels::lowered_digest(spec, low);
+          p[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+          ASSERT_NE(flipped, base) << where << " " << part << " bit " << bit;
+        }
+      };
+      flips(low.program.data.data(), low.program.data.size(), "data");
+      flips(low.program.text_words.data(),
+            low.program.text_words.size() * sizeof(std::uint32_t), "text");
+      for (auto& g : spec.golden) {
+        flips(g.data(), g.size() * sizeof(double), "golden");
+      }
+      ASSERT_EQ(kernels::lowered_digest(spec, low), base) << where;
+    }
+  }
+  EXPECT_TRUE(odd_data);
+  EXPECT_TRUE(odd_text);
 }
 
 TEST(CellStore, EmptyDirectoryIsRejected) {
@@ -461,6 +522,31 @@ TEST(CellStore, TunerAndCampaignShareContentCells) {
                 c.type_config == "posit16")
         << c.type_config;
   }
+}
+
+TEST(CellStore, OneEntryReadPerDistinctKey) {
+  // The 7 grid points that the smoke SVM matrix covers have their cells'
+  // keys: a pass reads and writes 43 entries for its 50 cells, while the
+  // tallies count all 50 cells, served or computed.
+  CampaignSpec spec = CampaignSpec::smoke();
+  spec.benchmarks = {"svm"};
+  const TempDir dir;
+  CellStore cold(dir.str());
+  const EvalReport first = run_campaign(spec, 2, &cold);
+  EXPECT_EQ(first.cache.misses, 50u);
+  EXPECT_EQ(cold.stats().misses, 43u);
+  EXPECT_EQ(cold.stats().hits, 0u);
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir.path),
+                          fs::directory_iterator{}),
+            43);
+
+  CellStore warm(dir.str());
+  const EvalReport second = run_campaign(spec, 1, &warm);
+  EXPECT_EQ(second.cache.hits, 50u);
+  EXPECT_EQ(second.cache.misses, 0u);
+  EXPECT_EQ(warm.stats().hits, 43u);
+  EXPECT_EQ(warm.stats().misses, 0u);
+  EXPECT_EQ(to_json(second).dump(2), to_json(first).dump(2));
 }
 
 TEST(CellStore, ConcurrentStoresShareOneDirectory) {

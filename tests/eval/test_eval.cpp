@@ -1,6 +1,7 @@
-// Eval-layer tests: JSON model, matrix expansion, deterministic parallel
-// aggregation (byte-identical reports at -j1 and -jN), report round-trip,
-// single cells against their campaign cells, and the tuner case study.
+// Eval-layer tests: JSON model, matrix expansion, the planner's one data
+// build per benchmark, deterministic parallel aggregation (byte-identical
+// reports at -j1 and -jN), report round-trip, single cells against their
+// campaign cells, and the tuner case study.
 // Campaign-level tests run the Smoke suite so the whole file stays in
 // ctest-friendly time.
 #include "eval/campaign.hpp"
@@ -8,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "eval/json.hpp"
 #include "eval/report.hpp"
@@ -164,6 +167,75 @@ CampaignSpec small_spec(bool tuner = false) {
   spec.benchmarks = {"svm", "atax"};
   spec.tuner_study = tuner;
   return spec;
+}
+
+// ---- planner ---------------------------------------------------------------
+
+TEST(Planner, BuildsEachBenchmarksDataOncePerCall) {
+  // The cells a table3 run_campaign plans in one call: the matrix and the
+  // tuner grid, 78 (benchmark, TypeConfig) kernels over 9 benchmarks. The
+  // same benchmarks, counting their data builds, stand in for the suite's.
+  const CampaignSpec spec = CampaignSpec::table3();
+  std::vector<CellSpec> cells = expand_matrix(spec);
+  const std::vector<CellSpec> grid = tuner_grid(spec);
+  cells.insert(cells.end(), grid.begin(), grid.end());
+  int builds = 0;
+  std::map<const EvalBenchmark*, EvalBenchmark> counted;
+  for (CellSpec& cell : cells) {
+    const auto [it, fresh] =
+        counted.try_emplace(cell.benchmark, *cell.benchmark);
+    if (fresh) {
+      it->second.bench.build_data =
+          [&builds, build = cell.benchmark->bench.build_data] {
+            ++builds;
+            return build();
+          };
+    }
+    cell.benchmark = &it->second;
+  }
+  const std::vector<PlannedCell> planned = plan_cells(spec, cells);
+  EXPECT_EQ(builds, 9);
+  std::set<const kernels::KernelSpec*> kernels;
+  for (const PlannedCell& p : planned) kernels.insert(p.spec.get());
+  EXPECT_EQ(kernels.size(), 78u);
+  EXPECT_EQ(planned.size(), 274u);
+}
+
+TEST(Planner, MakeIsTheInstanceOfSharedData) {
+  // make(tc) builds the data afresh; the planner instantiates every
+  // TypeConfig from one build. Both must give the same kernel: its IR (the
+  // programs it lowers to), inputs, output names and golden reference.
+  for (const SuiteScale scale : {SuiteScale::Full, SuiteScale::Smoke}) {
+    for (const EvalBenchmark& b : eval_suite(scale)) {
+      const kernels::KernelData shared = b.bench.data();
+      for (const TypeConfigSpec& tc : default_type_configs()) {
+        const std::string where = b.bench.name + "/" + tc.name;
+        const kernels::KernelSpec made = b.bench.make(tc.tc);
+        const kernels::KernelSpec inst = b.bench.instantiate(tc.tc, shared);
+        EXPECT_EQ(made.init, inst.init) << where;
+        EXPECT_EQ(made.output_arrays, inst.output_arrays) << where;
+        EXPECT_EQ(made.golden, inst.golden) << where;
+        EXPECT_EQ(made.kernel.name, inst.kernel.name) << where;
+        ASSERT_EQ(made.kernel.arrays.size(), inst.kernel.arrays.size())
+            << where;
+        for (std::size_t a = 0; a < made.kernel.arrays.size(); ++a) {
+          EXPECT_EQ(made.kernel.arrays[a].name, inst.kernel.arrays[a].name);
+          EXPECT_EQ(made.kernel.arrays[a].type, inst.kernel.arrays[a].type);
+          EXPECT_EQ(made.kernel.arrays[a].elems(),
+                    inst.kernel.arrays[a].elems());
+        }
+        for (const ir::CodegenMode mode :
+             {ir::CodegenMode::Scalar, ir::CodegenMode::ManualVec}) {
+          const auto want = ir::lower(made.kernel, mode, made.init);
+          const auto got = ir::lower(inst.kernel, mode, inst.init);
+          EXPECT_EQ(want.program.text_words, got.program.text_words)
+              << where << " " << ir::mode_name(mode);
+          EXPECT_EQ(want.program.data, got.program.data)
+              << where << " " << ir::mode_name(mode);
+        }
+      }
+    }
+  }
 }
 
 TEST(Campaign, ParallelAggregationIsDeterministic) {
